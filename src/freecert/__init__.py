@@ -28,6 +28,7 @@ from .certifier import (
 from .hyperbolicity import HyperbolicityReport, all_geodesics, check_slim, compute_delta
 from .isometry import (
     AxisData,
+    EdgePath,
     IsometryProfile,
     OverlapReport,
     classify,

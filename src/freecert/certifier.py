@@ -18,11 +18,14 @@ from typing import Optional, Sequence
 from .isometry import (
     HYPERBOLIC_YES,
     AxisData,
+    EdgePath,
     IsometryProfile,
     OverlapReport,
     classify,
+    farthest_pair,
     independence_test,
     overlap_diameter,
+    overlap_points,
     quasi_axis,
 )
 from .models import ActionModel, ModelError, Word
@@ -688,21 +691,8 @@ class WitnessChain:
 
 def _segment_overlap(model: ActionModel, path1, path2, c: int) -> int:
     """Diameter of the c-overlap of two geodesic segments (0 when empty)."""
-    in1 = [p for p in path1 if min(model.distance(p, q) for q in path2) <= c]
-    in2 = [q for q in path2 if min(model.distance(q, p) for p in path1) <= c]
-    pts = []
-    seen = set()
-    for p in in1 + in2:
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
-    best = 0
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            d = model.distance(p, q)
-            if d > best:
-                best = d
-    return best
+    pts = overlap_points(model, path1, path2, c)[2]
+    return farthest_pair(model, pts)[0] if pts else 0
 
 
 def build_witness_chain(
@@ -948,20 +938,20 @@ def chain_base_points(model: ActionModel, axis_a: AxisData, axis_b: AxisData, ov
     D = 0: the midpoint of a distance-realizing segment between the axes,
     used for both (deterministic tie-breaks throughout).
     """
-    pa, pb = list(axis_a.path), list(axis_b.path)
+    pa, pb = EdgePath(model, axis_a.path), EdgePath(model, axis_b.path)
     if overlap.D > 0 and overlap.witness_segment:
         seg = list(overlap.witness_segment)
         mid = seg[len(seg) // 2]
-        x = min(pa, key=lambda p: (model.distance(p, mid), model.point_key(p)))
-        y = min(pb, key=lambda p: (model.distance(p, mid), model.point_key(p)))
-        return x, y
-    best = None
-    for p in pa:
-        for q in pb:
-            key = (model.distance(p, q), model.point_key(p), model.point_key(q))
-            if best is None or key < best:
-                best = key
-                pair = (p, q)
+        return pa.nearest(mid), pb.nearest(mid)
+    key = model.point_key
+    shared = [p for p in pa.points if p in pb.members]
+    if shared:
+        # Distance 0 is least, and p = q there: the least key of a shared point.
+        mid = min(shared, key=key)
+        return mid, mid
+    # The least (d(p, q), key(p), key(q)) pairs each p with its nearest q.
+    pairs = [(p, pb.nearest(p)) for p in pa.points]
+    pair = min(pairs, key=lambda t: (model.distance(*t), key(t[0]), key(t[1])))
     geo = model.geodesic(pair[0], pair[1])
     mid = geo[len(geo) // 2]
     return mid, mid

@@ -30,10 +30,16 @@ HYPERBOLIC_UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class AxisData:
+    """A window of an invariant (quasi-)axis.
+
+    ``path`` is an edge path: consecutive points are at distance <= 1, as
+    it is a concatenation of model geodesics.  :class:`EdgePath` relies on
+    this to skip ahead when measuring distances to the path.
+    """
+
     path: tuple
     mode: str  # "geodesic-axis" | "quasi-geodesic-axis"
     invariance_defect: int
-    quasi_params: Optional[tuple[Fraction, Fraction]] = None  # (K <= 1, eps >= 0)
     step: int = 1  # edges advanced per application; margin for end effects
 
 
@@ -188,14 +194,12 @@ def classify(model: ActionModel, g: Word, delta: int, power_cap: int = 128) -> I
                     break
             if overflowed == len(sample):
                 break  # points can no longer be expanded; the search is over
-        if criterion1_power is not None and not exact:
-            break
-        if criterion1_power is not None and exact:
+        if criterion1_power is not None:
             break
 
     if finite_order:
         verdict = HYPERBOLIC_NO
-    elif (exact and tr_lower > 0) or criterion1_power is not None or tr_lower > 0:
+    elif criterion1_power is not None or tr_lower > 0:
         verdict = HYPERBOLIC_YES
     elif exact and tr_lower == 0:
         verdict = HYPERBOLIC_NO
@@ -238,8 +242,62 @@ def _min_displacement_point(model: ActionModel, g: Word, search_radius: int = 8)
     return best
 
 
-def _dist_to_path(model: ActionModel, p, path) -> int:
-    return min(model.distance(p, q) for q in path)
+class EdgePath:
+    """Exact point-to-path distances on an edge path, without all-pairs scans.
+
+    The path must be an edge path: consecutive points at distance <= 1.
+    Then d(p, q_j) >= d(p, q_i) - |i - j| for any point p, so after reading
+    d(p, q_i) a scan may jump over every index that cannot beat the value
+    it looks for.  Points of the path are found by set lookup, at distance 0.
+    """
+
+    def __init__(self, model: ActionModel, points):
+        self.model = model
+        self.points = tuple(points)
+        self.members = frozenset(self.points)
+
+    def distance(self, p) -> int:
+        """Exact distance from p to the path."""
+        if p in self.members:
+            return 0
+        dist, points = self.model.distance, self.points
+        best = dist(p, points[0])
+        i = 1
+        while i < len(points):
+            d = dist(p, points[i])
+            if d < best:
+                best = d
+            i += d - best + 1  # the points skipped cannot come closer than best
+        return best
+
+    def within(self, p, c: int) -> bool:
+        """Whether some path point lies within c of p; stops at the first hit."""
+        if p in self.members:
+            return c >= 0
+        dist, points = self.model.distance, self.points
+        i = 0
+        while i < len(points):
+            d = dist(p, points[i])
+            if d <= c:
+                return True
+            i += d - c  # the points skipped are farther than c
+        return False
+
+    def nearest(self, p):
+        """The path point nearest p; ties go to the least ``point_key``."""
+        if p in self.members:
+            return p
+        dist, key, points = self.model.distance, self.model.point_key, self.points
+        best = (dist(p, points[0]), key(points[0]))
+        found = points[0]
+        i = 1
+        while i < len(points):
+            q = points[i]
+            d = dist(p, q)
+            if d <= best[0] and (d, key(q)) < best:
+                best, found = (d, key(q)), q
+            i += max(1, d - best[0])  # the points skipped are farther than best
+        return found
 
 
 def quasi_axis(model: ActionModel, g: Word, window: int = 8, delta: int = 0, search_radius: int = 8) -> AxisData:
@@ -249,7 +307,8 @@ def quasi_axis(model: ActionModel, g: Word, window: int = 8, delta: int = 0, sea
     minimal-displacement base point p*; classifies the result as a genuine
     geodesic axis when the concatenation is a geodesic with invariance
     defect <= 2*delta, otherwise verifies the quasi-geodesic-axis
-    properties on the window and records fitted quasi-geodesic constants.
+    properties on the window: bounded defect, and subpaths within 10*delta
+    of the geodesics between their endpoints.
     """
     profile = classify(model, g, delta)
     if profile.hyperbolic != HYPERBOLIC_YES:
@@ -265,41 +324,54 @@ def quasi_axis(model: ActionModel, g: Word, window: int = 8, delta: int = 0, sea
         path.extend(seg if not path else seg[1:])
     if not path:
         path = [pstar]
-    path_t = tuple(path)
+    edge_path = EdgePath(model, path)
 
     # Invariance defect, excluding a margin of one translation step at the ends.
     margin = max(step, 1)
     interior = path[margin:-margin] if len(path) > 2 * margin else path
-    defect = 0
-    for p in interior:
-        d = _dist_to_path(model, model.apply(g, p), path)
-        if d > defect:
-            defect = d
+    defect = max(edge_path.distance(model.apply(g, p)) for p in interior)
 
     is_geodesic = len(path) - 1 == model.distance(path[0], path[-1])
     if is_geodesic and defect <= 2 * delta:
-        return AxisData(path_t, "geodesic-axis", defect, None, step)
+        return AxisData(edge_path.points, "geodesic-axis", defect, step=step)
 
-    # Fact-12 style checks on the window: bounded defect and subpaths
-    # 10*delta-close to the geodesics between their endpoints.
+    # Fact-12 style checks on the window.
     if defect > 30 * delta:
         raise ModelError("path fails quasi-geodesic-axis invariance on the window")
     stride = max(1, len(path) // 24)
-    eps = Fraction(0)
     for i in range(0, len(path), stride):
         for j in range(i + 2, len(path), stride):
-            sub = path[i : j + 1]
-            geo = model.geodesic(path[i], path[j])
-            hd = max(
-                max(_dist_to_path(model, p, geo) for p in sub),
-                max(_dist_to_path(model, q, sub) for q in geo),
+            sub = EdgePath(model, path[i : j + 1])
+            geo = EdgePath(model, model.geodesic(path[i], path[j]))
+            close = all(geo.within(p, 10 * delta) for p in sub.points) and all(
+                sub.within(q, 10 * delta) for q in geo.points
             )
-            if hd > 10 * delta:
+            if not close:
                 raise ModelError("subpath strays beyond 10*delta of its chord")
-            slack = Fraction(j - i - model.distance(path[i], path[j]))
-            if slack > eps:
-                eps = slack
-    return AxisData(path_t, "quasi-geodesic-axis", defect, (Fraction(1), eps), step)
+    return AxisData(edge_path.points, "quasi-geodesic-axis", defect, step=step)
+
+
+def overlap_points(model: ActionModel, path_a, path_b, c: int) -> tuple[list, list, list]:
+    """The c-overlap of two edge paths (consecutive points at distance <= 1).
+
+    Returns (in_a, in_b, union): the points of each path within c of the
+    other, and both lists joined in order without repeats.
+    """
+    near_a, near_b = EdgePath(model, path_a), EdgePath(model, path_b)
+    in_a = [p for p in path_a if near_b.within(p, c)]
+    in_b = [q for q in path_b if near_a.within(q, c)]
+    return in_a, in_b, list(dict.fromkeys(in_a + in_b))
+
+
+def farthest_pair(model: ActionModel, points) -> tuple:
+    """(d, p, q) with d = d(p, q) the diameter of a nonempty point list; first pair wins ties."""
+    best = (0, points[0], points[0])
+    for i, p in enumerate(points):
+        for q in points[i + 1 :]:
+            d = model.distance(p, q)
+            if d > best[0]:
+                best = (d, p, q)
+    return best
 
 
 def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: int, window: Optional[int] = None) -> OverlapReport:
@@ -307,6 +379,8 @@ def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: 
 
     The overlap set is (A in the c-neighborhood of B) union (B in the
     c-neighborhood of A); the empty set has diameter 0 by convention.
+    Both axis paths are edge paths (consecutive points at distance <= 1),
+    which lets :func:`overlap_points` skip along them instead of scanning.
     Touching a window end makes D only a lower bound, and touching both
     ends of one axis flags the overlap as unbounded in the window.
     """
@@ -314,26 +388,12 @@ def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: 
     if window is None:
         window = min(len(pa), len(pb)) - 1
 
-    in_a = [p for p in pa if _dist_to_path(model, p, pb) <= c]
-    in_b = [p for p in pb if _dist_to_path(model, p, pa) <= c]
-    union: list = []
-    seen = set()
-    for p in in_a + in_b:
-        if p not in seen:
-            seen.add(p)
-            union.append(p)
-
+    in_a, in_b, union = overlap_points(model, pa, pb, c)
     if not union:
         return OverlapReport(0, c, window, (), False, False)
 
-    best = (0, union[0], union[0])
-    for i, p in enumerate(union):
-        for q in union[i + 1 :]:
-            d = model.distance(p, q)
-            if d > best[0]:
-                best = (d, p, q)
-    D = best[0]
-    witness = tuple(model.geodesic(best[1], best[2]))
+    D, p, q = farthest_pair(model, union)
+    witness = tuple(model.geodesic(p, q))
 
     def touches(points, path, step):
         m = max(step, 1)

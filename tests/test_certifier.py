@@ -10,6 +10,7 @@ from freecert import (
     FreeGroupModel,
     FreeProductModel,
     ModelError,
+    OverlapReport,
     analyze_pair,
     build_witness_chain,
     chain_base_points,
@@ -267,3 +268,96 @@ def test_chain_case_o(f2, chain_setup):
     chain = build_witness_chain(f2, (2, 2, 2, 2), a, B, x, y, E8, Q8, 0)
     assert chain.case == "O"
     assert chain.u[0] == y and chain.u[-1] == f2.apply(f2.power(B, 4), y)
+
+
+# -- axis geometry against the all-pairs formulas ------------------------------------------
+
+
+def _all_pairs_overlap(model, axis_a, axis_b, c):
+    pa, pb = list(axis_a.path), list(axis_b.path)
+    in_a = [p for p in pa if min(model.distance(p, q) for q in pb) <= c]
+    in_b = [q for q in pb if min(model.distance(q, p) for p in pa) <= c]
+    union = list(dict.fromkeys(in_a + in_b))
+    if not union:
+        return OverlapReport(0, c, min(len(pa), len(pb)) - 1, (), False, False)
+    best = (0, union[0], union[0])
+    for i, p in enumerate(union):
+        for q in union[i + 1 :]:
+            if model.distance(p, q) > best[0]:
+                best = (model.distance(p, q), p, q)
+
+    def touches(points, path, step):
+        m = max(step, 1)
+        return any(p in path[:m] for p in points), any(p in path[-m:] for p in points)
+
+    a_head, a_tail = touches(in_a, pa, axis_a.step)
+    b_head, b_tail = touches(in_b, pb, axis_b.step)
+    return OverlapReport(
+        best[0],
+        c,
+        min(len(pa), len(pb)) - 1,
+        tuple(model.geodesic(best[1], best[2])),
+        a_head or a_tail or b_head or b_tail,
+        (a_head and a_tail) or (b_head and b_tail),
+    )
+
+
+def _all_pairs_base_points(model, axis_a, axis_b, overlap):
+    pa, pb = axis_a.path, axis_b.path
+    if overlap.D > 0 and overlap.witness_segment:
+        mid = overlap.witness_segment[len(overlap.witness_segment) // 2]
+        nearest = lambda path: min(path, key=lambda p: (model.distance(p, mid), model.point_key(p)))
+        return nearest(pa), nearest(pb)
+    p, q = min(
+        ((p, q) for p in pa for q in pb),
+        key=lambda t: (model.distance(*t), model.point_key(t[0]), model.point_key(t[1])),
+    )
+    geo = model.geodesic(p, q)
+    return geo[len(geo) // 2], geo[len(geo) // 2]
+
+
+def _all_pairs_segment_overlap(model, path1, path2, c):
+    pts = [p for p in path1 if min(model.distance(p, q) for q in path2) <= c]
+    pts += [q for q in path2 if min(model.distance(q, p) for p in path1) <= c]
+    return max((model.distance(p, q) for p in pts for q in pts), default=0)
+
+
+def _assert_chain_overlaps_match(model, chain):
+    # Conditions c3-c5 at delta = 0, so the overlap radius 10*delta is 0.
+    geos_A = [model.geodesic(p, q) for p, q in zip(chain.p, chain.q)]
+    geos_B = [model.geodesic(r, s) for r, s in zip(chain.r, chain.s)]
+    segment_pairs = {
+        "c3": zip(geos_A, geos_B),
+        "c4": zip(geos_B, geos_A[1:]),
+        "c5": zip(geos_A, geos_A[1:]),
+    }
+    for name, pairs in segment_pairs.items():
+        expected = max((_all_pairs_segment_overlap(model, s, t, 0) for s, t in pairs), default=0)
+        assert chain.conditions[name]["measured"] == expected, (chain.word, name)
+
+
+@pytest.mark.parametrize(
+    "a, b, window, c",
+    [
+        ((1,) * 40, (-2, -2), 6, 0),  # long-axis shape: axes cross at one point
+        ((1,) * 5, (2, 1, 1, -2), 4, 0),  # disjoint axes: D = 0, no shared point
+        ((1, 2), (1,), 3, 0),  # shared edge: D > 0
+        ((1, 2), (1,), 3, -1),  # shared edge, empty overlap: least shared point
+        ((1,) * 12, (2, 1, -2), 4, 2),  # disjoint axes inside the 2-overlap
+    ],
+)
+def test_axis_geometry_matches_all_pairs_reference(f2, a, b, window, c):
+    analysis = analyze_pair(f2, a, b, 0, window=window, c=c)
+    axis_a, axis_b = analysis.axis_a, analysis.axis_b
+    assert analysis.overlap == _all_pairs_overlap(f2, axis_a, axis_b, c)
+    x, y = chain_base_points(f2, axis_a, axis_b, analysis.overlap)
+    assert (x, y) == _all_pairs_base_points(f2, axis_a, axis_b, analysis.overlap)
+    for word in ((1, -2), (1, -2, 1, -2, 1)):
+        _assert_chain_overlaps_match(f2, build_witness_chain(f2, word, a, b, x, y, Fraction(len(a), 1000), 3, 0))
+
+
+def test_chain_overlaps_match_all_pairs_reference_on_one_line(f2):
+    # b = a^(1/2) lies on a's axis, so consecutive blocks overlap in long segments.
+    chain = build_witness_chain(f2, (1, -2, 1, -2, 1), (1,) * 6, (1,) * 3, (), (), Fraction(6, 1000), 3, 0)
+    assert [chain.conditions[name]["measured"] for name in ("c3", "c4", "c5")] == [3, 3, 3]
+    _assert_chain_overlaps_match(f2, chain)

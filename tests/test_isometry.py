@@ -5,9 +5,11 @@ import random
 import pytest
 
 from freecert import (
+    CycleModel,
+    EdgePath,
+    ExplicitGraphModel,
     FreeGroupModel,
     FreeProductModel,
-    CycleModel,
     classify,
     independence_test,
     overlap_diameter,
@@ -154,3 +156,45 @@ def test_dependence_of_powers(f2):
 
 def test_independence_in_free_product(zz2):
     assert independence_test(zz2, (1,), (2, 1, 2), 4) == ("independent-to-bound", None)
+
+
+# -- point-to-path distances ---------------------------------------------------------
+
+
+def _torus(m=4, n=4):
+    vertex = lambda x, y: (x % m) * n + (y % n)
+    adjacency = [
+        [vertex(x + 1, y), vertex(x - 1, y), vertex(x, y + 1), vertex(x, y - 1)] for x in range(m) for y in range(n)
+    ]
+    shift = lambda dx, dy: [vertex(x + dx, y + dy) for x in range(m) for y in range(n)]
+    return ExplicitGraphModel(adjacency, [shift(1, 0), shift(0, 1)])
+
+
+def _edge_walk(model, rng, start, length):
+    """A random edge path: each step stays put or moves to a neighbor."""
+    path = [start]
+    for _ in range(length):
+        here = path[-1]
+        path.append(here if rng.random() < 0.15 else rng.choice(model.neighbors(here)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "model",
+    [FreeGroupModel(2, cap=64), FreeProductModel(cap=64), CycleModel(9), _torus()],
+    ids=["free-group", "free-product", "cycle", "torus"],
+)
+def test_edge_path_matches_brute_force(model):
+    rng = random.Random(f"edge-path:{model.kind}")
+    near = model.ball(model.basepoint(), 3)
+    for _ in range(40):
+        path = _edge_walk(model, rng, rng.choice(near), rng.randint(0, 24))
+        edge_path = EdgePath(model, path)
+        probes = rng.sample(path, min(3, len(path)))
+        probes += [rng.choice(model.ball(rng.choice(path), 4)) for _ in range(8)]
+        for p in probes:
+            exact = min(model.distance(p, q) for q in path)
+            assert edge_path.distance(p) == exact
+            for c in range(-1, 4):
+                assert edge_path.within(p, c) == (exact <= c)
+            assert edge_path.nearest(p) == min(path, key=lambda q: (model.distance(p, q), model.point_key(q)))
