@@ -41,6 +41,7 @@ from .models import (
     ActionModel,
     CapExceeded,
     CycleModel,
+    CyclicFreeProductModel,
     ExplicitGraphModel,
     FreeGroupModel,
     FreeProductModel,

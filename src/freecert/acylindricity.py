@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .models import ActionModel, CycleModel, ExplicitGraphModel, ModelError
+from .models import ActionModel, ModelError
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def acyl_constants(
     if region is None:
         region = model.ball(model.basepoint(), region_radius)
     group = model.group_ball(group_ball_radius)
-    exhaustive = isinstance(model, (CycleModel, ExplicitGraphModel)) and group_ball_radius >= len(group)
+    exhaustive = model.order is not None and len(group) == model.order
 
     # Per-point sets of small-displacement elements, then pairwise intersection counts.
     small = []

@@ -29,7 +29,7 @@ from .isometry import (
     quasi_axis,
 )
 from .models import ActionModel, ModelError, Word
-from .oracle import freeness_to_depth
+from .oracle import evaluate, freeness_to_depth
 
 SCHEMA_VERSION = 1
 
@@ -894,7 +894,7 @@ def build_witness_chain(
     # lambda_0 = (E/100 - delta)^-1 * 2 tr(a).
     lam0 = (E / 100 - delta) ** -1 * 2 * tr_a
     L = Q * lam0 / 500
-    w_elt = _word_element(model, word, a, b)
+    w_elt = evaluate(model, word, a, b)
     moved = model.distance(x, model.apply(w_elt, x))
     word_len = sum(abs(n) + abs(m) for n, m in blocks) + abs(m0)
     embedding_ok = L * moved >= word_len
@@ -921,14 +921,6 @@ def build_witness_chain(
         embedding_L=L,
         embedding_ok=embedding_ok,
     )
-
-
-def _word_element(model: ActionModel, word: Word, a: Word, b: Word) -> Word:
-    subs = {1: a, -1: model.inverse(a), 2: b, -2: model.inverse(b)}
-    out: Word = ()
-    for l in word:
-        out = model.compose(out, subs[l])
-    return out
 
 
 def chain_base_points(model: ActionModel, axis_a: AxisData, axis_b: AxisData, overlap: OverlapReport):

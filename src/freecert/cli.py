@@ -1,8 +1,10 @@
 """Command-line front door: loads model specs, runs analyses, emits documents.
 
-Exit codes: 0 success, 1 refused certificate (or a failed verification),
-2 invalid input.  All output documents are JSON with stable field order;
-files are written atomically.
+Exit codes: 0 success, 1 refused certificate (or a verification that
+failed or could not run: an oracle check stopped by the model cap is
+written with the verdict ``unchecked`` and its reason), 2 invalid input.
+All output documents are JSON with stable field order; files are written
+atomically.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Optional
 
 from .acylindricity import acyl_profile, constant_P
 from .certifier import (
-    Certificate,
     CertificateRefused,
     analyze_pair,
     build_witness_chain,
@@ -27,12 +28,13 @@ from .certifier import (
     prop7_certify,
     prop8_certify,
     theorem9_certify,
+    theorem14_mode,
     tree_constants,
     validate_certificate,
 )
 from .hyperbolicity import compute_delta
 from .isometry import classify, overlap_diameter, quasi_axis
-from .models import ActionModel, ModelError, Word, build_model, parse_letters
+from .models import ActionModel, CapExceeded, ModelError, Word, build_model, parse_letters
 from .oracle import exceptional_sweep, freeness_to_depth
 
 
@@ -66,8 +68,8 @@ def _element(model: ActionModel, text: str) -> Word:
 def _resolve_delta(model: ActionModel, args) -> tuple[int, str]:
     if getattr(args, "delta", None) is not None:
         return args.delta, "config-override"
-    if model.known_delta is not None:
-        return model.known_delta, "tree-case"
+    if model.is_tree:
+        return 0, "tree-case"
     report = compute_delta(model, radius=getattr(args, "radius", 4), seed=getattr(args, "seed", 0))
     return report.delta, "brute-forced"
 
@@ -162,54 +164,52 @@ def _cmd_acyl(args) -> int:
     return 0
 
 
+def _nielsen(model, a, b, constants, args):
+    exps = None
+    if args.exponents:
+        n, m = args.exponents.split(",")
+        exps = (int(n), int(m))
+    epsilon = Fraction(args.epsilon) if args.epsilon else None
+    return nielsen_certify(model, a, b, constants, epsilon_mode=args.epsilon_mode, epsilon=epsilon,
+                           exponents=exps, oracle_depth=args.depth, window=args.window)
+
+
 CRITERIA = {
-    "nielsen": None,
-    "prop6": prop6_certify,
-    "prop7": prop7_certify,
-    "prop8": prop8_certify,
-    "theorem9": theorem9_certify,
-    "theorem14": None,
+    "nielsen": _nielsen,
+    "prop6": lambda model, a, b, constants, args: prop6_certify(
+        model, a, b, constants, q=Fraction(args.q), window=args.window),
+    "prop7": lambda model, a, b, constants, args: prop7_certify(model, a, b, constants, window=args.window),
+    "prop8": lambda model, a, b, constants, args: prop8_certify(model, a, b, constants, window=args.window),
+    "theorem9": lambda model, a, b, constants, args: theorem9_certify(model, a, b, constants, window=args.window),
+    "theorem14": lambda model, a, b, constants, args: theorem14_mode(model, a, b, constants, window=args.window),
 }
+
+
+def _oracle_check(model: ActionModel, a: Word, b: Word, n: int, m: int, depth: int) -> tuple[dict, bool]:
+    """The oracle's report on <a^n, b^m> and whether it found them free.
+
+    A check that the model cap stops is reported as unchecked, with the reason.
+    """
+    try:
+        report = freeness_to_depth(model, model.power(a, n), model.power(b, m), depth)
+    except CapExceeded as exc:
+        return {"verdict": "unchecked", "reason": str(exc)}, False
+    return report.to_doc(), report.verdict == "free-to-depth"
 
 
 def _cmd_certify(args) -> int:
     model = _load_model(args.model)
     constants = _resolve_constants(model, args)
     a, b = _element(model, args.a), _element(model, args.b)
-    kwargs = {"window": args.window}
-    if args.criterion == "nielsen":
-        exps = None
-        if args.exponents:
-            n, m = args.exponents.split(",")
-            exps = (int(n), int(m))
-        cert = nielsen_certify(
-            model,
-            a,
-            b,
-            constants,
-            epsilon_mode=args.epsilon_mode,
-            epsilon=Fraction(args.epsilon) if args.epsilon else None,
-            exponents=exps,
-            oracle_depth=args.depth,
-            **kwargs,
-        )
-    elif args.criterion == "prop6":
-        cert = prop6_certify(model, a, b, constants, q=Fraction(args.q), **kwargs)
-    elif args.criterion == "theorem9":
-        cert = theorem9_certify(model, a, b, constants, **kwargs)
-    elif args.criterion == "theorem14":
-        cert = theorem9_certify(model, a, b, constants, quasi_mode=True, **kwargs)
-    else:
-        cert = CRITERIA[args.criterion](model, a, b, constants, **kwargs)
+    cert = CRITERIA[args.criterion](model, a, b, constants, args)
 
     doc = cert.to_doc()
     code = 0
     if not args.no_verify:
         n = cert.exponents.get("n_min", 1)
         m = cert.exponents.get("m_min", 1)
-        report = freeness_to_depth(model, model.power(cert.a, n), model.power(cert.b, m), args.depth)
-        doc["verification"] = report.to_doc()
-        if report.verdict != "free-to-depth":
+        doc["verification"], free = _oracle_check(model, cert.a, cert.b, n, m, args.depth)
+        if not free:
             code = 1
     validate_certificate(doc)
     _write_doc(doc, args.out)
@@ -225,9 +225,9 @@ def _cmd_verify(args) -> int:
     b = model.canon(doc["elements"]["b"])
     n = doc["exponents"].get("n_min", 1)
     m = doc["exponents"].get("m_min", 1)
-    report = freeness_to_depth(model, model.power(a, n), model.power(b, m), args.depth)
-    _write_doc({"command": "verify", "exponents": {"n": n, "m": m}, **report.to_doc()}, args.out)
-    return 0 if report.verdict == "free-to-depth" else 1
+    report, free = _oracle_check(model, a, b, n, m, args.depth)
+    _write_doc({"command": "verify", "exponents": {"n": n, "m": m}, **report}, args.out)
+    return 0 if free else 1
 
 
 def _cmd_sweep(args) -> int:

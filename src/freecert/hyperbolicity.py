@@ -9,7 +9,7 @@ report, never a silently truncated "exhaustive" one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Optional
 

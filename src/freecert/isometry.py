@@ -1,27 +1,21 @@
 """Per-isometry analysis: translation length, hyperbolicity, axes, overlaps.
 
 Translation lengths are intervals [tr_lower, tr_upper] with an exactness
-flag.  On the Cayley-tree models the interval collapses to the exact
-cyclically-reduced length; everywhere else the estimator is conservative,
-so downstream certificate inequalities can always pick the safe end.
+flag.  Where the model knows the exact length (its
+``exact_translation_length``: the cyclically reduced length on a Cayley
+tree, 0 on a finite model) the interval collapses to it; everywhere else
+the estimator is conservative, so downstream certificate inequalities can
+always pick the safe end.  Axes start from the model's
+``min_displacement_point``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .models import (
-    ActionModel,
-    CapExceeded,
-    CycleModel,
-    ExplicitGraphModel,
-    FreeGroupModel,
-    FreeProductModel,
-    ModelError,
-    Word,
-)
+from .models import ActionModel, CapExceeded, ModelError, Word
 
 HYPERBOLIC_YES = "yes"
 HYPERBOLIC_NO = "no"
@@ -85,42 +79,6 @@ class OverlapReport:
         }
 
 
-def _cyclic_reduce_free(model: FreeGroupModel, g: Word) -> Word:
-    w = list(model.canon(g))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
-def _cyclic_reduce_product(model: FreeProductModel, g: Word) -> Word:
-    w = list(model.canon(g))
-    while len(w) >= 2:
-        first, last = w[0], w[-1]
-        cancels = (first == -last) or (first == model.S and last == model.S)
-        if not cancels:
-            break
-        w = list(model.canon(w[1:-1]))
-    return tuple(w)
-
-
-def exact_translation_length(model: ActionModel, g: Word) -> Optional[int]:
-    """Exact translation length where the model structure gives one.
-
-    Cayley trees: cyclically-reduced length (0 for torsion).  Finite
-    models: every element has bounded orbits, so 0.
-    """
-    if isinstance(model, FreeGroupModel):
-        return len(_cyclic_reduce_free(model, g))
-    if isinstance(model, FreeProductModel):
-        core = _cyclic_reduce_product(model, g)
-        if core == () or core == (model.S,):
-            return 0
-        return len(core)
-    if isinstance(model, (CycleModel, ExplicitGraphModel)):
-        return 0
-    return None
-
-
 def translation_length(model: ActionModel, g: Word, depth: int = 12):
     """Translation length interval (tr_lower, tr_upper, exact).
 
@@ -130,7 +88,7 @@ def translation_length(model: ActionModel, g: Word, depth: int = 12):
     if depth < 1:
         raise ModelError("depth must be >= 1")
     g = model.canon(g)
-    exact = exact_translation_length(model, g)
+    exact = model.exact_translation_length(g)
     if exact is not None:
         v = Fraction(exact)
         return v, v, True
@@ -213,35 +171,6 @@ def classify(model: ActionModel, g: Word, delta: int, power_cap: int = 128) -> I
     return IsometryProfile(g, tr_lower, tr_upper, exact, verdict, criterion1_power)
 
 
-def _min_displacement_point(model: ActionModel, g: Word, search_radius: int = 8):
-    # Cayley trees: writing g = u c u^-1 with c cyclically reduced, every
-    # axis point has u as a prefix, so u is the canonical minimum directly.
-    if isinstance(model, FreeGroupModel):
-        w = list(model.canon(g))
-        u: list[int] = []
-        while len(w) >= 2 and w[0] == -w[-1]:
-            u.append(w[0])
-            w = w[1:-1]
-        return tuple(u)
-    if isinstance(model, FreeProductModel):
-        w = list(model.canon(g))
-        u = []
-        while len(w) >= 2:
-            first, last = w[0], w[-1]
-            if not (first == -last or (first == model.S and last == model.S)):
-                break
-            u.append(first)
-            w = list(model.canon(w[1:-1]))
-        return model.canon(u)
-    best = None
-    best_key = None
-    for p in model.ball(model.basepoint(), search_radius):
-        key = (model.distance(p, model.apply(g, p)), model.point_key(p))
-        if best_key is None or key < best_key:
-            best_key, best = key, p
-    return best
-
-
 class EdgePath:
     """Exact point-to-path distances on an edge path, without all-pairs scans.
 
@@ -314,7 +243,7 @@ def quasi_axis(model: ActionModel, g: Word, window: int = 8, delta: int = 0, sea
     if profile.hyperbolic != HYPERBOLIC_YES:
         raise ModelError("quasi_axis requires a hyperbolic element")
     g = model.canon(g)
-    pstar = _min_displacement_point(model, g, search_radius)
+    pstar = model.min_displacement_point(g, search_radius)
     step = model.distance(pstar, model.apply(g, pstar))
 
     orbit = [model.apply(model.power(g, k), pstar) for k in range(-window, window + 1)]

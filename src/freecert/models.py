@@ -1,10 +1,14 @@
 """Action models: point spaces with exact integer metrics and isometric group actions.
 
-Every other module operates on an :class:`ActionModel`.  Four desk-scale
-families are built in:
+Every other module operates on an :class:`ActionModel`, which also owns
+the structure the isometry layer needs: the exact translation length of an
+element where the model knows it, and a point of least displacement.
+Three desk-scale families are built in:
 
-* ``free-group`` -- the free group of rank k acting on its Cayley tree,
-* ``free-product`` -- Z * Z/2 acting on its (tree) Cayley graph,
+* :class:`CyclicFreeProductModel` -- a free product of copies of Z and
+  Z/2 acting on its Cayley tree, with exact cyclic reduction.  The spec
+  kinds ``free-group`` (rank k, all factors Z) and ``free-product``
+  (Z * Z/2) build it,
 * ``cycle`` -- the cyclic rotation group acting on the n-cycle,
 * ``explicit-graph`` -- a finite graph with a finite automorphism group
   generated by user-supplied vertex permutations.
@@ -81,7 +85,7 @@ class ActionModel:
 
     kind: str = "abstract"
     is_tree = False
-    known_delta: Optional[int] = None
+    order: Optional[int] = None  # size of the acting group; None when infinite
     generator_names: tuple[str, ...] = ()
 
     # -- group structure ------------------------------------------------
@@ -196,72 +200,108 @@ class ActionModel:
                     frontier.append(q)
         raise ModelError("points lie in different components")
 
+    # -- isometry structure ----------------------------------------------
+
+    def exact_translation_length(self, g: Word) -> Optional[int]:
+        """Exact translation length of g, or None where the model knows none.
+
+        In a finite group every orbit is bounded, so every length is 0.
+        """
+        return 0 if self.order is not None else None
+
+    def min_displacement_point(self, g: Word, search_radius: int = 8):
+        """A point moved least by g: the least (d(p, gp), point_key(p)) on a ball."""
+        best = None
+        best_key = None
+        for p in self.ball(self.basepoint(), search_radius):
+            key = (self.distance(p, self.apply(g, p)), self.point_key(p))
+            if best_key is None or key < best_key:
+                best_key, best = key, p
+        return best
+
     def spec_dict(self) -> dict:
         raise NotImplementedError
 
 
-class _CayleyModel(ActionModel):
-    """Shared machinery for lazy Cayley-type models (points are words)."""
+class CyclicFreeProductModel(ActionModel):
+    """A free product of copies of Z and Z/2 on its Cayley graph, a tree.
 
-    def __init__(self, cap: int = 64):
+    ``orders`` gives each factor: ``None`` for Z, ``2`` for Z/2.  Points and
+    elements are words in the normal form of the free product (Lyndon and
+    Schupp, Combinatorial Group Theory, IV.1): no letter next to its
+    inverse, and an order-two generator is its own inverse, always written
+    with the positive letter.  Each generator spans one edge per vertex
+    (one for an involution, two for a Z factor), so the Cayley graph is a
+    tree: distances and geodesics go through the longest common prefix.
+
+    Every g splits as u * core * u^-1 with ``core`` cyclically reduced.  The
+    core is the translation part: g translates its axis by len(core),
+    unless the core is empty or a single involution, when g is elliptic.
+    The axis passes through u.  Finite orders above 2 give a Cayley graph
+    with cycles, where none of this holds, so they are refused.
+    """
+
+    is_tree = True
+
+    def __init__(self, orders: Sequence[Optional[int]], names: Sequence[str], cap: int = 64):
         if cap < 1:
             raise ModelError("cap must be >= 1")
+        if not orders:
+            raise ModelError("rank must be >= 1")
+        if any(o not in (None, 2) for o in orders):
+            raise ModelError(f"factor orders must be None (Z) or 2 (Z/2), got {list(orders)}")
+        if len(names) != len(orders):
+            raise ModelError("one generator name per factor required")
+        self.orders = tuple(orders)
+        self.generator_names = tuple(names)
         self.cap = cap
+        self.rank = len(orders)
+        involutions = {i for i, o in enumerate(orders, start=1) if o == 2}
+        # Each signed letter's normal-form letter, and each normal-form letter's inverse.
+        self._letters = {
+            s * i: (i if i in involutions else s * i) for i in range(1, self.rank + 1) for s in (1, -1)
+        }
+        self._inverse = {l: (l if l in involutions else -l) for l in self._letters.values()}
+        self._has_involution = bool(involutions)
+        # neighbor steps in generator order, positive letter first
+        self._steps = tuple(dict.fromkeys(self._letters.values()))
 
     def _check_cap(self, w: Word) -> Word:
         if len(w) > self.cap:
             raise CapExceeded(f"word length {len(w)} exceeds expansion cap {self.cap}")
         return w
 
-    def apply(self, g: Word, x: Word) -> Word:
-        return self._check_cap(self.compose(g, x))
-
-    def distance(self, x: Word, y: Word) -> int:
-        return len(self.compose(self.inverse(x), y))
-
-    def basepoint(self) -> Word:
-        return IDENTITY
-
-    def point_key(self, x: Word):
-        return (len(x), x)
-
-
-class FreeGroupModel(_CayleyModel):
-    """Free group of rank k on its 2k-regular Cayley tree."""
-
-    kind = "free-group"
-    is_tree = True
-    known_delta = 0
-
-    def __init__(self, rank: int = 2, cap: int = 64):
-        super().__init__(cap)
-        if rank < 1:
-            raise ModelError("rank must be >= 1")
-        self.rank = rank
-        self.generator_names = tuple(chr(ord("a") + i) for i in range(rank))
-
     def canon(self, word: Iterable[int]) -> Word:
-        w = free_reduce(word)
-        for l in w:
-            if abs(l) > self.rank:
+        if not self._has_involution:
+            w = free_reduce(word)
+            for l in w:
+                if abs(l) > self.rank:
+                    raise ModelError(f"letter {l} out of range for rank {self.rank}")
+            return w
+        letters, inverse = self._letters, self._inverse
+        out: list[int] = []
+        for l in word:
+            if l not in letters:
                 raise ModelError(f"letter {l} out of range for rank {self.rank}")
-        return w
+            l = letters[l]
+            if out and out[-1] == inverse[l]:
+                out.pop()
+            else:
+                out.append(l)
+        return tuple(out)
 
     def generators(self) -> list[Word]:
         return [(i,) for i in range(1, self.rank + 1)]
 
+    def apply(self, g: Word, x: Word) -> Word:
+        return self._check_cap(self.compose(g, x))
+
     def neighbors(self, x: Word) -> list[Word]:
-        out = []
-        for i in range(1, self.rank + 1):
-            for l in (i, -i):
-                if x and x[-1] == -l:
-                    out.append(x[:-1])
-                else:
-                    out.append(self._check_cap(x + (l,)))
-        return out
+        back = self._inverse[x[-1]] if x else None
+        return [x[:-1] if l == back else self._check_cap(x + (l,)) for l in self._steps]
 
     def distance(self, x: Word, y: Word) -> int:
-        k = 0
+        k = 0  # the longest common prefix, inlined: distance is the hottest call
         while k < len(x) and k < len(y) and x[k] == y[k]:
             k += 1
         return len(x) + len(y) - 2 * k
@@ -275,64 +315,51 @@ class FreeGroupModel(_CayleyModel):
         path.extend(y[:j] for j in range(k + 1, len(y) + 1))
         return path
 
+    def basepoint(self) -> Word:
+        return IDENTITY
+
+    def point_key(self, x: Word):
+        return (len(x), x)
+
+    def cyclic_split(self, g: Word) -> tuple[Word, Word]:
+        """(u, core) with g = u * core * u^-1 and core cyclically reduced."""
+        w = self.canon(g)
+        k = 0
+        while len(w) - 2 * k >= 2 and w[k] == self._inverse[w[-1 - k]]:
+            k += 1
+        return w[:k], w[k : len(w) - k]
+
+    def exact_translation_length(self, g: Word) -> int:
+        core = self.cyclic_split(g)[1]
+        if len(core) == 1 and self._inverse[core[0]] == core[0]:
+            return 0  # an involution flips an edge
+        return len(core)
+
+    def min_displacement_point(self, g: Word, search_radius: int = 8) -> Word:
+        # The points g moves least (its axis, or the edge an involution flips)
+        # all have u as a prefix, and u is one of them: the least point_key.
+        return self.cyclic_split(g)[0]
+
+
+class FreeGroupModel(CyclicFreeProductModel):
+    """Free group of rank k on its 2k-regular Cayley tree."""
+
+    kind = "free-group"
+
+    def __init__(self, rank: int = 2, cap: int = 64):
+        super().__init__((None,) * rank, tuple(chr(ord("a") + i) for i in range(rank)), cap)
+
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "rank": self.rank, "cap": self.cap}
 
 
-class FreeProductModel(_CayleyModel):
-    """Z * Z/2 = <f> * <s | s^2> on its Cayley graph, which is a tree.
-
-    Canonical form is the alternating normal form: adjacent f-letters never
-    cancel, s is its own inverse, and s·s collapses.  Triviality testing is
-    therefore exact, which is what the torsion-pair scenarios need.
-    """
+class FreeProductModel(CyclicFreeProductModel):
+    """Z * Z/2 = <f> * <s | s^2>; s is an involution, so the tree has torsion."""
 
     kind = "free-product"
-    is_tree = True
-    known_delta = 0
-    F, S = 1, 2
 
     def __init__(self, cap: int = 64):
-        super().__init__(cap)
-        self.generator_names = ("f", "s")
-
-    def canon(self, word: Iterable[int]) -> Word:
-        out: list[int] = []
-        for l in word:
-            if abs(l) == self.S:
-                l = self.S  # s = s^-1
-            elif abs(l) != self.F:
-                raise ModelError(f"letter {l} not in the Z * Z/2 alphabet")
-            if out and (out[-1] == -l or (out[-1] == self.S and l == self.S)):
-                out.pop()
-            else:
-                out.append(l)
-        return tuple(out)
-
-    def generators(self) -> list[Word]:
-        return [(self.F,), (self.S,)]
-
-    def neighbors(self, x: Word) -> list[Word]:
-        out = []
-        for l in (self.F, -self.F, self.S):
-            q = self._check_cap(self.canon(x + (l,)))
-            if q not in out:
-                out.append(q)
-        return out
-
-    def geodesic(self, x: Word, y: Word) -> list[Word]:
-        k = 0
-        while k < len(x) and k < len(y) and x[k] == y[k]:
-            k += 1
-        path = [x[:j] for j in range(len(x), k - 1, -1)]
-        path.extend(y[:j] for j in range(k + 1, len(y) + 1))
-        return path
-
-    def distance(self, x: Word, y: Word) -> int:
-        k = 0
-        while k < len(x) and k < len(y) and x[k] == y[k]:
-            k += 1
-        return len(x) + len(y) - 2 * k
+        super().__init__((None, 2), ("f", "s"), cap)
 
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "cap": self.cap}
@@ -348,6 +375,7 @@ class CycleModel(ActionModel):
         if n < 3:
             raise ModelError("cycle needs n >= 3")
         self.n = n
+        self.order = n
 
     def canon(self, word: Iterable[int]) -> Word:
         e = 0
@@ -420,6 +448,7 @@ class ExplicitGraphModel(ActionModel):
         self._perms = perms
         self.generator_names = tuple(chr(ord("a") + i) for i in range(len(perms)))
         self._canon_by_perm = self._enumerate_group()
+        self.order = len(self._canon_by_perm)
         self._dist = self._all_pairs_distances()
 
     def _enumerate_group(self) -> dict[tuple[int, ...], Word]:
@@ -515,7 +544,8 @@ def build_model(spec: dict) -> ActionModel:
 
     Spec fields: ``kind`` plus ``rank`` (free-group), ``n`` (cycle),
     ``adjacency`` and ``generators`` (explicit-graph), and optional ``cap``
-    for the lazy Cayley models.
+    for the two free-product kinds, ``free-group`` (rank copies of Z) and
+    ``free-product`` (Z * Z/2), which build a :class:`CyclicFreeProductModel`.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ModelError("model spec must be a mapping with a 'kind' field")

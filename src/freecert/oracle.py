@@ -2,20 +2,17 @@
 embedding quality, and exponent-grid sweeps.
 
 This module is deliberately independent of the certifier's formulas: it
-only ever evaluates words through the model's exact canonical forms (or,
-as a fallback, their action on a verification ball), so it can confirm or
-refute certificates without sharing their reasoning.
+only ever evaluates words through the model's exact canonical forms, so it
+can confirm or refute certificates without sharing their reasoning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
-from .models import ActionModel, ModelError, Word, reduced_words
-
-enumerate_reduced_words = reduced_words
+from .models import ActionModel, ModelError, Word
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,8 @@ class SweepTable:
         return {"rows": self.rows(), "exceptional_pairs": [list(p) for p in self.exceptional_pairs]}
 
 
-def _evaluate(model: ActionModel, word: Word, a: Word, b: Word) -> Word:
+def evaluate(model: ActionModel, word: Word, a: Word, b: Word) -> Word:
+    """The element ``word`` (letters +-1 for a, +-2 for b) with a, b substituted."""
     subs = {1: a, -1: model.inverse(a), 2: b, -2: model.inverse(b)}
     out: Word = ()
     for l in word:
@@ -71,20 +69,9 @@ def _evaluate(model: ActionModel, word: Word, a: Word, b: Word) -> Word:
     return out
 
 
-def is_trivial(model: ActionModel, word: Word, a: Word, b: Word, verify_radius: Optional[int] = None) -> bool:
-    """Whether ``word`` with a, b substituted acts trivially.
-
-    Canonical forms are exact on every built-in model; the ball-action
-    fallback exists for models without a total canonical form and uses a
-    radius large enough that distinct elements cannot agree on the ball.
-    """
-    g = _evaluate(model, word, a, b)
-    if verify_radius is None:
-        return model.is_identity(g)
-    for p in model.ball(model.basepoint(), verify_radius):
-        if model.apply(g, p) != p:
-            return False
-    return True
+def is_trivial(model: ActionModel, word: Word, a: Word, b: Word) -> bool:
+    """Whether ``word`` with a, b substituted is the identity (canonical forms are exact)."""
+    return model.is_identity(evaluate(model, word, a, b))
 
 
 def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int, base=None) -> OracleReport:

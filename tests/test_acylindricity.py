@@ -4,6 +4,7 @@ import pytest
 
 from freecert import (
     CycleModel,
+    ExplicitGraphModel,
     FreeGroupModel,
     ModelError,
     acyl_constants,
@@ -43,6 +44,16 @@ def test_cycle_c5_rotations_k_hat_three():
     entry = acyl_constants(m, R=1, region_radius=4, group_ball_radius=6)
     assert entry.K_hat == 3  # rotations by -1, 0, 1 move every point by <= 1
     assert entry.exhaustive
+
+
+def test_exhaustive_when_the_group_ball_is_the_whole_group():
+    # CycleModel enumerates all 8 rotations even for a ball radius of 3.
+    entry = acyl_constants(CycleModel(8), R=1, region_radius=4, group_ball_radius=3)
+    assert entry.exhaustive
+    # Words of length <= 1 reach 4 of the 8 symmetries of the square.
+    square = ExplicitGraphModel([[1, 3], [0, 2], [1, 3], [0, 2]], [[1, 2, 3, 0], [0, 3, 2, 1]])
+    assert not acyl_constants(square, R=1, region_radius=2, group_ball_radius=1).exhaustive
+    assert acyl_constants(square, R=1, region_radius=2, group_ball_radius=4).exhaustive
 
 
 def test_acyl_bound_holds_on_region():

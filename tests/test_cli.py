@@ -41,6 +41,11 @@ def test_exit_code_matrix(model_dir, tmp_path):
         (1, ["certify", "--model", "@f2.json", "--a", "a", "--b", "aa", "--criterion", "nielsen"]),
         (1, ["certify", "--model", "@zxz2.json", "--a", "fs", "--b", "f", "--criterion", "nielsen",
              "--epsilon-mode", "sharp-experimental", "--epsilon", "1", "--exponents", "1,1"]),
+        # Certified, but the oracle check outgrows the model cap: unchecked, not invalid input.
+        (1, ["certify", "--model", "@zxz2.json", "--a", "f", "--b", "sfs", "--criterion", "nielsen",
+             "--out", str(tmp_path / "capped.json")]),
+        (1, ["certify", "--model", "@f2.json", "--a", "a", "--b", "b", "--criterion", "prop6",
+             "--out", str(tmp_path / "capped.json")]),
         (2, ["certify", "--model", "@f2.json", "--a", "a", "--b", "b", "--criterion", "bogus"]),
         (2, ["delta", "--model", "@missing.json"]),
         (2, ["profile", "--model", "@f2.json", "--a", "q"]),
@@ -66,6 +71,22 @@ def test_certify_writes_valid_document_and_verify_reproduces(model_dir, tmp_path
     assert main(["verify", "--certificate", str(cert_path), "--depth", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "free-to-depth"
+
+
+def test_capped_oracle_check_is_written_as_unchecked(model_dir, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    code = run(model_dir, "certify", "--model", "@zxz2.json", "--a", "f", "--b", "sfs",
+               "--criterion", "nielsen", "--out", str(cert_path))
+    assert code == 1
+    doc = json.loads(cert_path.read_text())
+    validate_certificate(doc)
+    reason = "word length 300 exceeds expansion cap 256"
+    assert doc["verification"] == {"verdict": "unchecked", "reason": reason}
+
+    capsys.readouterr()
+    assert main(["verify", "--certificate", str(cert_path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["reason"]) == ("unchecked", reason)
 
 
 def test_sweep_document_matches_expected_relation(model_dir, capsys):

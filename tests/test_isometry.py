@@ -52,10 +52,41 @@ def test_translation_length_homogeneous(f2):
             assert translation_length(f2, f2.power(w, k))[0] == k * lo
 
 
+def test_translation_length_finite_model_is_exact_zero():
+    lo, hi, exact = translation_length(CycleModel(6), (1,))
+    assert exact and lo == hi == 0  # finite model: every orbit is bounded
+
+
+class _NoExactLength:
+    """Hides the model's exact translation length, so the generic bounds run."""
+
+    def exact_translation_length(self, g):
+        return None
+
+
+class _GenericF2(_NoExactLength, FreeGroupModel):
+    pass
+
+
+class _GenericZxZ2(_NoExactLength, FreeProductModel):
+    pass
+
+
 def test_translation_length_generic_interval():
-    m = CycleModel(6)
-    lo, hi, exact = translation_length(m, (1,))
-    assert exact and lo == 0  # finite model: every orbit is bounded
+    cases = [
+        # identity, generators, a conjugate, a commutator and mixed words
+        (_GenericF2(2, cap=512), FreeGroupModel(2, cap=512),
+         [(), (1,), (-2,), (1, 2), (1, 2, -1), (1, 1, -2), (2, 1, -2, -2), (1, 2, -1, -2)]),
+        # torsion (s and a conjugate of it) next to hyperbolic words
+        (_GenericZxZ2(cap=512), FreeProductModel(cap=512),
+         [(2,), (1, 2, -1), (1,), (1, 2), (2, 1, 2), (1, 1, 2, -1)]),
+    ]
+    for generic, exact, words in cases:
+        for w in words:
+            true_tr = exact.exact_translation_length(w)
+            lo, hi, is_exact = translation_length(generic, w)
+            assert is_exact is False
+            assert lo <= true_tr <= hi, (w, lo, true_tr, hi)
 
 
 # -- classification -----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Model layer: canonical forms, metrics, actions, geodesics, enumeration."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from freecert import (
     CapExceeded,
     CycleModel,
+    CyclicFreeProductModel,
     ExplicitGraphModel,
     FreeGroupModel,
     FreeProductModel,
@@ -167,6 +170,125 @@ def test_group_ball_bfs_order(f2):
     assert ball[0] == ()
     assert len(ball) == 17
     assert all(len(w) <= 2 for w in ball)
+
+
+# -- the tree model against reference normal forms ---------------------------
+
+
+class _RefFreeGroup:
+    """The free group's normal form and cyclic split, written out letter by letter."""
+
+    def __init__(self, rank):
+        self.rank = rank
+
+    def canon(self, word):
+        w = free_reduce(word)
+        assert all(abs(l) <= self.rank for l in w)
+        return w
+
+    def neighbors(self, x):
+        steps = [l for i in range(1, self.rank + 1) for l in (i, -i)]
+        return [x[:-1] if x and x[-1] == -l else x + (l,) for l in steps]
+
+    def split(self, g):
+        w, u = list(self.canon(g)), []
+        while len(w) >= 2 and w[0] == -w[-1]:
+            u.append(w[0])
+            w = w[1:-1]
+        return tuple(u), tuple(w)
+
+    def translation_length(self, g):
+        return len(self.split(g)[1])
+
+
+class _RefZxZ2:
+    """Z * Z/2 = <f> * <s | s^2> with s = 2 its own inverse, written out letter by letter."""
+
+    rank = 2
+
+    def canon(self, word):
+        out = []
+        for l in word:
+            l = 2 if abs(l) == 2 else l
+            if out and (out[-1] == -l or out[-1] == l == 2):
+                out.pop()
+            else:
+                out.append(l)
+        return tuple(out)
+
+    def neighbors(self, x):
+        out = []
+        for l in (1, -1, 2):
+            q = self.canon(x + (l,))
+            if q not in out:
+                out.append(q)
+        return out
+
+    def split(self, g):
+        w, u = list(self.canon(g)), []
+        while len(w) >= 2 and (w[0] == -w[-1] or w[0] == w[-1] == 2):
+            u.append(w[0])
+            w = list(self.canon(w[1:-1]))
+        return self.canon(u), tuple(w)
+
+    def translation_length(self, g):
+        core = self.split(g)[1]
+        return 0 if core in ((), (2,)) else len(core)
+
+
+def _ref_prefix(x, y):
+    k = 0
+    while k < min(len(x), len(y)) and x[k] == y[k]:
+        k += 1
+    return k
+
+
+def _ref_geodesic(x, y):
+    k = _ref_prefix(x, y)
+    return [x[:j] for j in range(len(x), k - 1, -1)] + [y[:j] for j in range(k + 1, len(y) + 1)]
+
+
+@pytest.mark.parametrize(
+    "model, ref",
+    [
+        (FreeGroupModel(2, cap=256), _RefFreeGroup(2)),
+        (FreeGroupModel(3, cap=256), _RefFreeGroup(3)),
+        (FreeProductModel(cap=256), _RefZxZ2()),
+    ],
+    ids=["F2", "F3", "ZxZ2"],
+)
+def test_tree_model_matches_reference_normal_forms(model, ref):
+    rng = random.Random(f"tree-model:{model.kind}:{model.rank}")
+    alphabet = [l for i in range(1, ref.rank + 1) for l in (i, -i)]
+
+    def word(n):
+        return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, n)))
+
+    for _ in range(1500):
+        u, core, x = word(6), word(8), word(12)
+        g = u + core + tuple(-l for l in reversed(u))  # often a proper conjugate
+        cg, cx = model.canon(g), model.canon(x)
+        assert (cg, cx) == (ref.canon(g), ref.canon(x))
+        assert model.neighbors(cx) == ref.neighbors(cx)
+        assert model.distance(cg, cx) == len(cg) + len(cx) - 2 * _ref_prefix(cg, cx)
+        assert model.geodesic(cg, cx) == _ref_geodesic(cg, cx)
+        assert model.exact_translation_length(g) == ref.translation_length(g)
+        assert model.min_displacement_point(g) == ref.split(g)[0]
+
+
+def test_tree_model_infinite_dihedral():
+    m = CyclicFreeProductModel((2, 2), ("s", "t"))
+    assert m.canon((1, -1, 2, 2, -2)) == (2,)
+    assert m.exact_translation_length((1, 2)) == 2
+    assert m.exact_translation_length((1, 2, 1)) == 0  # a conjugate of t
+    assert m.min_displacement_point((1, 2, 1)) == (1,)
+    assert m.neighbors((1,)) == [(), (1, 2)]
+
+
+@pytest.mark.parametrize("orders", [(None, 3), (2, 4), (1,), ()])
+def test_tree_model_refuses_orders_without_a_tree(orders):
+    with pytest.raises(ModelError):
+        CyclicFreeProductModel(orders, "xy"[: len(orders)])
 
 
 # -- explicit graph model -----------------------------------------------------
