@@ -4,7 +4,10 @@ Each certifying operation re-verifies its defining inequalities on the
 measured quantities at emission time and refuses (raises
 :class:`CertificateRefused`) rather than emit an optimistic claim.
 Interval discipline: wherever a translation length must be large we use
-tr_lower, wherever it must be small we use tr_upper.
+tr_lower, wherever it must be small we use tr_upper.  The criteria share
+their ending: ``_measured_D`` reads the axis overlap D (refusing when the
+window cannot bound it) and ``_emit`` builds every certificate, so each
+criterion holds only its own inequality.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .isometry import (
     overlap_diameter,
     overlap_points,
     quasi_axis,
+    translation_length,
 )
 from .models import ActionModel, ModelError, Word
 from .oracle import evaluate, freeness_to_depth
@@ -235,6 +239,10 @@ class PairAnalysis:
     independence: str
 
 
+# Bound on |p|, |q| in the search for a commuting pair [a^p, b^q] = 1.
+INDEPENDENCE_BOUND = 3
+
+
 def analyze_pair(
     model: ActionModel,
     a: Word,
@@ -242,14 +250,13 @@ def analyze_pair(
     delta: int,
     window: int = 8,
     c: Optional[int] = None,
-    independence_bound: int = 3,
 ) -> PairAnalysis:
     a, b = model.canon(a), model.canon(b)
     pa = classify(model, a, delta)
     pb = classify(model, b, delta)
     if pa.hyperbolic != HYPERBOLIC_YES or pb.hyperbolic != HYPERBOLIC_YES:
         raise CertificateRefused("both elements must be verified hyperbolic")
-    verdict, witness = independence_test(model, a, b, independence_bound)
+    verdict, witness = independence_test(model, a, b, INDEPENDENCE_BOUND)
     if verdict == "dependent":
         raise CertificateRefused(f"elements are dependent: [a^{witness[0]}, b^{witness[1]}] = 1")
     axis_a = quasi_axis(model, a, window=window, delta=delta)
@@ -260,7 +267,31 @@ def analyze_pair(
     return PairAnalysis(pa, pb, axis_a, axis_b, overlap, verdict)
 
 
-def _base_caveats(analysis: PairAnalysis, constants: ConstantSet) -> list:
+def _measured_D(analysis: PairAnalysis) -> int:
+    """The overlap diameter D, or a refusal when the window cannot bound it."""
+    if analysis.overlap.unbounded_in_window:
+        raise CertificateRefused("overlap unbounded in window")
+    return analysis.overlap.D
+
+
+def _emit(
+    criterion: str,
+    model: ActionModel,
+    a: Word,
+    b: Word,
+    analysis: PairAnalysis,
+    constants: ConstantSet,
+    own: ConstantSet,
+    n_min: int,
+    m_min: int,
+    details: dict,
+    **fields,
+) -> Certificate:
+    """The certificate for <a^n, b^m>, n >= n_min, m >= m_min.
+
+    Its constants are the input ones, the criterion's ``own`` and the
+    measured D; its caveats follow the provenance of the input constants.
+    """
     caveats = []
     if constants.get("delta", (0, ""))[1] == "brute-forced":
         caveats.append("empirical-delta")
@@ -268,7 +299,18 @@ def _base_caveats(analysis: PairAnalysis, constants: ConstantSet) -> list:
         caveats.append("empirical-acyl")
     if analysis.overlap.boundary_touching:
         caveats.append("window-bounded-D")
-    return caveats
+    return Certificate(
+        criterion=criterion,
+        model_spec=model.spec_dict(),
+        a=model.canon(a),
+        b=model.canon(b),
+        exponents={"n_min": n_min, "m_min": m_min},
+        constants={**constants, **own, "D": (analysis.overlap.D, "brute-forced")},
+        caveats=caveats,
+        details=details,
+        witness={"overlap_witness": [repr(p) for p in analysis.overlap.witness_segment]},
+        **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +327,6 @@ def nielsen_certify(
     epsilon: Optional[Fraction] = None,
     exponents: Optional[tuple[int, int]] = None,
     window: int = 8,
-    independence_bound: int = 3,
     oracle_depth: int = 8,
     analysis: Optional[PairAnalysis] = None,
 ) -> Certificate:
@@ -298,10 +339,8 @@ def nielsen_certify(
     """
     delta = cval(constants, "delta")
     if analysis is None:
-        analysis = analyze_pair(model, a, b, delta, window, independence_bound=independence_bound)
-    if analysis.overlap.unbounded_in_window:
-        raise CertificateRefused("overlap unbounded in window: elements share an axis")
-    D = analysis.overlap.D
+        analysis = analyze_pair(model, a, b, delta, window)
+    D = _measured_D(analysis)
 
     if epsilon_mode == "paper-literal":
         eps = Fraction(100 * (delta + 1))
@@ -334,32 +373,16 @@ def nielsen_certify(
         if not (n * tr_a >= threshold and m * tr_b >= threshold):
             raise CertificateRefused("computed exponents fail the defining inequality")
 
-    tr_an, tr_bm = n * tr_a, m * tr_b
     lam = (eps / 100 - delta) ** -1 * max(n * analysis.profile_a.tr_upper, m * analysis.profile_b.tr_upper)
-    L_prime = min(tr_an, tr_bm) / lam
-
-    consts = dict(constants)
-    consts["D"] = (D, "brute-forced")
-    cert = Certificate(
-        criterion="nielsen",
-        model_spec=model.spec_dict(),
-        a=model.canon(a),
-        b=model.canon(b),
-        exponents={"n_min": n, "m_min": m},
-        constants=consts,
-        epsilon_mode=epsilon_mode,
-        epsilon=eps,
-        caveats=_base_caveats(analysis, constants),
-        details={
-            "lambda": _num_str(lam),
-            "predicted_embedding_L": _num_str(L_prime),
-            "formula_satisfied": formula_satisfied,
-        },
-        witness={"overlap_witness": [repr(p) for p in analysis.overlap.witness_segment]},
-    )
+    details = {
+        "lambda": _num_str(lam),
+        "predicted_embedding_L": _num_str(min(n * tr_a, m * tr_b) / lam),
+        "formula_satisfied": formula_satisfied,
+    }
     if epsilon_mode == "sharp-experimental":
-        cert.details["oracle_confirmed_depth"] = oracle_depth
-    return cert
+        details["oracle_confirmed_depth"] = oracle_depth
+    return _emit("nielsen", model, a, b, analysis, constants, {}, n, m, details,
+                 epsilon_mode=epsilon_mode, epsilon=eps)
 
 
 def prop6_certify(
@@ -369,8 +392,6 @@ def prop6_certify(
     constants: ConstantSet,
     q: Fraction,
     window: int = 8,
-    independence_bound: int = 3,
-    analysis: Optional[PairAnalysis] = None,
 ) -> Certificate:
     """Comparable-translation-length criterion: free for n >= N6, m >= q*N6.
 
@@ -382,8 +403,7 @@ def prop6_certify(
     q = Fraction(q)
     if q < 1:
         raise CertificateRefused("q must be >= 1")
-    if analysis is None:
-        analysis = analyze_pair(model, a, b, delta, window, independence_bound=independence_bound)
+    analysis = analyze_pair(model, a, b, delta, window)
     pa, pb = analysis.profile_a, analysis.profile_b
 
     if not pb.tr_upper <= pa.tr_lower:
@@ -391,9 +411,7 @@ def prop6_certify(
     if not pa.tr_upper / q <= pb.tr_lower:
         raise CertificateRefused("ratio precondition fails: tr(b) < tr(a)/q")
 
-    if analysis.overlap.unbounded_in_window:
-        raise CertificateRefused("overlap unbounded in window")
-    D = analysis.overlap.D
+    D = _measured_D(analysis)
     bound = lemma5_bound(delta, P, K20, L20, pa.tr_upper)
     if not Fraction(D) < bound:
         raise CertificateRefused(
@@ -401,22 +419,9 @@ def prop6_certify(
         )
 
     N6 = n6_formula(delta, P, K20, L20)
-    n_min, m_min = N6, ceil(q * N6)
-    consts = dict(constants)
-    consts["N6"] = (N6, "paper-formula")
-    consts["D"] = (D, "brute-forced")
-    consts["q"] = (q, "config-override")
-    return Certificate(
-        criterion="prop6",
-        model_spec=model.spec_dict(),
-        a=model.canon(a),
-        b=model.canon(b),
-        exponents={"n_min": n_min, "m_min": m_min},
-        constants=consts,
-        caveats=_base_caveats(analysis, constants),
-        details={"lemma5_bound": _num_str(bound)},
-        witness={"overlap_witness": [repr(p) for p in analysis.overlap.witness_segment]},
-    )
+    own = {"N6": (N6, "paper-formula"), "q": (q, "config-override")}
+    return _emit("prop6", model, a, b, analysis, constants, own, N6, ceil(q * N6),
+                 {"lemma5_bound": _num_str(bound)})
 
 
 def _prop7_E(D: int, delta: int, P: int, K20: int, L20: int, tr_f_upper: Fraction) -> Fraction:
@@ -439,8 +444,6 @@ def prop7_certify(
     g: Word,
     constants: ConstantSet,
     window: int = 8,
-    independence_bound: int = 3,
-    analysis: Optional[PairAnalysis] = None,
 ) -> Certificate:
     """Dominant-f criterion: <g, f^n> free for all n >= N7(pair).
 
@@ -449,12 +452,9 @@ def prop7_certify(
     """
     delta, P = cval(constants, "delta"), cval(constants, "P")
     K20, L20 = cval(constants, "K20"), cval(constants, "L20")
-    if analysis is None:
-        analysis = analyze_pair(model, f, g, delta, window, independence_bound=independence_bound)
+    analysis = analyze_pair(model, f, g, delta, window)
     pf, pg = analysis.profile_a, analysis.profile_b
-    if analysis.overlap.unbounded_in_window:
-        raise CertificateRefused("overlap unbounded in window")
-    D = analysis.overlap.D
+    D = _measured_D(analysis)
 
     if not pg.tr_upper <= pf.tr_lower:
         raise CertificateRefused("condition 1 fails: tr(g) > tr(f)")
@@ -467,22 +467,9 @@ def prop7_certify(
         raise CertificateRefused("computed threshold fails the defining inequality")
     Q, (q_lo, q_hi) = choose_Q(N7 * pf.tr_lower, N7 * pf.tr_upper, pg.tr_lower, pg.tr_upper)
 
-    consts = dict(constants)
-    consts["D"] = (D, "brute-forced")
-    consts["E"] = (E, "paper-formula")
-    consts["N7"] = (N7, "paper-formula")
-    consts["Q"] = (Q, "paper-formula")
-    return Certificate(
-        criterion="prop7",
-        model_spec=model.spec_dict(),
-        a=model.canon(f),
-        b=model.canon(g),
-        exponents={"n_min": N7, "m_min": 1},
-        constants=consts,
-        caveats=_base_caveats(analysis, constants),
-        details={"Q_interval": [_num_str(q_lo), _num_str(q_hi)]},
-        witness={"overlap_witness": [repr(p) for p in analysis.overlap.witness_segment]},
-    )
+    own = {"E": (E, "paper-formula"), "N7": (N7, "paper-formula"), "Q": (Q, "paper-formula")}
+    return _emit("prop7", model, f, g, analysis, constants, own, N7, 1,
+                 {"Q_interval": [_num_str(q_lo), _num_str(q_hi)]})
 
 
 def prop8_threshold(pf: IsometryProfile, pg: IsometryProfile, D: int, constants: ConstantSet) -> tuple[int, Fraction]:
@@ -501,43 +488,23 @@ def prop8_certify(
     g: Word,
     constants: ConstantSet,
     window: int = 8,
-    independence_bound: int = 3,
-    analysis: Optional[PairAnalysis] = None,
 ) -> Certificate:
     """Per-pair threshold with no conditions on tr(f) vs tr(g).
 
     Also emits the composite two-sided claim: <f^n, g^m> is free whenever
     |n| + |m| >= 2N with N the max of the two one-sided thresholds.
     """
-    delta = cval(constants, "delta")
-    if analysis is None:
-        analysis = analyze_pair(model, f, g, delta, window, independence_bound=independence_bound)
-    if analysis.overlap.unbounded_in_window:
-        raise CertificateRefused("overlap unbounded in window")
-    D = analysis.overlap.D
+    analysis = analyze_pair(model, f, g, cval(constants, "delta"), window)
+    D = _measured_D(analysis)
 
     N_fg, E = prop8_threshold(analysis.profile_a, analysis.profile_b, D, constants)
     N_gf, _ = prop8_threshold(analysis.profile_b, analysis.profile_a, D, constants)
-    N_pair = max(N_fg, N_gf)
-
-    consts = dict(constants)
-    consts["D"] = (D, "brute-forced")
-    consts["E"] = (E, "paper-formula")
-    consts["N"] = (N_fg, "paper-formula")
-    return Certificate(
-        criterion="prop8",
-        model_spec=model.spec_dict(),
-        a=model.canon(f),
-        b=model.canon(g),
-        exponents={"n_min": N_fg, "m_min": 1},
-        constants=consts,
-        caveats=_base_caveats(analysis, constants),
-        details={
-            "composite_threshold_N": N_pair,
-            "composite_claim": "free for nm != 0 with |n| + |m| >= 2N",
-        },
-        witness={"overlap_witness": [repr(p) for p in analysis.overlap.witness_segment]},
-    )
+    own = {"E": (E, "paper-formula"), "N": (N_fg, "paper-formula")}
+    details = {
+        "composite_threshold_N": max(N_fg, N_gf),
+        "composite_claim": "free for nm != 0 with |n| + |m| >= 2N",
+    }
+    return _emit("prop8", model, f, g, analysis, constants, own, N_fg, 1, details)
 
 
 def theorem9_certify(
@@ -546,7 +513,6 @@ def theorem9_certify(
     b: Word,
     constants: ConstantSet,
     window: int = 8,
-    independence_bound: int = 3,
     quasi_mode: bool = False,
 ) -> Certificate:
     """Uniform bound: <a^n, b^m> free for all n, m >= M, M independent of a, b.
@@ -559,21 +525,16 @@ def theorem9_certify(
     delta, P = cval(constants, "delta"), cval(constants, "P")
     K20, L20 = cval(constants, "K20"), cval(constants, "L20")
     c = (1000 if quasi_mode else 10) * delta
-    analysis = analyze_pair(model, a, b, delta, window, c=c, independence_bound=independence_bound)
-    if not quasi_mode:
-        if analysis.axis_a.mode != "geodesic-axis" or analysis.axis_b.mode != "geodesic-axis":
-            raise CertificateRefused("theorem9 mode requires geodesic axes; use theorem14 mode")
+    analysis = analyze_pair(model, a, b, delta, window, c=c)
+    if not quasi_mode and {analysis.axis_a.mode, analysis.axis_b.mode} != {"geodesic-axis"}:
+        raise CertificateRefused("theorem9 mode requires geodesic axes; use theorem14 mode")
 
     swapped = analysis.profile_b.tr_lower > analysis.profile_a.tr_lower
     big, small = (analysis.profile_b, analysis.profile_a) if swapped else (analysis.profile_a, analysis.profile_b)
-    tr_big_lo, tr_big_up = big.tr_lower, big.tr_upper
-    tr_small_lo, tr_small_up = small.tr_lower, small.tr_upper
 
-    if analysis.overlap.unbounded_in_window:
-        raise CertificateRefused("overlap unbounded in window")
-    D = analysis.overlap.D
+    D = _measured_D(analysis)
     slack = 10000 if quasi_mode else 100
-    bound = lemma5_bound(delta, P, K20, L20, tr_big_up, slack)
+    bound = lemma5_bound(delta, P, K20, L20, big.tr_upper, slack)
     if not Fraction(D) < bound:
         raise CertificateRefused(
             f"measured D = {D} violates the commutator bound {bound}: empirical constants inconsistent"
@@ -584,11 +545,11 @@ def theorem9_certify(
     M = m_formula(delta, P, K20, L20, N6, N7)
 
     # Case replay on measured quantities, in the theorem's order.
-    if tr_small_up / tr_big_lo > Fraction(N6, M):
+    if small.tr_upper / big.tr_lower > Fraction(N6, M):
         branch = "step1-prop6"
-    elif M * tr_small_lo > D + 100 * (delta + 1):
+    elif M * small.tr_lower > D + 100 * (delta + 1):
         branch = "step2-nielsen"
-    elif Fraction(D) <= 2 * tr_big_lo:
+    elif Fraction(D) <= 2 * big.tr_lower:
         branch = "step3-prop7"
     else:
         raise CertificateRefused(
@@ -596,27 +557,15 @@ def theorem9_certify(
             "empirical constants inconsistent"
         )
 
-    consts = dict(constants)
-    consts["N6"] = (N6, "paper-formula")
-    consts["N7"] = (N7, "paper-formula")
-    consts["M"] = (M, "paper-formula")
-    consts["D"] = (D, "brute-forced")
-    return Certificate(
-        criterion="theorem14-mode" if quasi_mode else "theorem9",
-        model_spec=model.spec_dict(),
-        a=model.canon(a),
-        b=model.canon(b),
-        exponents={"n_min": M, "m_min": M},
-        constants=consts,
-        caveats=_base_caveats(analysis, constants),
-        details={
-            "branch": branch,
-            "swapped_roles": swapped,
-            "overlap_radius_c": c,
-            "lemma5_bound": _num_str(bound),
-        },
-        witness={"overlap_witness": [repr(p) for p in analysis.overlap.witness_segment]},
-    )
+    own = {"N6": (N6, "paper-formula"), "N7": (N7, "paper-formula"), "M": (M, "paper-formula")}
+    details = {
+        "branch": branch,
+        "swapped_roles": swapped,
+        "overlap_radius_c": c,
+        "lemma5_bound": _num_str(bound),
+    }
+    return _emit("theorem14-mode" if quasi_mode else "theorem9", model, a, b, analysis, constants, own,
+                 M, M, details)
 
 
 def theorem14_mode(model: ActionModel, a: Word, b: Word, constants: ConstantSet, **kwargs) -> Certificate:
@@ -657,15 +606,11 @@ def word_case(syllables: list[tuple[int, int]]) -> str:
 class WitnessChain:
     word: Word
     case: str
-    base_x: object
-    base_y: object
     p: list
     q: list
     r: list
     s: list
-    segments: dict  # label -> (endpoint, endpoint)
     u: list  # pruned interpolated chain, start to end
-    u_labels: list
     conditions: dict  # condition name -> {"holds": bool, "measured": ...}
     failures: list
     gaps: list  # (distance, band) with band in {"i", "ii", None}
@@ -705,7 +650,6 @@ def build_witness_chain(
     E: Fraction,
     Q: int,
     delta: int,
-    tr_a: Optional[Fraction] = None,
 ) -> WitnessChain:
     """Interpolated point chain witnessing that ``word`` (in a, b) moves x.
 
@@ -722,103 +666,64 @@ def build_witness_chain(
     a, b = model.canon(a), model.canon(b)
     syl = word_syllables(word)
     case = word_case(syl)
-    if tr_a is None:
-        from .isometry import translation_length
-
-        tr_a = translation_length(model, a)[0]
-    tr_a = Fraction(tr_a)
+    tr_a = Fraction(translation_length(model, a)[0])
 
     failures: list = []
     conditions: dict = {}
 
     # Blocks: an optional leading (2, m0) syllable, then alternating
-    # (1, n_j), (2, m_j) pairs with m_i possibly absent.
+    # (1, n_j), (2, m_j) pairs with m_i possibly absent.  In case O the
+    # leading syllable is the whole word, so there are no blocks.
     m0 = 0
     rest = syl
     if case in ("O", "II"):
         m0 = rest[0][1]
         rest = rest[1:]
+    rest = rest + [(2, 0)] * (len(rest) % 2)  # m_i = 0 when the word ends with an a-syllable
     blocks: list[tuple[int, int]] = []  # (n_j, m_j)
-    idx = 0
-    while idx < len(rest):
-        gen, n = rest[idx]
-        if gen != 1:
+    for (gen, n), (gen2, m) in zip(rest[::2], rest[1::2]):
+        if gen != 1 or gen2 != 2:
             raise ModelError("word is not freely reduced over the two letters")
-        m = 0
-        if idx + 1 < len(rest):
-            gen2, m = rest[idx + 1]
-            if gen2 != 2:
-                raise ModelError("word is not freely reduced over the two letters")
         blocks.append((n, m))
-        idx += 2
 
-    def act(element: Word, base):
-        return model.apply(element, base)
-
-    def bpow(k: int) -> Word:
-        return model.power(b, k)
-
-    def apow(k: int) -> Word:
-        return model.power(a, k)
-
-    # Labeled interpolated sequence before pruning.
-    labeled: list[tuple[tuple, object]] = []
+    # The pruned chain u keeps, of the interpolated sequence, the start y of
+    # a leading b-block, every a-step p_j .. q_j (q_j only when the b-block
+    # after it has a Q-step, o_j = |m_j| // Q > 0), the interior Q-steps of
+    # every b-block, and only the last s point.
+    u: list = []
     p_pts: list = []
     q_pts: list = []
     r_pts: list = []
     s_pts: list = []
-    segments: dict = {}
-    o_of: dict[int, int] = {}
 
     prefix: Word = ()
     if m0:
         # Leading b-block based at y (cases O and II).
-        o0 = m0 // Q if m0 >= 0 else -((-m0) // Q)
-        o_of[0] = o0
-        labeled.append((("r", 0, 0), y))
+        u.append(y)
         sign = 1 if m0 >= 0 else -1
-        for k in range(1, abs(o0)):
-            labeled.append((("r", 0, k), act(bpow(sign * k * Q), y)))
-        prefix = bpow(m0)
-        labeled.append((("s", 0), act(prefix, y)))
-        s_pts.append(act(prefix, y))
-        segments["B_0"] = (y, act(prefix, y))
+        for k in range(1, abs(m0) // Q):
+            u.append(model.apply(model.power(b, sign * k * Q), y))
+        prefix = model.power(b, m0)
+        s_pts.append(model.apply(prefix, y))
 
     i = len(blocks)
     for j, (n_j, m_j) in enumerate(blocks, start=1):
-        p_j = act(prefix, x)
-        prefix_a = model.compose(prefix, apow(n_j))
-        q_j = act(prefix_a, x)
-        r_j = act(prefix_a, y)
-        prefix_next = model.compose(prefix_a, bpow(m_j))
-        s_j = act(prefix_next, y)
-        p_pts.append(p_j)
-        q_pts.append(q_j)
-        r_pts.append(r_j)
-        s_pts.append(s_j)
-        segments[f"A_{j}"] = (p_j, q_j)
-        segments[f"B_{j}"] = (r_j, s_j)
+        prefix_a = model.compose(prefix, model.power(a, n_j))
+        prefix_next = model.compose(prefix_a, model.power(b, m_j))
+        p_pts.append(model.apply(prefix, x))
+        q_pts.append(model.apply(prefix_a, x))
+        r_pts.append(model.apply(prefix_a, y))
+        s_pts.append(model.apply(prefix_next, y))
 
+        o_j = abs(m_j) // Q
         sign = 1 if n_j >= 0 else -1
-        for k in range(abs(n_j) + 1):
-            labeled.append((("p", j, k), act(model.compose(prefix, apow(sign * k)), x)))
-        o_j = m_j // Q if m_j >= 0 else -((-m_j) // Q)
-        o_of[j] = o_j
-        labeled.append((("r", j, 0), r_j))
+        for k in range(abs(n_j) + 1 if o_j else abs(n_j)):
+            u.append(model.apply(model.compose(prefix, model.power(a, sign * k)), x))
         sign = 1 if m_j >= 0 else -1
-        for k in range(1, abs(o_j)):
-            labeled.append((("r", j, k), act(model.compose(prefix_a, bpow(sign * k * Q)), y)))
-        labeled.append((("s", j), s_j))
+        for k in range(1, o_j):
+            u.append(model.apply(model.compose(prefix_a, model.power(b, sign * k * Q)), y))
         prefix = prefix_next
-
-    if case == "O":
-        # No a-blocks: the chain is just the interpolated leading b-block.
-        i = 0
-
-    # Segment endpoints C_j, D_j for the record.
-    for j in range(1, i):
-        segments[f"C_{j}"] = (p_pts[j - 1], q_pts[j])
-        segments[f"D_{j}"] = (p_pts[j - 1], p_pts[j])
+    u.append(s_pts[-1])
 
     # Block conditions; measured worst cases, violations annotated.
     def note(name: str, holds: bool, measured):
@@ -839,37 +744,15 @@ def build_witness_chain(
         geos_B = [model.geodesic(r_pts[j], s_pts[-i:][j]) for j in range(i)]
         c3 = max(_segment_overlap(model, geos_A[j], geos_B[j], 10 * delta) for j in range(i))
         note("c3", c3 <= E, c3)
-        geos_B_prev = ([model.geodesic(y, act(bpow(m0), y))] if m0 else []) + geos_B
-        if m0:
-            c4 = max(_segment_overlap(model, geos_B_prev[j], geos_A[j], 10 * delta) for j in range(i))
-        elif i >= 2:
-            c4 = max(_segment_overlap(model, geos_B[j - 1], geos_A[j], 10 * delta) for j in range(1, i))
-        else:
-            c4 = 0
+        # B_{j-1} precedes A_j; B_0 exists only when the word opens with a b-syllable.
+        preceding_B = ([model.geodesic(y, s_pts[0])] if m0 else [None]) + geos_B[:-1]
+        c4 = max(
+            (_segment_overlap(model, B, A, 10 * delta) for B, A in zip(preceding_B, geos_A) if B is not None),
+            default=0,
+        )
         note("c4", c4 <= E, c4)
-        if i >= 2:
-            c5 = max(_segment_overlap(model, geos_A[j], geos_A[j + 1], 10 * delta) for j in range(i - 1))
-        else:
-            c5 = 0
+        c5 = max((_segment_overlap(model, A, A2, 10 * delta) for A, A2 in zip(geos_A, geos_A[1:])), default=0)
         note("c5", c5 <= E, c5)
-
-    # Pruning: drop every r_j (k = 0 only), every s_j but the last, and q_j
-    # whenever o_j = 0.  Interior r_{j,k} interpolation points stay.
-    last_s = max((lab[1] for lab, _ in labeled if lab[0] == "s"), default=None)
-    u: list = []
-    u_labels: list = []
-    for lab, pt in labeled:
-        kind = lab[0]
-        if kind == "r" and lab[2] == 0 and not (m0 and lab[1] == 0):
-            continue  # r_0 = y is the chain start in cases O and II
-        if kind == "s" and lab[1] != last_s:
-            continue
-        if kind == "p" and lab[2] == abs(blocks[lab[1] - 1][0]) and o_of.get(lab[1]) == 0 and lab[1] != i:
-            continue  # q_j with o_j = 0 (keep q_i when it ends the chain)
-        if kind == "p" and lab[2] == abs(blocks[lab[1] - 1][0]) and o_of.get(lab[1]) == 0 and lab[1] == i and last_s is not None:
-            continue
-        u.append(pt)
-        u_labels.append(lab)
 
     # Gap bands: (i) around tr(a), (ii) around tr(b^Q).
     gaps: list = []
@@ -896,23 +779,18 @@ def build_witness_chain(
     L = Q * lam0 / 500
     w_elt = evaluate(model, word, a, b)
     moved = model.distance(x, model.apply(w_elt, x))
-    word_len = sum(abs(n) + abs(m) for n, m in blocks) + abs(m0)
-    embedding_ok = L * moved >= word_len
+    embedding_ok = L * moved >= len(word)
     if not embedding_ok:
-        failures.append(f"embedding bound fails: L * {moved} < |word| = {word_len}")
+        failures.append(f"embedding bound fails: L * {moved} < |word| = {len(word)}")
 
     return WitnessChain(
         word=tuple(word),
         case=case,
-        base_x=x,
-        base_y=y,
         p=p_pts,
         q=q_pts,
         r=r_pts,
         s=s_pts,
-        segments=segments,
         u=u,
-        u_labels=u_labels,
         conditions=conditions,
         failures=failures,
         gaps=gaps,

@@ -66,11 +66,11 @@ def _element(model: ActionModel, text: str) -> Word:
 
 
 def _resolve_delta(model: ActionModel, args) -> tuple[int, str]:
-    if getattr(args, "delta", None) is not None:
+    if args.delta is not None:
         return args.delta, "config-override"
     if model.is_tree:
         return 0, "tree-case"
-    report = compute_delta(model, radius=getattr(args, "radius", 4), seed=getattr(args, "seed", 0))
+    report = compute_delta(model, radius=args.radius, seed=args.seed)
     return report.delta, "brute-forced"
 
 
@@ -258,29 +258,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="freecert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, elements=False):
+    def common(p, elements=False, region=False, axes=False):
+        # --seed and --radius pick the region that delta is measured on;
+        # commands that build axes also take --delta and --window.
+        region = region or axes
         p.add_argument("--model", required=True, help="path to a model spec JSON file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        if region:
+            p.add_argument("--seed", type=int, default=0)
         if elements:
             p.add_argument("--a", required=True, help="first element word, e.g. \"ab'a\"")
             p.add_argument("--b", required=True, help="second element word")
-        p.add_argument("--delta", type=int, default=None, help="override the thinness constant")
-        p.add_argument("--window", type=int, default=8)
-        p.add_argument("--radius", type=int, default=4)
+        if axes:
+            p.add_argument("--delta", type=int, default=None, help="override the thinness constant")
+            p.add_argument("--window", type=int, default=8)
+        if region:
+            p.add_argument("--radius", type=int, default=4)
 
     p = sub.add_parser("delta", help="compute the thin-triangle constant on a region")
-    common(p)
+    common(p, region=True)
     p.add_argument("--budget", type=int, default=200_000)
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("profile", help="translation length and hyperbolicity of one element")
-    common(p)
+    common(p, axes=True)
     p.add_argument("--a", required=True)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("overlap", help="overlap diameter of two axes")
-    common(p, elements=True)
+    common(p, elements=True, axes=True)
     p.add_argument("--c", type=int, default=None, help="overlap radius (default 10*delta)")
     p.set_defaults(func=_cmd_overlap)
 
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_acyl)
 
     p = sub.add_parser("certify", help="emit a freeness certificate")
-    common(p, elements=True)
+    common(p, elements=True, axes=True)
     p.add_argument("--criterion", required=True, choices=sorted(CRITERIA))
     p.add_argument("--epsilon-mode", default="paper-literal", choices=["paper-literal", "sharp-experimental"])
     p.add_argument("--epsilon", default=None, help="sharp-mode epsilon (fraction)")
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("chain", help="build and check a witness chain")
-    common(p, elements=True)
+    common(p, elements=True, axes=True)
     p.add_argument("--word", required=True, help="word over the letters a, b")
     p.add_argument("--E", required=True, help="three-points constant (fraction)")
     p.add_argument("--Q", required=True, type=int, help="b-block size")

@@ -388,9 +388,6 @@ class CycleModel(ActionModel):
     def generators(self) -> list[Word]:
         return [(1,)]
 
-    def group_ball(self, radius: int) -> list[Word]:
-        return [self.canon((1,) * e) for e in range(self.n)]
-
     def apply(self, g: Word, x: int) -> int:
         return (x + len(self.canon(g))) % self.n
 

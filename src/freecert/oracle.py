@@ -8,11 +8,11 @@ can confirm or refute certificates without sharing their reasoning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .models import ActionModel, ModelError, Word
+from .models import ActionModel, CapExceeded, ModelError, Word
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,20 @@ class SweepTable:
     cells: dict  # (n, m) -> verdict string
     witnesses: dict  # (n, m) -> relation word
     exceptional_pairs: list
+    reasons: dict = field(default_factory=dict)  # (n, m) -> why the cell is unchecked
 
     def rows(self) -> list[dict]:
         out = []
         for (n, m) in sorted(self.cells, key=lambda t: (t[0] + t[1], t)):
-            out.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "verdict": self.cells[(n, m)],
-                    "witness": list(self.witnesses.get((n, m), ())) or None,
-                }
-            )
+            row = {
+                "n": n,
+                "m": m,
+                "verdict": self.cells[(n, m)],
+                "witness": list(self.witnesses.get((n, m), ())) or None,
+            }
+            if (n, m) in self.reasons:
+                row["reason"] = self.reasons[(n, m)]
+            out.append(row)
         return out
 
     def to_doc(self) -> dict:
@@ -97,36 +99,27 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int, base=Non
     min_ratio: Optional[Fraction] = None
     max_ratio: Optional[Fraction] = None
 
-    # Depth-first in letter order (1, -1, 2, -2), length-increasing per level
-    # via iterative deepening so the first relation found is the
-    # lexicographically least at the minimal length.
-    for target in range(1, depth + 1):
-
-        def walk(word: Word, value: Word) -> Optional[Word]:
-            nonlocal min_ratio, max_ratio
-            if len(word) == target:
-                if model.is_identity(value):
-                    return word
-                prev = seen.get(value)
-                if prev is not None and prev != word:
-                    # Two distinct words evaluate to the same element.
-                    return model_free_quotient(prev, word)
-                seen.setdefault(value, word)
-                r = Fraction(model.distance(base, model.apply(value, base)), len(word))
-                min_ratio = r if min_ratio is None else min(min_ratio, r)
-                max_ratio = r if max_ratio is None else max(max_ratio, r)
-                return None
+    # One pass level by level, each level the (word, value) pairs of one
+    # length in lexicographic order (letters 1, -1, 2, -2), so the first
+    # relation found is the lexicographically least at the minimal length.
+    level: list[tuple[Word, Word]] = [((), ())]
+    for length in range(1, depth + 1):
+        next_level = []
+        for word, value in level:
             for l in (1, -1, 2, -2):
                 if word and word[-1] == -l:
                     continue
-                rel = walk(word + (l,), model.compose(value, letters[l]))
-                if rel is not None:
-                    return rel
-            return None
-
-        rel = walk((), ())
-        if rel is not None:
-            return OracleReport(target, "relation-found", rel, min_ratio, _fit_L(min_ratio, max_ratio))
+                w, v = word + (l,), model.compose(value, letters[l])
+                if model.is_identity(v) or v in seen:
+                    # w acts trivially, or two distinct words evaluate to the same element.
+                    rel = w if model.is_identity(v) else model_free_quotient(seen[v], w)
+                    return OracleReport(length, "relation-found", rel, min_ratio, _fit_L(min_ratio, max_ratio))
+                seen[v] = w
+                r = Fraction(model.distance(base, model.apply(v, base)), length)
+                min_ratio = r if min_ratio is None else min(min_ratio, r)
+                max_ratio = r if max_ratio is None else max(max_ratio, r)
+                next_level.append((w, v))
+        level = next_level
     return OracleReport(depth, "free-to-depth", None, min_ratio, _fit_L(min_ratio, max_ratio))
 
 
@@ -186,13 +179,15 @@ def exceptional_sweep(
         raise ModelError("depth must be >= 2")
     cells: dict = {}
     witnesses: dict = {}
+    reasons: dict = {}
     exceptional = []
     for n, m in sorted(((n, m) for n in n_range for m in m_range), key=lambda t: (t[0] + t[1], t)):
         an, bm = model.power(a, n), model.power(b, m)
         try:
             report = freeness_to_depth(model, an, bm, depth)
-        except ModelError:
+        except CapExceeded as exc:
             cells[(n, m)] = "unchecked"
+            reasons[(n, m)] = str(exc)
             continue
         if report.verdict == "relation-found":
             if certified is not None and certified(n, m):
@@ -204,4 +199,4 @@ def exceptional_sweep(
             cells[(n, m)] = "certified"
         else:
             cells[(n, m)] = "free-to-depth"
-    return SweepTable(cells, witnesses, exceptional)
+    return SweepTable(cells, witnesses, exceptional, reasons)

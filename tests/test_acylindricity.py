@@ -47,9 +47,11 @@ def test_cycle_c5_rotations_k_hat_three():
 
 
 def test_exhaustive_when_the_group_ball_is_the_whole_group():
-    # CycleModel enumerates all 8 rotations even for a ball radius of 3.
-    entry = acyl_constants(CycleModel(8), R=1, region_radius=4, group_ball_radius=3)
-    assert entry.exhaustive
+    # Words of length <= 4 reach all 8 rotations of C8, length <= 3 only 7.
+    c8 = CycleModel(8)
+    assert acyl_constants(c8, R=1, region_radius=4, group_ball_radius=4).exhaustive
+    assert len(c8.group_ball(3)) == 7
+    assert not acyl_constants(c8, R=1, region_radius=4, group_ball_radius=3).exhaustive
     # Words of length <= 1 reach 4 of the 8 symmetries of the square.
     square = ExplicitGraphModel([[1, 3], [0, 2], [1, 3], [0, 2]], [[1, 2, 3, 0], [0, 3, 2, 1]])
     assert not acyl_constants(square, R=1, region_radius=2, group_ball_radius=1).exhaustive

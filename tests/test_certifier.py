@@ -204,6 +204,29 @@ def test_validate_certificate_rejects_missing_fields():
         validate_certificate({"schema_version": 1})
 
 
+# -- the shared overlap refusal ---------------------------------------------------------
+
+
+# L = a^10 b a^10 is independent of a, and its axis runs along all of a's window.
+LONG = (1,) * 10 + (2,) + (1,) * 10
+
+
+@pytest.mark.parametrize(
+    "certify, first, second",
+    [
+        pytest.param(nielsen_certify, A, LONG, id="nielsen"),
+        pytest.param(lambda m, a, b, c: prop6_certify(m, a, b, c, q=Fraction(21)), LONG, A, id="prop6"),
+        pytest.param(prop7_certify, LONG, A, id="prop7"),
+        pytest.param(prop8_certify, A, LONG, id="prop8"),
+        pytest.param(theorem9_certify, A, LONG, id="theorem9"),
+        pytest.param(theorem14_mode, A, LONG, id="theorem14"),
+    ],
+)
+def test_criteria_refuse_an_overlap_unbounded_in_window(f2, certify, first, second):
+    with pytest.raises(CertificateRefused, match="overlap unbounded in window"):
+        certify(f2, first, second, tree_constants())
+
+
 # -- witness chains ----------------------------------------------------------------------
 
 

@@ -49,6 +49,9 @@ def test_exit_code_matrix(model_dir, tmp_path):
         (2, ["certify", "--model", "@f2.json", "--a", "a", "--b", "b", "--criterion", "bogus"]),
         (2, ["delta", "--model", "@missing.json"]),
         (2, ["profile", "--model", "@f2.json", "--a", "q"]),
+        # Flags a command does not read are refused.
+        (2, ["acyl", "--model", "@c4.json", "--radii", "1", "--delta", "1"]),
+        (2, ["sweep", "--model", "@f2.json", "--a", "a", "--b", "b", "--range", "1:2", "--window", "3"]),
     ]
     for expected, argv in matrix:
         assert run(model_dir, *argv) == expected, argv
@@ -97,6 +100,15 @@ def test_sweep_document_matches_expected_relation(model_dir, capsys):
     assert [1, 1] in doc["exceptional_pairs"]
     hit = [r for r in doc["rows"] if (r["n"], r["m"]) == (1, 1)][0]
     assert hit["verdict"] == "relation-found"
+
+
+def test_capped_sweep_cell_is_unchecked_with_the_reason(model_dir, capsys):
+    code = run(model_dir, "sweep", "--model", "@zxz2.json", "--a", "ffs", "--b", "ff",
+               "--range", "60:60", "--depth", "3")
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"] == [{"n": 60, "m": 60, "verdict": "unchecked", "witness": None,
+                            "reason": "word length 360 exceeds expansion cap 256"}]
 
 
 def test_delta_c4_reports_one(model_dir, capsys):
