@@ -20,12 +20,14 @@ class AcylEntry:
     K_hat: int
     L_hat: int
     exhaustive: bool
+    group_size: int  # elements of the group ball that K_hat was counted over
 
 
 @dataclass(frozen=True)
 class AcylProfile:
     entries: dict
     region: dict
+    group_ball: dict
     exhaustive: bool
 
     def to_doc(self) -> dict:
@@ -34,6 +36,7 @@ class AcylProfile:
                 str(R): {"K_hat": e.K_hat, "L_hat": e.L_hat} for R, e in sorted(self.entries.items())
             },
             "region": self.region,
+            "group_ball": self.group_ball,
             "exhaustive": self.exhaustive,
         }
 
@@ -62,7 +65,6 @@ def constant_P(delta: int, K200: Optional[int] = None) -> ConstantP:
 def acyl_constants(
     model: ActionModel,
     R: int,
-    region: Optional[list] = None,
     region_radius: int = 3,
     group_ball_radius: int = 6,
 ) -> AcylEntry:
@@ -76,8 +78,7 @@ def acyl_constants(
     """
     if group_ball_radius < 1:
         raise ModelError("group_ball_radius must be >= 1")
-    if region is None:
-        region = model.ball(model.basepoint(), region_radius)
+    region = model.ball(model.basepoint(), region_radius)
     group = model.group_ball(group_ball_radius)
     exhaustive = model.order is not None and len(group) == model.order
 
@@ -106,20 +107,23 @@ def acyl_constants(
     # M(sep) = max count over pairs at separation >= sep (non-increasing).
     M = [0] * (max_sep + 2)
     for d in range(max_sep, 0, -1):
-        M[d] = max(by_sep.get(d, 0), M[d + 1] if d + 1 <= max_sep else 0)
+        M[d] = max(by_sep.get(d, 0), M[d + 1])
 
-    L_hat = max_sep
     for sep in range(1, max_sep - 1):
         if M[sep] == M[sep + 1] == M[sep + 2]:
             L_hat = sep
             break
     else:
         L_hat = 1 if max_sep <= 2 else max_sep - 2
-    return AcylEntry(R, max(1, M[L_hat]), L_hat, exhaustive)
+    return AcylEntry(R, max(1, M[L_hat]), L_hat, exhaustive, len(group))
 
 
-def acyl_profile(model: ActionModel, radii: list[int], **kwargs) -> AcylProfile:
-    entries = {R: acyl_constants(model, R, **kwargs) for R in radii}
-    region_radius = kwargs.get("region_radius", 3)
+def acyl_profile(
+    model: ActionModel, radii: list[int], region_radius: int = 3, group_ball_radius: int = 6
+) -> AcylProfile:
+    entries = {R: acyl_constants(model, R, region_radius, group_ball_radius) for R in radii}
+    # Every entry counts over the same group ball.
+    group_size = max((e.group_size for e in entries.values()), default=0)
     exhaustive = all(e.exhaustive for e in entries.values())
-    return AcylProfile(entries, {"radius": region_radius}, exhaustive)
+    group_ball = {"radius": group_ball_radius, "size": group_size}
+    return AcylProfile(entries, {"radius": region_radius}, group_ball, exhaustive)

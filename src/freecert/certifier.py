@@ -269,9 +269,13 @@ def analyze_pair(
 
 def _measured_D(analysis: PairAnalysis) -> int:
     """The overlap diameter D, or a refusal when the window cannot bound it."""
-    if analysis.overlap.unbounded_in_window:
-        raise CertificateRefused("overlap unbounded in window")
-    return analysis.overlap.D
+    overlap = analysis.overlap
+    if overlap.unbounded_in_window:
+        raise CertificateRefused(
+            f"overlap unbounded in window: the {overlap.c}-overlap (D >= {overlap.D}) "
+            f"reaches both ends of an axis in a {overlap.window}-edge window"
+        )
+    return overlap.D
 
 
 def _emit(

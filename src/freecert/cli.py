@@ -32,7 +32,7 @@ from .certifier import (
     tree_constants,
     validate_certificate,
 )
-from .hyperbolicity import compute_delta
+from .hyperbolicity import DEFAULT_TRIPLE_BUDGET, compute_delta
 from .isometry import classify, overlap_diameter, quasi_axis
 from .models import ActionModel, CapExceeded, ModelError, Word, build_model, parse_letters
 from .oracle import exceptional_sweep, freeness_to_depth
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="compute the thin-triangle constant on a region")
     common(p, region=True)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_TRIPLE_BUDGET)
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("profile", help="translation length and hyperbolicity of one element")

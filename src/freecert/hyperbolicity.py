@@ -9,10 +9,12 @@ report, never a silently truncated "exhaustive" one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import combinations, product
 from math import comb
 from typing import Optional
 
+from .isometry import EdgePath
 from .models import ActionModel, ModelError
 
 DEFAULT_TRIPLE_BUDGET = 200_000
@@ -27,19 +29,15 @@ class HyperbolicityReport:
     triple_count: int
 
     def to_doc(self) -> dict:
-        return {
-            "delta": self.delta,
-            "region": self.region,
-            "exhaustive": self.exhaustive,
-            "triple_count": self.triple_count,
-        }
+        return asdict(self)
 
 
 def all_geodesics(model: ActionModel, x, y, cap: int = DEFAULT_GEODESIC_CAP):
     """All distinct geodesics from x to y, or the first ``cap`` of them.
 
-    Returns (paths, truncated).  Tree models have a unique geodesic and
-    skip the BFS-DAG enumeration entirely.
+    Returns (paths, truncated).  Tree models have a unique geodesic.  Else
+    a depth-first walk steps to each neighbour one edge closer to y; the
+    metric is exact, so each prefix is a geodesic from x.
     """
     if cap < 1:
         raise ModelError("cap must be >= 1")
@@ -49,18 +47,6 @@ def all_geodesics(model: ActionModel, x, y, cap: int = DEFAULT_GEODESIC_CAP):
         return [[x]], False
 
     target = model.distance(x, y)
-    # BFS layers from x out to d(x, y), then walk the shortest-path DAG.
-    dist = {x: 0}
-    frontier = [x]
-    for d in range(target):
-        nxt = []
-        for p in frontier:
-            for q in model.neighbors(p):
-                if q not in dist:
-                    dist[q] = d + 1
-                    nxt.append(q)
-        frontier = nxt
-
     paths: list[list] = []
     truncated = False
 
@@ -74,7 +60,7 @@ def all_geodesics(model: ActionModel, x, y, cap: int = DEFAULT_GEODESIC_CAP):
                 return False
             return True
         for q in model.neighbors(p):
-            if dist.get(q) == len(path) and model.distance(q, y) == target - len(path):
+            if model.distance(q, y) == target - len(path):
                 path.append(q)
                 if not walk(path):
                     return False
@@ -85,81 +71,69 @@ def all_geodesics(model: ActionModel, x, y, cap: int = DEFAULT_GEODESIC_CAP):
     return paths, truncated
 
 
-def _side_slack(model: ActionModel, side, other_union: set, other_points: list) -> tuple[int, object]:
-    """Max over vertices of ``side`` of the distance to the other two sides."""
-    worst = 0
-    witness = side[0]
-    for v in side:
-        if v in other_union:
-            continue
-        d = min(model.distance(v, u) for u in other_points)
-        if d > worst:
-            worst = d
-            witness = v
+def _slack(sides) -> tuple[int, object]:
+    """(slack, witness) of three :class:`EdgePath` sides of a triangle.
+
+    The slack is the largest distance from a vertex of one side to the
+    other two; the witness is the first vertex at it (else the first point).
+    A vertex on another side is skipped before any distance is measured.
+    """
+    a, b, c = sides
+    worst, witness = 0, a.points[0]
+    for side, o1, o2 in ((a, b, c), (b, a, c), (c, a, b)):
+        for v in side.points:
+            if v in o1.members or v in o2.members:
+                continue
+            d = min(o1.distance(v), o2.distance(v))
+            if d > worst:
+                worst, witness = d, v
     return worst, witness
 
 
 def check_slim(model: ActionModel, triangle, delta: int):
     """Check a geodesic triangle is delta-slim; return (ok, worst witness).
 
-    ``triangle`` is three geodesic paths sharing endpoints pairwise.
+    ``triangle`` is three geodesic paths sharing endpoints pairwise; each
+    must be an edge path (consecutive points at distance <= 1).
     """
     a, b, c = triangle
     ends = {frozenset((p[0], p[-1])) for p in triangle if p[0] != p[-1]}
     corners = {a[0], a[-1], b[0], b[-1], c[0], c[-1]}
     if len(corners) > 3 or (len(corners) == 3 and len(ends) != 3):
         raise ModelError("paths do not form a triangle")
-    worst = 0
-    witness = a[0]
-    for side, o1, o2 in ((a, b, c), (b, a, c), (c, a, b)):
-        union = set(o1) | set(o2)
-        slack, w = _side_slack(model, side, union, list(union))
-        if slack > worst:
-            worst, witness = slack, w
+    if any(model.distance(p, q) > 1 for side in triangle for p, q in zip(side, side[1:])):
+        raise ModelError("triangle sides must be edge paths")
+    worst, witness = _slack([EdgePath(model, side) for side in triangle])
     return worst <= delta, witness
 
 
-def _triple_delta(model: ActionModel, x, y, z, cap: int) -> tuple[int, int, bool]:
-    """Slimness requirement of one vertex triple over all geodesic choices.
-
-    Returns (needed delta, number of geodesic combinations, truncated).
-    """
-    gxy, t1 = all_geodesics(model, x, y, cap)
-    gyz, t2 = all_geodesics(model, y, z, cap)
-    gxz, t3 = all_geodesics(model, x, z, cap)
-    needed = 0
-    combos = 0
-    for a in gxy:
-        for b in gyz:
-            for c in gxz:
-                combos += 1
-                for side, o1, o2 in ((a, b, c), (b, a, c), (c, a, b)):
-                    union = set(o1) | set(o2)
-                    pts = list(union)
-                    slack, _ = _side_slack(model, side, union, pts)
-                    if slack > needed:
-                        needed = slack
-    return needed, combos, (t1 or t2 or t3)
+def _triple_delta(model: ActionModel, x, y, z) -> tuple[int, bool]:
+    """(needed delta, truncated) of one vertex triple over all geodesic choices."""
+    choices = []
+    truncated = False
+    for p, q in ((x, y), (y, z), (x, z)):
+        paths, trunc = all_geodesics(model, p, q)
+        choices.append([EdgePath(model, path) for path in paths])
+        truncated = truncated or trunc
+    return max(_slack(sides)[0] for sides in product(*choices)), truncated
 
 
 def compute_delta(
     model: ActionModel,
-    center=None,
     radius: int = 4,
     points: Optional[list] = None,
     triple_budget: int = DEFAULT_TRIPLE_BUDGET,
-    geodesic_cap: int = DEFAULT_GEODESIC_CAP,
     seed: int = 0,
 ) -> HyperbolicityReport:
     """Minimal integer delta making every triangle in the region delta-slim.
 
-    Enumerates every vertex triple when that fits in ``triple_budget``,
-    otherwise samples triples with a seeded RNG and reports
-    ``exhaustive=False``.
+    The region is ``points``, or the ball of ``radius`` about the model's
+    basepoint.  Enumerates every vertex triple when that fits in
+    ``triple_budget``, otherwise samples that many triples with a seeded
+    RNG and reports ``exhaustive=False``.
     """
     if points is None:
-        if center is None:
-            center = model.basepoint()
+        center = model.basepoint()
         points = model.ball(center, radius)
         region = {"center": repr(center), "radius": radius, "size": len(points)}
     else:
@@ -168,29 +142,16 @@ def compute_delta(
     if n < 3:
         return HyperbolicityReport(0, region, True, 0)
 
-    delta = 0
-    count = 0
-    truncated_any = False
-    if comb(n, 3) <= triple_budget:
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    needed, combos, trunc = _triple_delta(
-                        model, points[i], points[j], points[k], geodesic_cap
-                    )
-                    count += 1
-                    truncated_any = truncated_any or trunc
-                    if needed > delta:
-                        delta = needed
-        exhaustive = not truncated_any
+    exhaustive = comb(n, 3) <= triple_budget
+    if exhaustive:
+        triples = combinations(range(n), 3)
     else:
         rng = random.Random(seed)
-        while count < triple_budget:
-            i, j, k = rng.sample(range(n), 3)
-            needed, combos, trunc = _triple_delta(model, points[i], points[j], points[k], geodesic_cap)
-            count += 1
-            truncated_any = truncated_any or trunc
-            if needed > delta:
-                delta = needed
-        exhaustive = False
+        triples = (rng.sample(range(n), 3) for _ in range(triple_budget))
+    delta = count = 0
+    for i, j, k in triples:
+        needed, truncated = _triple_delta(model, points[i], points[j], points[k])
+        delta = max(delta, needed)
+        exhaustive = exhaustive and not truncated
+        count += 1
     return HyperbolicityReport(delta, region, exhaustive, count)

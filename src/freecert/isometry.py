@@ -79,14 +79,16 @@ class OverlapReport:
         }
 
 
-def translation_length(model: ActionModel, g: Word, depth: int = 12):
+# Powers n <= TRANSLATION_DEPTH (and 2n) feed the generic translation-length bounds.
+TRANSLATION_DEPTH = 12
+
+
+def translation_length(model: ActionModel, g: Word):
     """Translation length interval (tr_lower, tr_upper, exact).
 
     Generic bounds: tr_upper = min_n d(x, g^n x)/n (subadditivity);
     tr_lower = max_n (d(x, g^2n x) - d(x, g^n x))/n, floored at 0.
     """
-    if depth < 1:
-        raise ModelError("depth must be >= 1")
     g = model.canon(g)
     exact = model.exact_translation_length(g)
     if exact is not None:
@@ -101,10 +103,10 @@ def translation_length(model: ActionModel, g: Word, depth: int = 12):
         disp = {}
         p = x
         gx = model.canon(g)
-        for n in range(1, 2 * depth + 1):
+        for n in range(1, 2 * TRANSLATION_DEPTH + 1):
             p = model.apply(gx, p)
             disp[n] = model.distance(x, p)
-        for n in range(1, depth + 1):
+        for n in range(1, TRANSLATION_DEPTH + 1):
             u = Fraction(disp[n], n)
             upper = u if upper is None else min(upper, u)
             lo = Fraction(disp[2 * n] - disp[n], n)
@@ -229,7 +231,7 @@ class EdgePath:
         return found
 
 
-def quasi_axis(model: ActionModel, g: Word, window: int = 8, delta: int = 0, search_radius: int = 8) -> AxisData:
+def quasi_axis(model: ActionModel, g: Word, window: int = 8, delta: int = 0) -> AxisData:
     """Invariant (quasi-)axis of a hyperbolic isometry on a window.
 
     Concatenates geodesics between consecutive orbit points of a
@@ -243,7 +245,7 @@ def quasi_axis(model: ActionModel, g: Word, window: int = 8, delta: int = 0, sea
     if profile.hyperbolic != HYPERBOLIC_YES:
         raise ModelError("quasi_axis requires a hyperbolic element")
     g = model.canon(g)
-    pstar = model.min_displacement_point(g, search_radius)
+    pstar = model.min_displacement_point(g)
     step = model.distance(pstar, model.apply(g, pstar))
 
     orbit = [model.apply(model.power(g, k), pstar) for k in range(-window, window + 1)]
@@ -303,7 +305,7 @@ def farthest_pair(model: ActionModel, points) -> tuple:
     return best
 
 
-def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: int, window: Optional[int] = None) -> OverlapReport:
+def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: int) -> OverlapReport:
     """Diameter of the c-overlap of two axes, within their windows.
 
     The overlap set is (A in the c-neighborhood of B) union (B in the
@@ -314,8 +316,7 @@ def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: 
     ends of one axis flags the overlap as unbounded in the window.
     """
     pa, pb = list(axis_a.path), list(axis_b.path)
-    if window is None:
-        window = min(len(pa), len(pb)) - 1
+    window = min(len(pa), len(pb)) - 1
 
     in_a, in_b, union = overlap_points(model, pa, pb, c)
     if not union:

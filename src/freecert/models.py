@@ -87,6 +87,7 @@ class ActionModel:
     is_tree = False
     order: Optional[int] = None  # size of the acting group; None when infinite
     generator_names: tuple[str, ...] = ()
+    DISPLACEMENT_SEARCH_RADIUS = 8  # ball searched by min_displacement_point
 
     # -- group structure ------------------------------------------------
 
@@ -209,11 +210,11 @@ class ActionModel:
         """
         return 0 if self.order is not None else None
 
-    def min_displacement_point(self, g: Word, search_radius: int = 8):
+    def min_displacement_point(self, g: Word):
         """A point moved least by g: the least (d(p, gp), point_key(p)) on a ball."""
         best = None
         best_key = None
-        for p in self.ball(self.basepoint(), search_radius):
+        for p in self.ball(self.basepoint(), self.DISPLACEMENT_SEARCH_RADIUS):
             key = (self.distance(p, self.apply(g, p)), self.point_key(p))
             if best_key is None or key < best_key:
                 best_key, best = key, p
@@ -335,7 +336,7 @@ class CyclicFreeProductModel(ActionModel):
             return 0  # an involution flips an edge
         return len(core)
 
-    def min_displacement_point(self, g: Word, search_radius: int = 8) -> Word:
+    def min_displacement_point(self, g: Word) -> Word:
         # The points g moves least (its axis, or the edge an involution flips)
         # all have u as a prefix, and u is one of them: the least point_key.
         return self.cyclic_split(g)[0]

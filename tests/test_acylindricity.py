@@ -93,3 +93,12 @@ def test_acyl_profile_collects_entries():
     profile = acyl_profile(m, [0, 1], region_radius=4)
     assert set(profile.entries) == {0, 1}
     assert profile.entries[0].K_hat <= profile.entries[1].K_hat
+
+
+def test_acyl_profile_names_its_group_ball():
+    # On C8, K_hat is counted over 7 rotations at ball radius 3 and over all 8 at radius 4.
+    c8 = CycleModel(8)
+    for radius, size in ((3, 7), (4, 8)):
+        doc = acyl_profile(c8, [1], region_radius=4, group_ball_radius=radius).to_doc()
+        assert doc["group_ball"] == {"radius": radius, "size": size}
+        assert doc["exhaustive"] == (size == 8)

@@ -223,8 +223,13 @@ LONG = (1,) * 10 + (2,) + (1,) * 10
     ],
 )
 def test_criteria_refuse_an_overlap_unbounded_in_window(f2, certify, first, second):
-    with pytest.raises(CertificateRefused, match="overlap unbounded in window"):
+    with pytest.raises(CertificateRefused, match="overlap unbounded in window") as refusal:
         certify(f2, first, second, tree_constants())
+    # The refusal names the measured D, the overlap radius and the window.
+    overlap = analyze_pair(f2, first, second, 0).overlap
+    assert overlap.unbounded_in_window and overlap.D > 0
+    assert f"the 0-overlap (D >= {overlap.D})" in str(refusal.value)
+    assert f"{overlap.window}-edge window" in str(refusal.value)
 
 
 # -- witness chains ----------------------------------------------------------------------

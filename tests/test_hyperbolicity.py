@@ -1,11 +1,14 @@
 """Thin-triangle constant and slimness checks."""
 
+import random
+
 import pytest
 
 from freecert import (
     CycleModel,
     ExplicitGraphModel,
     FreeGroupModel,
+    ModelError,
     all_geodesics,
     check_slim,
     compute_delta,
@@ -93,3 +96,59 @@ def test_sampled_mode_flags_non_exhaustive():
     assert not report.exhaustive
     assert report.triple_count == 50
     assert report.delta == 0
+
+
+def test_check_slim_refuses_sides_that_are_not_edge_paths():
+    # The side 0-2 of C8 skips vertex 1.
+    with pytest.raises(ModelError, match="edge paths"):
+        check_slim(CycleModel(8), ([0, 2], [2, 3, 4], [0, 7, 6, 5, 4]), 1)
+
+
+def _torus(m=4, n=4):
+    vertex = lambda x, y: (x % m) * n + (y % n)
+    adjacency = [
+        [vertex(x + 1, y), vertex(x - 1, y), vertex(x, y + 1), vertex(x, y - 1)] for x in range(m) for y in range(n)
+    ]
+    shift = lambda dx, dy: [vertex(x + dx, y + dy) for x in range(m) for y in range(n)]
+    return ExplicitGraphModel(adjacency, [shift(1, 0), shift(0, 1)])
+
+
+def _reference_slack(model, triangle):
+    """The all-pairs formula: each side vertex off the union of the other sides, min over that union."""
+    worst, witness = 0, triangle[0][0]
+    for i, side in enumerate(triangle):
+        union = set(triangle[i - 1]) | set(triangle[i - 2])
+        for v in side:
+            if v in union:
+                continue
+            d = min(model.distance(v, u) for u in union)
+            if d > worst:
+                worst, witness = d, v
+    return worst, witness
+
+
+def _random_side(model, rng, x, y):
+    """A geodesic from x to y, or a random edge walk from x (with stays) closed by a geodesic to y."""
+    if rng.random() < 0.5:
+        return rng.choice(all_geodesics(model, x, y)[0])
+    path = [x]
+    for _ in range(rng.randint(1, 6)):
+        here = path[-1]
+        path.append(here if rng.random() < 0.15 else rng.choice(model.neighbors(here)))
+    return path + model.geodesic(path[-1], y)[1:]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [FreeGroupModel(2, cap=64), CycleModel(7), _torus()],
+    ids=["free-group", "cycle", "torus"],
+)
+def test_check_slim_matches_all_pairs_reference(model):
+    rng = random.Random(f"slim:{model.kind}")
+    region = model.ball(model.basepoint(), 3)
+    for _ in range(150):
+        x, y, z = rng.sample(region, 3)
+        triangle = (_random_side(model, rng, x, y), _random_side(model, rng, y, z), _random_side(model, rng, x, z))
+        worst, witness = _reference_slack(model, triangle)
+        for delta in (worst - 1, worst):
+            assert check_slim(model, triangle, delta) == (worst <= delta, witness)
