@@ -16,13 +16,13 @@ from freecert import (
     nielsen_certify,
     prop6_certify,
     prop7_certify,
+    resolve_constants,
     theorem9_certify,
-    tree_constants,
 )
 
 model = FreeGroupModel(2, cap=4096)
 a, b = (1,), (2,)
-consts = tree_constants()
+consts = resolve_constants(model, 0, "tree-case")
 
 cert = nielsen_certify(model, a, b, consts)
 print("nielsen:", cert.exponents, "lambda =", cert.details["lambda"])

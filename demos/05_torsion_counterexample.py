@@ -18,7 +18,7 @@ from freecert import (
     freeness_to_depth,
     independence_test,
     nielsen_certify,
-    tree_constants,
+    resolve_constants,
 )
 
 model = FreeProductModel(cap=2048)
@@ -36,7 +36,7 @@ for n in (1, 3, 6):
 g, h = model.canon((1, 1, 2)), (1, 1)
 try:
     nielsen_certify(
-        model, g, h, tree_constants(),
+        model, g, h, resolve_constants(model, 0, "tree-case"),
         epsilon_mode="sharp-experimental", epsilon=Fraction(1), exponents=(1, 1),
     )
 except CertificateRefused as exc:

@@ -6,7 +6,7 @@ quasi-isometrically embedded orbits, and independently verifies every
 certificate with a brute-force word oracle.
 """
 
-from .acylindricity import AcylEntry, AcylProfile, ConstantP, acyl_constants, acyl_profile, constant_P
+from .acylindricity import AcylEntry, AcylProfile, acyl_constants, acyl_profile, constant_P
 from .certifier import (
     Certificate,
     CertificateRefused,
@@ -19,10 +19,10 @@ from .certifier import (
     prop6_certify,
     prop7_certify,
     prop8_certify,
+    resolve_constants,
     theorem9_certify,
     theorem14_mode,
     three_points_check,
-    tree_constants,
     validate_certificate,
 )
 from .hyperbolicity import HyperbolicityReport, all_geodesics, check_slim, compute_delta
@@ -50,15 +50,7 @@ from .models import (
     build_model,
     free_reduce,
     parse_letters,
-    reduced_words,
 )
-from .oracle import (
-    OracleReport,
-    SweepTable,
-    embedding_fit,
-    exceptional_sweep,
-    freeness_to_depth,
-    is_trivial,
-)
+from .oracle import OracleReport, SweepTable, exceptional_sweep, freeness_to_depth
 
 __version__ = "1.0.0"

@@ -9,7 +9,6 @@ candidate for L, never a verified bound for the whole action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .models import ActionModel, ModelError
 
@@ -19,8 +18,6 @@ class AcylEntry:
     R: int
     K_hat: int
     L_hat: int
-    exhaustive: bool
-    group_size: int  # elements of the group ball that K_hat was counted over
 
 
 @dataclass(frozen=True)
@@ -41,25 +38,15 @@ class AcylProfile:
         }
 
 
-@dataclass(frozen=True)
-class ConstantP:
-    P: int
-    provenance: str  # "tree-case" | "formula" | "empirical"
+def constant_P(delta: int, K200: int) -> int:
+    """Power P with tr(g^P) >= 1 for every hyperbolic g, when delta >= 1.
 
-
-def constant_P(delta: int, K200: Optional[int] = None) -> ConstantP:
-    """Power P with tr(g^P) >= 1 for every hyperbolic g.
-
-    delta = 0 is the tree case where P = 1; otherwise P = ceil(K200/(90*delta))
-    from the displacement argument's lower bound tr >= 90*delta/K(200*delta).
+    P = ceil(K200/(90*delta)), from the displacement argument's lower bound
+    tr >= 90*delta/K(200*delta).  At delta = 0 the formula has no value.
     """
-    if delta < 0:
-        raise ModelError("delta must be >= 0")
-    if delta == 0:
-        return ConstantP(1, "tree-case")
-    if K200 is None or K200 < 1:
-        raise ModelError("K200 >= 1 required when delta > 0")
-    return ConstantP(max(1, -(-K200 // (90 * delta))), "formula")
+    if delta < 1 or K200 < 1:
+        raise ModelError("constant_P requires delta >= 1 and K200 >= 1")
+    return max(1, -(-K200 // (90 * delta)))
 
 
 def acyl_constants(
@@ -68,41 +55,52 @@ def acyl_constants(
     region_radius: int = 3,
     group_ball_radius: int = 6,
 ) -> AcylEntry:
-    """Brute-force a workable (K_hat, L_hat) pair for radius R.
+    """The (K_hat, L_hat) pair for one radius R; see :func:`acyl_profile`."""
+    return acyl_profile(model, [R], region_radius, group_ball_radius).entries[R]
+
+
+def acyl_profile(
+    model: ActionModel, radii: list[int], region_radius: int = 3, group_ball_radius: int = 6
+) -> AcylProfile:
+    """Brute-force a workable (K_hat, L_hat) pair for each radius R in ``radii``.
 
     K_hat is the max, over region pairs separated by at least L_hat, of the
     number of group-ball elements moving both points by at most R.  L_hat is
     the smallest separation at which that max count plateaus over three
     consecutive separations (no closed form for L(R) exists in general, so
-    the plateau rule is an explicit, testable choice).
+    the plateau rule is an explicit, testable choice).  The displacements
+    d(x, gx) and the region distances do not depend on R, so they are
+    measured once for all radii.
     """
     if group_ball_radius < 1:
         raise ModelError("group_ball_radius must be >= 1")
     region = model.ball(model.basepoint(), region_radius)
     group = model.group_ball(group_ball_radius)
-    exhaustive = model.order is not None and len(group) == model.order
-
-    # Per-point sets of small-displacement elements, then pairwise intersection counts.
-    small = []
-    for x in region:
-        small.append(frozenset(i for i, g in enumerate(group) if model.distance(x, model.apply(g, x)) <= R))
-
-    max_sep = 0
-    by_sep: dict[int, int] = {}
-    n = len(region)
-    for i in range(n):
-        for j in range(i + 1, n):
+    moves = [[model.distance(x, model.apply(g, x)) for g in group] for x in region]
+    pairs = []  # (i, j, d(x_i, x_j)) for the separated region pairs
+    for i in range(len(region)):
+        for j in range(i + 1, len(region)):
             d = model.distance(region[i], region[j])
-            if d == 0:
-                continue
-            count = len(small[i] & small[j])
-            if d > max_sep:
-                max_sep = d
-            if count > by_sep.get(d, 0):
-                by_sep[d] = count
-
-    if max_sep == 0:
+            if d:
+                pairs.append((i, j, d))
+    if not pairs:
         raise ModelError("region has no separated pairs")
+
+    entries = {R: _plateau_entry(R, moves, pairs) for R in radii}
+    exhaustive = model.order is not None and len(group) == model.order
+    group_ball = {"radius": group_ball_radius, "size": len(group)}
+    return AcylProfile(entries, {"radius": region_radius}, group_ball, exhaustive)
+
+
+def _plateau_entry(R: int, moves: list, pairs: list) -> AcylEntry:
+    # Per-point sets of small-displacement elements, then pairwise intersection counts.
+    small = [frozenset(k for k, d in enumerate(row) if d <= R) for row in moves]
+    by_sep: dict[int, int] = {}
+    for i, j, d in pairs:
+        count = len(small[i] & small[j])
+        if count > by_sep.get(d, 0):
+            by_sep[d] = count
+    max_sep = max(d for _, _, d in pairs)
 
     # M(sep) = max count over pairs at separation >= sep (non-increasing).
     M = [0] * (max_sep + 2)
@@ -115,15 +113,4 @@ def acyl_constants(
             break
     else:
         L_hat = 1 if max_sep <= 2 else max_sep - 2
-    return AcylEntry(R, max(1, M[L_hat]), L_hat, exhaustive, len(group))
-
-
-def acyl_profile(
-    model: ActionModel, radii: list[int], region_radius: int = 3, group_ball_radius: int = 6
-) -> AcylProfile:
-    entries = {R: acyl_constants(model, R, region_radius, group_ball_radius) for R in radii}
-    # Every entry counts over the same group ball.
-    group_size = max((e.group_size for e in entries.values()), default=0)
-    exhaustive = all(e.exhaustive for e in entries.values())
-    group_ball = {"radius": group_ball_radius, "size": group_size}
-    return AcylProfile(entries, {"radius": region_radius}, group_ball, exhaustive)
+    return AcylEntry(R, max(1, M[L_hat]), L_hat)

@@ -12,12 +12,12 @@ criterion holds only its own inequality.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
+from .acylindricity import acyl_profile, constant_P
 from .isometry import (
     HYPERBOLIC_YES,
     AxisData,
@@ -51,15 +51,33 @@ class CertificateRefused(Exception):
 ConstantSet = dict
 
 
-def tree_constants() -> ConstantSet:
-    """Analytically known constants for the delta = 0 Cayley-tree models."""
+def resolve_constants(model: ActionModel, delta: int, provenance: str) -> ConstantSet:
+    """The constants delta, P, K(R) and L(R) at R = 20 delta and 200 delta.
+
+    delta carries ``provenance``.  A tree at delta = 0 has P = K = L = 1
+    ("tree-case").  Otherwise K and L come from one acylindricity profile
+    and P = ceil(K(200 delta)/(90 delta)), all "brute-forced"; that formula
+    has no value at delta = 0, so a graph that is not a tree is refused there.
+    """
+    if delta < 0:
+        raise ModelError("delta must be >= 0")
+    if delta == 0 and model.is_tree:
+        tree = {name: (1, "tree-case") for name in ("P", "K20", "L20", "K200", "L200")}
+        return {"delta": (0, provenance), **tree}
+    if delta == 0:
+        raise CertificateRefused(
+            f"delta = 0 ({provenance}) on a graph that is not a tree: "
+            "P = ceil(K(200 delta)/(90 delta)) has no value; pass --delta >= 1"
+        )
+    profile = acyl_profile(model, [20 * delta, 200 * delta])
+    e20, e200 = profile.entries[20 * delta], profile.entries[200 * delta]
     return {
-        "delta": (0, "tree-case"),
-        "P": (1, "tree-case"),
-        "K20": (1, "tree-case"),
-        "L20": (1, "tree-case"),
-        "K200": (1, "tree-case"),
-        "L200": (1, "tree-case"),
+        "delta": (delta, provenance),
+        "P": (constant_P(delta, e200.K_hat), "brute-forced"),
+        "K20": (e20.K_hat, "brute-forced"),
+        "L20": (e20.L_hat, "brute-forced"),
+        "K200": (e200.K_hat, "brute-forced"),
+        "L200": (e200.L_hat, "brute-forced"),
     }
 
 
@@ -191,9 +209,6 @@ class Certificate:
             "details": self.details,
             "witness": self.witness,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2)
 
 
 def _num_str(v):

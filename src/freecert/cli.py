@@ -17,7 +17,7 @@ import tempfile
 from fractions import Fraction
 from typing import Optional
 
-from .acylindricity import acyl_profile, constant_P
+from .acylindricity import acyl_profile
 from .certifier import (
     CertificateRefused,
     analyze_pair,
@@ -27,9 +27,9 @@ from .certifier import (
     prop6_certify,
     prop7_certify,
     prop8_certify,
+    resolve_constants,
     theorem9_certify,
     theorem14_mode,
-    tree_constants,
     validate_certificate,
 )
 from .hyperbolicity import DEFAULT_TRIPLE_BUDGET, compute_delta
@@ -72,26 +72,6 @@ def _resolve_delta(model: ActionModel, args) -> tuple[int, str]:
         return 0, "tree-case"
     report = compute_delta(model, radius=args.radius, seed=args.seed)
     return report.delta, "brute-forced"
-
-
-def _resolve_constants(model: ActionModel, args) -> dict:
-    delta, prov = _resolve_delta(model, args)
-    if delta == 0:
-        consts = tree_constants()
-        consts["delta"] = (0, prov)
-        return consts
-    profile = acyl_profile(model, [20 * delta, 200 * delta])
-    e20, e200 = profile.entries[20 * delta], profile.entries[200 * delta]
-    P = constant_P(delta, e200.K_hat)
-    tag = "brute-forced" if not profile.exhaustive else "paper-formula"
-    return {
-        "delta": (delta, prov),
-        "P": (P.P, P.provenance if P.provenance != "formula" else tag),
-        "K20": (e20.K_hat, tag),
-        "L20": (e20.L_hat, tag),
-        "K200": (e200.K_hat, tag),
-        "L200": (e200.L_hat, tag),
-    }
 
 
 def _parse_range(text: str) -> tuple[range, range]:
@@ -199,7 +179,7 @@ def _oracle_check(model: ActionModel, a: Word, b: Word, n: int, m: int, depth: i
 
 def _cmd_certify(args) -> int:
     model = _load_model(args.model)
-    constants = _resolve_constants(model, args)
+    constants = resolve_constants(model, *_resolve_delta(model, args))
     a, b = _element(model, args.a), _element(model, args.b)
     cert = CRITERIA[args.criterion](model, a, b, constants, args)
 
@@ -241,7 +221,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_chain(args) -> int:
     model = _load_model(args.model)
-    constants = _resolve_constants(model, args)
+    constants = resolve_constants(model, *_resolve_delta(model, args))
     delta = constants["delta"][0]
     a, b = _element(model, args.a), _element(model, args.b)
     analysis = analyze_pair(model, a, b, delta, window=args.window)

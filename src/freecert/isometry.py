@@ -45,7 +45,6 @@ class IsometryProfile:
     exact: bool
     hyperbolic: str
     criterion1_power: Optional[int] = None
-    axis: Optional[AxisData] = None
 
     def to_doc(self) -> dict:
         return {
@@ -55,7 +54,6 @@ class IsometryProfile:
             "exact": self.exact,
             "hyperbolic": self.hyperbolic,
             "criterion1_power": self.criterion1_power,
-            "axis_mode": self.axis.mode if self.axis else None,
         }
 
 

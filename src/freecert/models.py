@@ -21,7 +21,7 @@ exact integers; there is no floating point anywhere in this module.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Word = tuple[int, ...]
 IDENTITY: Word = ()
@@ -573,23 +573,3 @@ def _validate_isometries(model: ActionModel, radius: int = 3, pairs: int = 40) -
             y = probe[(i * 7 + 3) % len(probe)]
             if model.distance(model.apply(g, x), model.apply(g, y)) != model.distance(x, y):
                 raise ModelError("generator does not act as an isometry")
-
-
-def reduced_words(rank: int, max_len: int) -> Iterator[Word]:
-    """All freely reduced words of length <= max_len over rank generators,
-    in length-then-lexicographic order (letter order: 1, -1, 2, -2, ...)."""
-    if rank < 1 or max_len < 0:
-        raise ModelError("rank >= 1 and max_len >= 0 required")
-    alphabet = [l for i in range(1, rank + 1) for l in (i, -i)]
-
-    def extend(prefix: Word, remaining: int) -> Iterator[Word]:
-        if remaining == 0:
-            yield prefix
-            return
-        for l in alphabet:
-            if prefix and prefix[-1] == -l:
-                continue
-            yield from extend(prefix + (l,), remaining - 1)
-
-    for length in range(max_len + 1):
-        yield from extend(IDENTITY, length)

@@ -1,5 +1,5 @@
-"""Brute-force verification side: reduced-word enumeration, triviality,
-embedding quality, and exponent-grid sweeps.
+"""Brute-force verification side: freeness to depth over reduced words,
+orbit displacement statistics, and exponent-grid sweeps.
 
 This module is deliberately independent of the certifier's formulas: it
 only ever evaluates words through the model's exact canonical forms, so it
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .models import ActionModel, CapExceeded, ModelError, Word
 
@@ -71,12 +71,7 @@ def evaluate(model: ActionModel, word: Word, a: Word, b: Word) -> Word:
     return out
 
 
-def is_trivial(model: ActionModel, word: Word, a: Word, b: Word) -> bool:
-    """Whether ``word`` with a, b substituted is the identity (canonical forms are exact)."""
-    return model.is_identity(evaluate(model, word, a, b))
-
-
-def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int, base=None) -> OracleReport:
+def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int) -> OracleReport:
     """Check every reduced word in (a, b) up to ``depth`` for relations.
 
     Free-to-depth means all words act nontrivially *and* pairwise
@@ -89,8 +84,7 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int, base=Non
     if depth < 1:
         raise ModelError("depth must be >= 1")
     a, b = model.canon(a), model.canon(b)
-    if base is None:
-        base = model.basepoint()
+    base = model.basepoint()
 
     inv = {1: model.inverse(a), 2: model.inverse(b)}
     letters = {1: a, -1: inv[1], 2: b, -2: inv[2]}
@@ -140,26 +134,6 @@ def _fit_L(min_ratio: Optional[Fraction], max_ratio: Optional[Fraction]) -> Opti
     return max(max_ratio, 1 / min_ratio, Fraction(1))
 
 
-def embedding_fit(
-    model: ActionModel,
-    a: Word,
-    b: Word,
-    base,
-    depth: int,
-    predicted_L: Fraction,
-) -> tuple[OracleReport, bool]:
-    """Measure orbit displacements against a predicted embedding constant.
-
-    Returns the oracle report plus whether min |w(base) - base| / |w| is at
-    least ``predicted_L`` (with additive constant 0 at the chosen base).
-    """
-    if model.is_identity(a) or model.is_identity(b):
-        raise ModelError("embedding_fit requires two nontrivial elements")
-    report = freeness_to_depth(model, a, b, depth, base=base)
-    ok = report.min_displacement_ratio is not None and report.min_displacement_ratio >= predicted_L
-    return report, ok
-
-
 def exceptional_sweep(
     model: ActionModel,
     a: Word,
@@ -167,13 +141,11 @@ def exceptional_sweep(
     n_range: range,
     m_range: range,
     depth: int,
-    certified: Optional[Callable[[int, int], bool]] = None,
 ) -> SweepTable:
     """Grid sweep of (a^n, b^m) pairs, small n+m first.
 
-    Each cell records the certifier verdict (via the ``certified``
-    predicate, when given) and the oracle verdict.  A cell that is both
-    certified and relation-found is a hard failure.
+    Each cell records the oracle verdict, with the relation found or the
+    reason the model cap left the cell unchecked.
     """
     if depth < 2:
         raise ModelError("depth must be >= 2")
@@ -189,14 +161,8 @@ def exceptional_sweep(
             cells[(n, m)] = "unchecked"
             reasons[(n, m)] = str(exc)
             continue
+        cells[(n, m)] = report.verdict
         if report.verdict == "relation-found":
-            if certified is not None and certified(n, m):
-                raise AssertionError(f"certified pair ({n}, {m}) has a relation: {report.relation}")
-            cells[(n, m)] = "relation-found"
             witnesses[(n, m)] = report.relation
             exceptional.append((n, m))
-        elif certified is not None and certified(n, m):
-            cells[(n, m)] = "certified"
-        else:
-            cells[(n, m)] = "free-to-depth"
     return SweepTable(cells, witnesses, exceptional, reasons)

@@ -23,21 +23,18 @@ from freecert import (
     chain_base_points,
     classify,
     compute_delta,
-    constant_P,
-    embedding_fit,
     freeness_to_depth,
     independence_test,
-    is_trivial,
     nielsen_certify,
     overlap_diameter,
     prop7_certify,
     quasi_axis,
-    reduced_words,
+    resolve_constants,
     theorem9_certify,
     three_points_check,
     translation_length,
-    tree_constants,
 )
+from freecert.oracle import evaluate
 
 
 @contextmanager
@@ -127,22 +124,23 @@ def test_criterion_4_nielsen_pipeline():
         a, b = (1,), (2,)
         analysis = analyze_pair(model, a, b, 0)
         assert analysis.overlap.D == 0
-        cert = nielsen_certify(model, a, b, tree_constants(), analysis=analysis)
+        cert = nielsen_certify(model, a, b, resolve_constants(model, 0, "tree-case"), analysis=analysis)
         assert cert.exponents == {"n_min": 100, "m_min": 100}
         assert cert.details["predicted_embedding_L"] == "1"
 
         # Reduced-word counts: 4 * 3^(l-1) per length, 484 in total through
         # length 5 (the letter budget arithmetic behind depth-6 freeness).
         counts = {}
-        for w in reduced_words(2, 6):
+        for w in model.group_ball(6):
             counts[len(w)] = counts.get(len(w), 0) + 1
         assert all(counts[l] == 4 * 3 ** (l - 1) for l in range(1, 7))
         assert sum(counts[l] for l in range(1, 6)) == 484
 
+        # Orbit displacements of the base point meet the predicted embedding constant 1.
         an, bm = model.power(a, 100), model.power(b, 100)
-        report, ok = embedding_fit(model, an, bm, (), 6, Fraction(1))
+        report = freeness_to_depth(model, an, bm, 6)
         assert report.verdict == "free-to-depth"
-        assert ok and report.min_displacement_ratio == 100
+        assert report.min_displacement_ratio == 100
 
 
 def test_criterion_5_constant_formulas():
@@ -151,23 +149,24 @@ def test_criterion_5_constant_formulas():
         a, b = (1,), (2,)
         from freecert import prop6_certify
 
-        c6 = prop6_certify(model, a, b, tree_constants(), q=Fraction(3))
+        c6 = prop6_certify(model, a, b, resolve_constants(model, 0, "tree-case"), q=Fraction(3))
         assert c6.constants["N6"][0] == 204
-        c7 = prop7_certify(model, a, b, tree_constants())
+        c7 = prop7_certify(model, a, b, resolve_constants(model, 0, "tree-case"))
         assert c7.constants["E"][0] == 110
         assert c7.constants["N7"][0] == 110000
-        c9 = theorem9_certify(model, a, b, tree_constants())
+        c9 = theorem9_certify(model, a, b, resolve_constants(model, 0, "tree-case"))
         assert c9.constants["N7"][0] == 112000
         assert c9.constants["M"][0] == 116040
 
 
 def test_criterion_6_power_displacement():
-    with criterion(6, "tr(g^P) >= 1 for every hyperbolic element, P from constant_P"):
-        P0 = constant_P(0).P
-        assert P0 == 1
+    with criterion(6, "tr(g^P) >= 1 for every hyperbolic element, P from resolve_constants"):
         tree_models = [FreeGroupModel(2, cap=256), FreeProductModel(cap=256)]
+        words = tree_models[0].group_ball(4)  # the reduced words in two letters up to length 4
         for model in tree_models:
-            for w in reduced_words(2, 4):
+            P0 = resolve_constants(model, 0, "tree-case")["P"][0]
+            assert P0 == 1
+            for w in words:
                 g = model.canon(w)
                 profile = classify(model, g, 0, power_cap=8)
                 if profile.hyperbolic == "yes":
@@ -211,7 +210,7 @@ def test_criterion_8_witness_chains():
         analysis = analyze_pair(model, a, b, 0, window=3)
         x, y = chain_base_points(model, analysis.axis_a, analysis.axis_b, analysis.overlap)
         E, Q = Fraction(204, 1000), 3
-        case_one = [w for w in reduced_words(2, 3) if w and abs(w[0]) == 1][:10]
+        case_one = [w for w in model.group_ball(3) if w and abs(w[0]) == 1][:10]
         assert len(case_one) == 10
         for word in case_one:
             chain = build_witness_chain(model, word, a, b, x, y, E, Q, 0)
@@ -231,18 +230,18 @@ def test_criterion_9_torsion_pair_refusal():
         for n in range(1, 11):
             g = model.canon((1,) * n + (2,))
             h = model.canon((1,) * n)
-            assert is_trivial(model, (-2, 1, -2, 1), g, h)  # (y^-1 x)^2 acts trivially
+            assert model.is_identity(evaluate(model, (-2, 1, -2, 1), g, h))  # (y^-1 x)^2 acts trivially
             report = freeness_to_depth(model, g, h, 4)
             assert report.verdict == "relation-found"
             assert len(report.relation) == 4
-            assert is_trivial(model, report.relation, g, h)
+            assert model.is_identity(evaluate(model, report.relation, g, h))
             assert independence_test(model, g, h, 3)[0] == "independent-to-bound"
             with pytest.raises(CertificateRefused, match="oracle"):
                 nielsen_certify(
                     model,
                     g,
                     h,
-                    tree_constants(),
+                    resolve_constants(model, 0, "tree-case"),
                     epsilon_mode="sharp-experimental",
                     epsilon=Fraction(1),
                     exponents=(1, 1),
@@ -261,7 +260,7 @@ def test_criterion_10_cross_validation():
             if independence_test(model, a, b, 3)[0] != "independent-to-bound":
                 continue
             try:
-                cert = nielsen_certify(model, a, b, tree_constants())
+                cert = nielsen_certify(model, a, b, resolve_constants(model, 0, "tree-case"))
             except CertificateRefused:
                 continue
             n, m = cert.exponents["n_min"], cert.exponents["m_min"]

@@ -7,6 +7,7 @@ import pytest
 
 from freecert import (
     CertificateRefused,
+    CycleModel,
     FreeGroupModel,
     FreeProductModel,
     ModelError,
@@ -14,14 +15,15 @@ from freecert import (
     analyze_pair,
     build_witness_chain,
     chain_base_points,
+    compute_delta,
     nielsen_certify,
     prop6_certify,
     prop7_certify,
     prop8_certify,
+    resolve_constants,
     theorem9_certify,
     theorem14_mode,
     three_points_check,
-    tree_constants,
     validate_certificate,
 )
 
@@ -37,6 +39,42 @@ def zz2():
 
 
 A, B = (1,), (2,)
+
+
+# -- the constants a certificate uses ---------------------------------------------
+
+
+@pytest.mark.parametrize("model", [FreeGroupModel(2), FreeProductModel()], ids=["F2", "ZxZ2"])
+def test_tree_constants_are_one_on_trees(model):
+    assert resolve_constants(model, 0, "tree-case") == {
+        "delta": (0, "tree-case"),
+        "P": (1, "tree-case"),
+        "K20": (1, "tree-case"),
+        "L20": (1, "tree-case"),
+        "K200": (1, "tree-case"),
+        "L200": (1, "tree-case"),
+    }
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_curved_constants_are_brute_forced(n):
+    # C4's group ball is the whole group, C8's is not: both are brute-forced all the same.
+    model = CycleModel(n)
+    delta = compute_delta(model).delta
+    assert delta >= 1
+    constants = resolve_constants(model, delta, "brute-forced")
+    assert constants["delta"] == (delta, "brute-forced")
+    assert {name: prov for name, (_, prov) in constants.items() if name != "delta"} == {
+        name: "brute-forced" for name in ("P", "K20", "L20", "K200", "L200")
+    }
+
+
+def test_zero_delta_off_a_tree_is_refused():
+    # The triangle C3 measures delta = 0, but it is not a tree: P = ceil(K/(90 delta)) has no value.
+    model = CycleModel(3)
+    assert compute_delta(model).delta == 0
+    with pytest.raises(CertificateRefused, match=r"delta = 0 .*--delta"):
+        resolve_constants(model, 0, "brute-forced")
 
 
 # -- three points condition ----------------------------------------------------
@@ -72,7 +110,7 @@ def test_three_points_epsilon_precondition(f2):
 
 
 def test_nielsen_generators(f2):
-    cert = nielsen_certify(f2, A, B, tree_constants())
+    cert = nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"))
     assert cert.exponents == {"n_min": 100, "m_min": 100}
     assert cert.constants["D"][0] == 0
     assert cert.details["predicted_embedding_L"] == "1"
@@ -81,12 +119,13 @@ def test_nielsen_generators(f2):
 
 def test_nielsen_shared_axis_refused(f2):
     with pytest.raises(CertificateRefused, match="dependent"):
-        nielsen_certify(f2, A, (1, 1), tree_constants())
+        nielsen_certify(f2, A, (1, 1), resolve_constants(f2, 0, "tree-case"))
 
 
 def test_nielsen_sharp_mode_small_exponents(f2):
     cert = nielsen_certify(
-        f2, A, B, tree_constants(), epsilon_mode="sharp-experimental", epsilon=Fraction(1), exponents=(1, 1)
+        f2, A, B, resolve_constants(f2, 0, "tree-case"),
+        epsilon_mode="sharp-experimental", epsilon=Fraction(1), exponents=(1, 1),
     )
     assert cert.exponents == {"n_min": 1, "m_min": 1}
     assert cert.details["oracle_confirmed_depth"] == 8
@@ -94,46 +133,46 @@ def test_nielsen_sharp_mode_small_exponents(f2):
 
 def test_nielsen_sharp_mode_requires_epsilon(f2):
     with pytest.raises(CertificateRefused):
-        nielsen_certify(f2, A, B, tree_constants(), epsilon_mode="sharp-experimental")
+        nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"), epsilon_mode="sharp-experimental")
 
 
 def test_nielsen_torsion_partner_refused(zz2):
     with pytest.raises(CertificateRefused, match="hyperbolic"):
-        nielsen_certify(zz2, (1,), (2,), tree_constants())
+        nielsen_certify(zz2, (1,), (2,), resolve_constants(zz2, 0, "tree-case"))
 
 
 # -- prop6 -------------------------------------------------------------------------
 
 
 def test_prop6_generators_q3(f2):
-    cert = prop6_certify(f2, A, B, tree_constants(), q=Fraction(3))
+    cert = prop6_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"), q=Fraction(3))
     assert cert.constants["N6"][0] == 204
     assert cert.exponents == {"n_min": 204, "m_min": 612}
 
 
 def test_prop6_ratio_precondition(f2):
     with pytest.raises(CertificateRefused, match="swap"):
-        prop6_certify(f2, A, (2, 1), tree_constants(), q=Fraction(3))
+        prop6_certify(f2, A, (2, 1), resolve_constants(f2, 0, "tree-case"), q=Fraction(3))
 
 
 def test_prop6_q_window(f2):
     # tr(b) = 1 < tr(a)/q = 3/2 violates the lower ratio bound.
     with pytest.raises(CertificateRefused, match="ratio"):
-        prop6_certify(f2, (1, 2, 1), B, tree_constants(), q=Fraction(2))
+        prop6_certify(f2, (1, 2, 1), B, resolve_constants(f2, 0, "tree-case"), q=Fraction(2))
 
 
 # -- prop7 / prop8 ------------------------------------------------------------------
 
 
 def test_prop7_generators(f2):
-    cert = prop7_certify(f2, A, B, tree_constants())
+    cert = prop7_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"))
     assert cert.constants["E"][0] == 110
     assert cert.constants["N7"][0] == 110000
 
 
 def test_prop7_overlapping_pair(f2):
     # f = ab (tr 2), g = a (tr 1): axes share the edge [e, a], so D = 1.
-    cert = prop7_certify(f2, (1, 2), (1,), tree_constants())
+    cert = prop7_certify(f2, (1, 2), (1,), resolve_constants(f2, 0, "tree-case"))
     assert cert.constants["D"][0] == 1
     assert cert.constants["E"][0] == 121
     assert cert.constants["N7"][0] == 60500
@@ -141,17 +180,17 @@ def test_prop7_overlapping_pair(f2):
 
 def test_prop7_condition1(f2):
     with pytest.raises(CertificateRefused, match="condition 1"):
-        prop7_certify(f2, A, (2, 1), tree_constants())
+        prop7_certify(f2, A, (2, 1), resolve_constants(f2, 0, "tree-case"))
 
 
 def test_prop8_generators(f2):
-    cert = prop8_certify(f2, A, B, tree_constants())
+    cert = prop8_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"))
     assert cert.constants["N"][0] == 110000
     assert cert.details["composite_threshold_N"] == 110000
 
 
 def test_prop8_large_g(f2):
-    cert = prop8_certify(f2, A, f2.power(B, 10), tree_constants())
+    cert = prop8_certify(f2, A, f2.power(B, 10), resolve_constants(f2, 0, "tree-case"))
     assert cert.constants["N"][0] == 110000  # max(110000, 1000)
 
 
@@ -159,7 +198,7 @@ def test_prop8_large_g(f2):
 
 
 def test_theorem9_constants_and_branch(f2):
-    cert = theorem9_certify(f2, A, B, tree_constants())
+    cert = theorem9_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"))
     assert cert.constants["N6"][0] == 204
     assert cert.constants["N7"][0] == 112000
     assert cert.constants["M"][0] == 116040
@@ -170,12 +209,12 @@ def test_theorem9_constants_and_branch(f2):
 
 def test_theorem9_dependent_pair_refused(f2):
     with pytest.raises(CertificateRefused, match="dependent"):
-        theorem9_certify(f2, A, (1, 1), tree_constants())
+        theorem9_certify(f2, A, (1, 1), resolve_constants(f2, 0, "tree-case"))
 
 
 def test_theorem14_matches_theorem9_at_delta_zero(f2):
-    c9 = theorem9_certify(f2, A, B, tree_constants())
-    c14 = theorem14_mode(f2, A, B, tree_constants())
+    c9 = theorem9_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"))
+    c14 = theorem14_mode(f2, A, B, resolve_constants(f2, 0, "tree-case"))
     assert c14.exponents == c9.exponents
     assert c14.criterion == "theorem14-mode"
     assert c14.details["overlap_radius_c"] == c9.details["overlap_radius_c"] == 0
@@ -186,17 +225,17 @@ def test_theorem14_matches_theorem9_at_delta_zero(f2):
 
 
 def test_certificate_document_round_trip(f2):
-    cert = nielsen_certify(f2, A, B, tree_constants())
-    doc = json.loads(cert.to_json())
+    cert = nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"))
+    doc = json.loads(json.dumps(cert.to_doc(), indent=2))
     validate_certificate(doc)
     assert doc["schema_version"] == 1
     assert doc["elements"] == {"a": [1], "b": [2]}
 
 
 def test_certificate_documents_are_deterministic(f2):
-    c1 = nielsen_certify(f2, A, B, tree_constants())
-    c2 = nielsen_certify(f2, A, B, tree_constants())
-    assert c1.to_json() == c2.to_json()
+    c1 = nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"))
+    c2 = nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"))
+    assert json.dumps(c1.to_doc(), indent=2) == json.dumps(c2.to_doc(), indent=2)
 
 
 def test_validate_certificate_rejects_missing_fields():
@@ -224,7 +263,7 @@ LONG = (1,) * 10 + (2,) + (1,) * 10
 )
 def test_criteria_refuse_an_overlap_unbounded_in_window(f2, certify, first, second):
     with pytest.raises(CertificateRefused, match="overlap unbounded in window") as refusal:
-        certify(f2, first, second, tree_constants())
+        certify(f2, first, second, resolve_constants(f2, 0, "tree-case"))
     # The refusal names the measured D, the overlap radius and the window.
     overlap = analyze_pair(f2, first, second, 0).overlap
     assert overlap.unbounded_in_window and overlap.D > 0

@@ -11,6 +11,7 @@ MODELS = {
     "f2.json": {"kind": "free-group", "rank": 2, "cap": 512},
     "zxz2.json": {"kind": "free-product", "cap": 256},
     "c4.json": {"kind": "cycle", "n": 4},
+    "c3.json": {"kind": "cycle", "n": 3},
 }
 
 
@@ -26,7 +27,7 @@ def run(model_dir, *argv):
     return main([str(a).replace("@", str(model_dir) + "/") for a in argv])
 
 
-def test_exit_code_matrix(model_dir, tmp_path):
+def test_exit_code_matrix(model_dir, tmp_path, capsys):
     cert_out = tmp_path / "nielsen.json"
     matrix = [
         # (expected exit code, argv)
@@ -46,6 +47,8 @@ def test_exit_code_matrix(model_dir, tmp_path):
              "--out", str(tmp_path / "capped.json")]),
         (1, ["certify", "--model", "@f2.json", "--a", "a", "--b", "b", "--criterion", "prop6",
              "--out", str(tmp_path / "capped.json")]),
+        # C3 measures delta = 0 but is not a tree: refused, with the way out.
+        (1, ["certify", "--model", "@c3.json", "--a", "r", "--b", "rr", "--criterion", "nielsen"]),
         (2, ["certify", "--model", "@f2.json", "--a", "a", "--b", "b", "--criterion", "bogus"]),
         (2, ["delta", "--model", "@missing.json"]),
         (2, ["profile", "--model", "@f2.json", "--a", "q"]),
@@ -54,7 +57,11 @@ def test_exit_code_matrix(model_dir, tmp_path):
         (2, ["sweep", "--model", "@f2.json", "--a", "a", "--b", "b", "--range", "1:2", "--window", "3"]),
     ]
     for expected, argv in matrix:
+        capsys.readouterr()
         assert run(model_dir, *argv) == expected, argv
+        if "@c3.json" in argv:
+            err = capsys.readouterr().err
+            assert err.startswith("refused: delta = 0 (brute-forced) on a graph that is not a tree") and "--delta" in err
 
 
 def test_certify_writes_valid_document_and_verify_reproduces(model_dir, tmp_path, capsys):

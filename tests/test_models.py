@@ -17,7 +17,6 @@ from freecert import (
     build_model,
     free_reduce,
     parse_letters,
-    reduced_words,
 )
 
 letters_f2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12).map(tuple)
@@ -318,17 +317,17 @@ def test_parse_letters():
 
 
 def test_reduced_word_counts():
-    words = list(reduced_words(2, 3))
+    words = FreeGroupModel(2).group_ball(3)
     by_len = {}
     for w in words:
         by_len[len(w)] = by_len.get(len(w), 0) + 1
     assert by_len == {0: 1, 1: 4, 2: 12, 3: 36}
-    rank1 = [w for w in reduced_words(1, 3) if w]
+    rank1 = [w for w in FreeGroupModel(1).group_ball(3) if w]
     assert len(rank1) == 6
 
 
 def test_reduced_words_are_reduced_and_ordered():
-    words = list(reduced_words(2, 4))
+    words = FreeGroupModel(2).group_ball(4)
     assert all(free_reduce(w) == w for w in words)
     keys = [(len(w), w) for w in words]
     assert len(set(words)) == len(words)
