@@ -51,24 +51,29 @@ class CertificateRefused(Exception):
 ConstantSet = dict
 
 
-def resolve_constants(model: ActionModel, delta: int, provenance: str) -> ConstantSet:
-    """The constants delta, P, K(R) and L(R) at R = 20 delta and 200 delta.
-
-    delta carries ``provenance``.  A tree at delta = 0 has P = K = L = 1
-    ("tree-case").  Otherwise K and L come from one acylindricity profile
-    and P = ceil(K(200 delta)/(90 delta)), all "brute-forced"; that formula
-    has no value at delta = 0, so a graph that is not a tree is refused there.
-    """
+def check_delta(model: ActionModel, delta: int, provenance: str) -> None:
+    """Refuse a delta that has no constants: a negative one, or 0 on a graph that is not a tree."""
     if delta < 0:
         raise ModelError("delta must be >= 0")
-    if delta == 0 and model.is_tree:
-        tree = {name: (1, "tree-case") for name in ("P", "K20", "L20", "K200", "L200")}
-        return {"delta": (0, provenance), **tree}
-    if delta == 0:
+    if delta == 0 and not model.is_tree:
         raise CertificateRefused(
             f"delta = 0 ({provenance}) on a graph that is not a tree: "
             "P = ceil(K(200 delta)/(90 delta)) has no value; pass --delta >= 1"
         )
+
+
+def resolve_constants(model: ActionModel, delta: int, provenance: str) -> ConstantSet:
+    """The constants delta, P, K(R) and L(R) at R = 20 delta and 200 delta.
+
+    delta carries ``provenance`` and must pass :func:`check_delta`.  A tree
+    at delta = 0 has P = K = L = 1 ("tree-case").  Otherwise K and L come
+    from one acylindricity profile and P = ceil(K(200 delta)/(90 delta)),
+    all "brute-forced".
+    """
+    check_delta(model, delta, provenance)
+    if delta == 0:
+        tree = {name: (1, "tree-case") for name in ("P", "K20", "L20", "K200", "L200")}
+        return {"delta": (0, provenance), **tree}
     profile = acyl_profile(model, [20 * delta, 200 * delta])
     e20, e200 = profile.entries[20 * delta], profile.entries[200 * delta]
     return {
@@ -212,9 +217,7 @@ class Certificate:
 
 
 def _num_str(v):
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else str(v.numerator)
-    return v
+    return str(v) if isinstance(v, Fraction) else v
 
 
 REQUIRED_CERT_FIELDS = (
@@ -266,16 +269,15 @@ def analyze_pair(
     window: int = 8,
     c: Optional[int] = None,
 ) -> PairAnalysis:
-    a, b = model.canon(a), model.canon(b)
     pa = classify(model, a, delta)
     pb = classify(model, b, delta)
     if pa.hyperbolic != HYPERBOLIC_YES or pb.hyperbolic != HYPERBOLIC_YES:
         raise CertificateRefused("both elements must be verified hyperbolic")
-    verdict, witness = independence_test(model, a, b, INDEPENDENCE_BOUND)
+    verdict, witness = independence_test(model, pa.element, pb.element, INDEPENDENCE_BOUND)
     if verdict == "dependent":
         raise CertificateRefused(f"elements are dependent: [a^{witness[0]}, b^{witness[1]}] = 1")
-    axis_a = quasi_axis(model, a, window=window, delta=delta)
-    axis_b = quasi_axis(model, b, window=window, delta=delta)
+    axis_a = quasi_axis(model, pa, window=window, delta=delta)
+    axis_b = quasi_axis(model, pb, window=window, delta=delta)
     if c is None:
         c = 10 * delta
     overlap = overlap_diameter(model, axis_a, axis_b, c)
@@ -296,8 +298,6 @@ def _measured_D(analysis: PairAnalysis) -> int:
 def _emit(
     criterion: str,
     model: ActionModel,
-    a: Word,
-    b: Word,
     analysis: PairAnalysis,
     constants: ConstantSet,
     own: ConstantSet,
@@ -306,7 +306,7 @@ def _emit(
     details: dict,
     **fields,
 ) -> Certificate:
-    """The certificate for <a^n, b^m>, n >= n_min, m >= m_min.
+    """The certificate for <a^n, b^m>, n >= n_min, m >= m_min, a and b as the analysis profiled them.
 
     Its constants are the input ones, the criterion's ``own`` and the
     measured D; its caveats follow the provenance of the input constants.
@@ -321,8 +321,8 @@ def _emit(
     return Certificate(
         criterion=criterion,
         model_spec=model.spec_dict(),
-        a=model.canon(a),
-        b=model.canon(b),
+        a=analysis.profile_a.element,
+        b=analysis.profile_b.element,
         exponents={"n_min": n_min, "m_min": m_min},
         constants={**constants, **own, "D": (analysis.overlap.D, "brute-forced")},
         caveats=caveats,
@@ -400,8 +400,7 @@ def nielsen_certify(
     }
     if epsilon_mode == "sharp-experimental":
         details["oracle_confirmed_depth"] = oracle_depth
-    return _emit("nielsen", model, a, b, analysis, constants, {}, n, m, details,
-                 epsilon_mode=epsilon_mode, epsilon=eps)
+    return _emit("nielsen", model, analysis, constants, {}, n, m, details, epsilon_mode=epsilon_mode, epsilon=eps)
 
 
 def prop6_certify(
@@ -439,8 +438,7 @@ def prop6_certify(
 
     N6 = n6_formula(delta, P, K20, L20)
     own = {"N6": (N6, "paper-formula"), "q": (q, "config-override")}
-    return _emit("prop6", model, a, b, analysis, constants, own, N6, ceil(q * N6),
-                 {"lemma5_bound": _num_str(bound)})
+    return _emit("prop6", model, analysis, constants, own, N6, ceil(q * N6), {"lemma5_bound": _num_str(bound)})
 
 
 def _prop7_E(D: int, delta: int, P: int, K20: int, L20: int, tr_f_upper: Fraction) -> Fraction:
@@ -487,8 +485,7 @@ def prop7_certify(
     Q, (q_lo, q_hi) = choose_Q(N7 * pf.tr_lower, N7 * pf.tr_upper, pg.tr_lower, pg.tr_upper)
 
     own = {"E": (E, "paper-formula"), "N7": (N7, "paper-formula"), "Q": (Q, "paper-formula")}
-    return _emit("prop7", model, f, g, analysis, constants, own, N7, 1,
-                 {"Q_interval": [_num_str(q_lo), _num_str(q_hi)]})
+    return _emit("prop7", model, analysis, constants, own, N7, 1, {"Q_interval": [_num_str(q_lo), _num_str(q_hi)]})
 
 
 def prop8_threshold(pf: IsometryProfile, pg: IsometryProfile, D: int, constants: ConstantSet) -> tuple[int, Fraction]:
@@ -523,7 +520,7 @@ def prop8_certify(
         "composite_threshold_N": max(N_fg, N_gf),
         "composite_claim": "free for nm != 0 with |n| + |m| >= 2N",
     }
-    return _emit("prop8", model, f, g, analysis, constants, own, N_fg, 1, details)
+    return _emit("prop8", model, analysis, constants, own, N_fg, 1, details)
 
 
 def theorem9_certify(
@@ -583,8 +580,7 @@ def theorem9_certify(
         "overlap_radius_c": c,
         "lemma5_bound": _num_str(bound),
     }
-    return _emit("theorem14-mode" if quasi_mode else "theorem9", model, a, b, analysis, constants, own,
-                 M, M, details)
+    return _emit("theorem14-mode" if quasi_mode else "theorem9", model, analysis, constants, own, M, M, details)
 
 
 def theorem14_mode(model: ActionModel, a: Word, b: Word, constants: ConstantSet, **kwargs) -> Certificate:
@@ -682,7 +678,6 @@ def build_witness_chain(
     E = Fraction(E)
     if Q < 1:
         raise ModelError("Q must be >= 1")
-    a, b = model.canon(a), model.canon(b)
     syl = word_syllables(word)
     case = word_case(syl)
     tr_a = Fraction(translation_length(model, a)[0])

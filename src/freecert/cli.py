@@ -23,6 +23,7 @@ from .certifier import (
     analyze_pair,
     build_witness_chain,
     chain_base_points,
+    check_delta,
     nielsen_certify,
     prop6_certify,
     prop7_certify,
@@ -112,7 +113,7 @@ def _cmd_profile(args) -> int:
     profile = classify(model, g, delta)
     doc = {"command": "profile", "delta": delta, **profile.to_doc()}
     if profile.hyperbolic == "yes":
-        axis = quasi_axis(model, g, window=args.window, delta=delta)
+        axis = quasi_axis(model, profile, window=args.window, delta=delta)
         doc["axis"] = {
             "mode": axis.mode,
             "invariance_defect": axis.invariance_defect,
@@ -126,8 +127,8 @@ def _cmd_overlap(args) -> int:
     model = _load_model(args.model)
     delta, _ = _resolve_delta(model, args)
     a, b = _element(model, args.a), _element(model, args.b)
-    axis_a = quasi_axis(model, a, window=args.window, delta=delta)
-    axis_b = quasi_axis(model, b, window=args.window, delta=delta)
+    axis_a = quasi_axis(model, classify(model, a, delta), window=args.window, delta=delta)
+    axis_b = quasi_axis(model, classify(model, b, delta), window=args.window, delta=delta)
     c = args.c if args.c is not None else 10 * delta
     report = overlap_diameter(model, axis_a, axis_b, c)
     _write_doc({"command": "overlap", "delta": delta, **report.to_doc()}, args.out)
@@ -221,8 +222,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_chain(args) -> int:
     model = _load_model(args.model)
-    constants = resolve_constants(model, *_resolve_delta(model, args))
-    delta = constants["delta"][0]
+    delta, provenance = _resolve_delta(model, args)
+    check_delta(model, delta, provenance)  # the chain needs only delta, not the constants
     a, b = _element(model, args.a), _element(model, args.b)
     analysis = analyze_pair(model, a, b, delta, window=args.window)
     x, y = chain_base_points(model, analysis.axis_a, analysis.axis_b, analysis.overlap)

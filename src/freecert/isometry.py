@@ -5,8 +5,8 @@ flag.  Where the model knows the exact length (its
 ``exact_translation_length``: the cyclically reduced length on a Cayley
 tree, 0 on a finite model) the interval collapses to it; everywhere else
 the estimator is conservative, so downstream certificate inequalities can
-always pick the safe end.  Axes start from the model's
-``min_displacement_point``.
+always pick the safe end.  An axis is built from the element's profile
+and starts at the model's ``min_displacement_point``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .models import ActionModel, CapExceeded, ModelError, Word
+from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word
 
 HYPERBOLIC_YES = "yes"
 HYPERBOLIC_NO = "no"
@@ -86,8 +86,8 @@ def translation_length(model: ActionModel, g: Word):
 
     Generic bounds: tr_upper = min_n d(x, g^n x)/n (subadditivity);
     tr_lower = max_n (d(x, g^2n x) - d(x, g^n x))/n, floored at 0.
+    g may be any word: it only reaches the model's own methods.
     """
-    g = model.canon(g)
     exact = model.exact_translation_length(g)
     if exact is not None:
         v = Fraction(exact)
@@ -100,9 +100,8 @@ def translation_length(model: ActionModel, g: Word):
     for x in bases:
         disp = {}
         p = x
-        gx = model.canon(g)
         for n in range(1, 2 * TRANSLATION_DEPTH + 1):
-            p = model.apply(gx, p)
+            p = model.apply(g, p)
             disp[n] = model.distance(x, p)
         for n in range(1, TRANSLATION_DEPTH + 1):
             u = Fraction(disp[n], n)
@@ -130,12 +129,12 @@ def classify(model: ActionModel, g: Word, delta: int, power_cap: int = 128) -> I
 
     sample = [model.basepoint()] + model.ball(model.basepoint(), 1)[1:3]
     criterion1_power = None
-    finite_order = model.is_identity(g)
+    finite_order = g == IDENTITY
     margin = 100 * (delta + 1)
     fwd = ()
     for n in range(1, power_cap + 1):
         fwd = model.compose(fwd, g)
-        if model.is_identity(fwd):
+        if fwd == IDENTITY:
             finite_order = True
             break
         bwd = model.inverse(fwd)
@@ -229,8 +228,9 @@ class EdgePath:
         return found
 
 
-def quasi_axis(model: ActionModel, g: Word, window: int = 8, delta: int = 0) -> AxisData:
-    """Invariant (quasi-)axis of a hyperbolic isometry on a window.
+def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, delta: int = 0) -> AxisData:
+    """Invariant (quasi-)axis of a hyperbolic element, built from the profile
+    :func:`classify` returned for it, on a window.
 
     Concatenates geodesics between consecutive orbit points of a
     minimal-displacement base point p*; classifies the result as a genuine
@@ -239,10 +239,9 @@ def quasi_axis(model: ActionModel, g: Word, window: int = 8, delta: int = 0) -> 
     properties on the window: bounded defect, and subpaths within 10*delta
     of the geodesics between their endpoints.
     """
-    profile = classify(model, g, delta)
     if profile.hyperbolic != HYPERBOLIC_YES:
         raise ModelError("quasi_axis requires a hyperbolic element")
-    g = model.canon(g)
+    g = profile.element
     pstar = model.min_displacement_point(g)
     step = model.distance(pstar, model.apply(g, pstar))
 
@@ -343,7 +342,9 @@ def independence_test(model: ActionModel, a: Word, b: Word, exponent_bound: int)
     """
     if exponent_bound < 1:
         raise ModelError("exponent_bound must be >= 1")
-    a, b = model.canon(a), model.canon(b)
+    exponents = [e for n in range(1, exponent_bound + 1) for e in (n, -n)]
+    a_pow = {e: model.power(a, e) for e in exponents}
+    b_pow = {e: model.power(b, e) for e in exponents}
     pairs = sorted(
         ((p, q) for p in range(1, exponent_bound + 1) for q in range(1, exponent_bound + 1)),
         key=lambda t: (t[0] + t[1], t),
@@ -351,9 +352,7 @@ def independence_test(model: ActionModel, a: Word, b: Word, exponent_bound: int)
     for p, q in pairs:
         for sp in (1, -1):
             for sq in (1, -1):
-                ap = model.power(a, sp * p)
-                bq = model.power(b, sq * q)
-                comm = model.compose(model.inverse(ap), model.inverse(bq), ap, bq)
-                if model.is_identity(comm):
-                    return "dependent", (sp * p, sq * q)
+                e, f = sp * p, sq * q
+                if model.compose(a_pow[-e], b_pow[-f], a_pow[e], b_pow[f]) == IDENTITY:
+                    return "dependent", (e, f)
     return "independent-to-bound", None

@@ -16,6 +16,11 @@ Three desk-scale families are built in:
 Group elements and Cayley points are words: tuples of signed 1-based
 generator indices, always stored in canonical form.  All distances are
 exact integers; there is no floating point anywhere in this module.
+
+Every word a model method returns is canonical, and the identity is
+``IDENTITY``: test it with ``w == IDENTITY``, never by reducing w again.
+``canon`` runs where words come in: the CLI's ``_element``, ``verify``'s
+certificate read, ``classify`` and the oracle's inputs.
 """
 
 from __future__ import annotations
@@ -114,9 +119,6 @@ class ActionModel:
             base = self.compose(base, base)
             n >>= 1
         return result
-
-    def is_identity(self, g: Word) -> bool:
-        return self.canon(g) == IDENTITY
 
     def generators(self) -> list[Word]:
         raise NotImplementedError

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .models import ActionModel, CapExceeded, ModelError, Word
+from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,9 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int) -> Oracl
     a, b = model.canon(a), model.canon(b)
     base = model.basepoint()
 
-    inv = {1: model.inverse(a), 2: model.inverse(b)}
-    letters = {1: a, -1: inv[1], 2: b, -2: inv[2]}
+    letters = {1: a, -1: model.inverse(a), 2: b, -2: model.inverse(b)}
 
-    seen: dict[Word, Word] = {(): ()}
+    seen: dict[Word, Word] = {IDENTITY: ()}  # the empty word evaluates to the identity
     min_ratio: Optional[Fraction] = None
     max_ratio: Optional[Fraction] = None
 
@@ -104,9 +103,9 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int) -> Oracl
                 if word and word[-1] == -l:
                     continue
                 w, v = word + (l,), model.compose(value, letters[l])
-                if model.is_identity(v) or v in seen:
+                if v in seen:
                     # w acts trivially, or two distinct words evaluate to the same element.
-                    rel = w if model.is_identity(v) else model_free_quotient(seen[v], w)
+                    rel = w if v == IDENTITY else model_free_quotient(seen[v], w)
                     return OracleReport(length, "relation-found", rel, min_ratio, _fit_L(min_ratio, max_ratio))
                 seen[v] = w
                 r = Fraction(model.distance(base, model.apply(v, base)), length)

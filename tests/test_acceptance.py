@@ -34,6 +34,7 @@ from freecert import (
     three_points_check,
     translation_length,
 )
+from freecert.models import IDENTITY
 from freecert.oracle import evaluate
 
 
@@ -192,8 +193,8 @@ def test_criterion_7_overlap_bound():
             b = random_element(model, rng, 4)
             if independence_test(model, a, b, 3)[0] != "independent-to-bound":
                 continue
-            axis_a = quasi_axis(model, a, window=6, delta=0)
-            axis_b = quasi_axis(model, b, window=6, delta=0)
+            axis_a = quasi_axis(model, classify(model, a, 0), window=6, delta=0)
+            axis_b = quasi_axis(model, classify(model, b, 0), window=6, delta=0)
             rep = overlap_diameter(model, axis_a, axis_b, 0)
             if rep.unbounded_in_window:
                 continue
@@ -230,11 +231,11 @@ def test_criterion_9_torsion_pair_refusal():
         for n in range(1, 11):
             g = model.canon((1,) * n + (2,))
             h = model.canon((1,) * n)
-            assert model.is_identity(evaluate(model, (-2, 1, -2, 1), g, h))  # (y^-1 x)^2 acts trivially
+            assert model.canon(evaluate(model, (-2, 1, -2, 1), g, h)) == IDENTITY  # (y^-1 x)^2 acts trivially
             report = freeness_to_depth(model, g, h, 4)
             assert report.verdict == "relation-found"
             assert len(report.relation) == 4
-            assert model.is_identity(evaluate(model, report.relation, g, h))
+            assert model.canon(evaluate(model, report.relation, g, h)) == IDENTITY
             assert independence_test(model, g, h, 3)[0] == "independent-to-bound"
             with pytest.raises(CertificateRefused, match="oracle"):
                 nielsen_certify(

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, document round-trips, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from freecert import validate_certificate
+import freecert
+from freecert import analyze_pair, build_witness_chain, build_model, chain_base_points, validate_certificate
 from freecert.cli import main
 
 MODELS = {
@@ -49,6 +51,7 @@ def test_exit_code_matrix(model_dir, tmp_path, capsys):
              "--out", str(tmp_path / "capped.json")]),
         # C3 measures delta = 0 but is not a tree: refused, with the way out.
         (1, ["certify", "--model", "@c3.json", "--a", "r", "--b", "rr", "--criterion", "nielsen"]),
+        (1, ["chain", "--model", "@c3.json", "--a", "r", "--b", "rr", "--word", "ab", "--E", "101", "--Q", "1"]),
         (2, ["certify", "--model", "@f2.json", "--a", "a", "--b", "b", "--criterion", "bogus"]),
         (2, ["delta", "--model", "@missing.json"]),
         (2, ["profile", "--model", "@f2.json", "--a", "q"]),
@@ -131,6 +134,47 @@ def test_chain_subcommand(model_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["case"] == "I"
     assert doc["failures"] == []
+
+
+def test_chain_resolves_no_acylindricity_constants(model_dir, capsys, monkeypatch):
+    # The chain reads only delta, so at delta >= 1 it must not pay for P, K and L.
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain called acyl_profile")
+
+    for module in (freecert.acylindricity, freecert.certifier, freecert.cli):
+        monkeypatch.setattr(module, "acyl_profile", refuse)
+    code = run(model_dir, "chain", "--model", "@f2.json", "--a", "a", "--b", "b",
+               "--word", "ab", "--E", "101", "--Q", "1", "--delta", "1")
+    doc = json.loads(capsys.readouterr().out)
+
+    model = build_model(MODELS["f2.json"])
+    analysis = analyze_pair(model, (1,), (2,), 1)
+    x, y = chain_base_points(model, analysis.axis_a, analysis.axis_b, analysis.overlap)
+    chain = build_witness_chain(model, (1, 2), (1,), (2,), x, y, Fraction(101), 1, 1)
+    assert doc == json.loads(json.dumps({"command": "chain", **chain.to_doc()}))
+    assert code == 1 and doc["three_points"]["delta"] == 1
+
+
+def test_each_element_is_classified_once_per_command(model_dir, capsys, monkeypatch):
+    calls = []
+    original = freecert.isometry.classify
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for module in (freecert.isometry, freecert.certifier, freecert.cli):
+        monkeypatch.setattr(module, "classify", counted)
+    commands = [
+        (2, ["certify", "--model", "@f2.json", "--a", "a", "--b", "b", "--criterion", "nielsen", "--no-verify"]),
+        (2, ["chain", "--model", "@f2.json", "--a", "a", "--b", "b", "--word", "ab", "--E", "1/1000", "--Q", "1"]),
+        (1, ["profile", "--model", "@f2.json", "--a", "aba'"]),
+        (2, ["overlap", "--model", "@f2.json", "--a", "a", "--b", "ab"]),
+    ]
+    for expected, argv in commands:
+        calls.clear()
+        assert run(model_dir, *argv) == 0, argv
+        assert len(calls) == expected, (argv, calls)
 
 
 def test_documents_are_deterministic(model_dir, tmp_path):

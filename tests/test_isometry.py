@@ -119,21 +119,21 @@ def test_classify_identity_is_no(f2):
 
 
 def test_axis_of_generator(f2):
-    axis = quasi_axis(f2, (1,), window=3, delta=0)
+    axis = quasi_axis(f2, classify(f2, (1,), 0), window=3, delta=0)
     assert axis.mode == "geodesic-axis"
     assert axis.invariance_defect == 0
     assert axis.path == tuple((1,) * k if k >= 0 else (-1,) * (-k) for k in range(-3, 4))
 
 
 def test_axis_of_conjugate(f2):
-    axis = quasi_axis(f2, (1, 2, -1), window=2, delta=0)
+    axis = quasi_axis(f2, classify(f2, (1, 2, -1), 0), window=2, delta=0)
     assert axis.mode == "geodesic-axis"
     expected = {f2.compose((1,), (2,) * k if k >= 0 else (-2,) * (-k)) for k in range(-2, 3)}
     assert expected <= set(axis.path)
 
 
 def test_axis_of_ab(f2):
-    axis = quasi_axis(f2, (1, 2), window=2, delta=0)
+    axis = quasi_axis(f2, classify(f2, (1, 2), 0), window=2, delta=0)
     assert axis.mode == "geodesic-axis"
     assert axis.step == 2
     for p in ((), (1,), (1, 2), (1, 2, 1), (-2,)):
@@ -144,8 +144,8 @@ def test_axis_of_ab(f2):
 
 
 def overlap_of(model, g, h, c=0, window=6):
-    aa = quasi_axis(model, g, window=window, delta=0)
-    bb = quasi_axis(model, h, window=window, delta=0)
+    aa = quasi_axis(model, classify(model, g, 0), window=window, delta=0)
+    bb = quasi_axis(model, classify(model, h, 0), window=window, delta=0)
     return overlap_diameter(model, aa, bb, c)
 
 
@@ -183,6 +183,11 @@ def test_independence_generators(f2):
 def test_dependence_of_powers(f2):
     verdict, witness = independence_test(f2, (1,), (1, 1), 1)
     assert verdict == "dependent" and witness == (1, 1)
+
+
+def test_dependence_past_the_first_pair(zz2):
+    # s^2 = 1, so [s^2, f] = 1 while no (+-1, +-1) commutator vanishes.
+    assert independence_test(zz2, (2,), (1,), 3) == ("dependent", (2, 1))
 
 
 def test_independence_in_free_product(zz2):

@@ -18,6 +18,7 @@ from freecert import (
     free_reduce,
     parse_letters,
 )
+from freecert.models import IDENTITY
 
 letters_f2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12).map(tuple)
 letters_zz2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12).map(tuple)
@@ -77,7 +78,7 @@ def test_canon_inverse_composes_to_identity(w):
     m = FreeGroupModel(2, cap=128)
     g = m.canon(w)
     assert m.compose(g, m.inverse(g)) == ()
-    assert m.is_identity(m.compose(m.inverse(g), g))
+    assert m.canon(m.compose(m.inverse(g), g)) == IDENTITY
 
 
 @given(letters_f2, letters_f2)
@@ -95,7 +96,7 @@ def test_free_product_canon_idempotent(w):
 
 def test_free_product_torsion(zz2):
     s = (2,)
-    assert zz2.is_identity(zz2.compose(s, s))
+    assert zz2.canon(zz2.compose(s, s)) == IDENTITY
     assert zz2.apply(zz2.compose(s, s), (1, 2)) == (1, 2)
     assert zz2.canon((-2,)) == (2,)
 
@@ -301,8 +302,8 @@ def test_explicit_graph_square():
     # The generated group is the dihedral group of order 8.
     assert len(m.group_ball(10)) == 8
     assert m.apply((1,), 0) == 1
-    assert m.is_identity((1, 1, 1, 1))
-    assert m.is_identity((2, 2))
+    assert m.canon((1, 1, 1, 1)) == IDENTITY
+    assert m.canon((2, 2)) == IDENTITY
 
 
 # -- parsing and enumeration --------------------------------------------------

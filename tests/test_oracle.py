@@ -3,6 +3,7 @@
 import pytest
 
 from freecert import FreeGroupModel, FreeProductModel, exceptional_sweep, freeness_to_depth
+from freecert.models import IDENTITY
 from freecert.oracle import evaluate
 
 
@@ -20,7 +21,7 @@ A, B = (1,), (2,)
 
 
 def acts_trivially(model, word, a, b):
-    return model.is_identity(evaluate(model, word, a, b))
+    return model.canon(evaluate(model, word, a, b)) == IDENTITY
 
 
 def test_commutator_nontrivial(f2):
@@ -54,6 +55,12 @@ def test_freeness_equal_elements(f2):
     report = freeness_to_depth(f2, A, A, 2)
     assert report.verdict == "relation-found"
     assert report.relation == (1, -2)
+
+
+def test_trivial_word_is_its_own_relation(f2):
+    # a = 1, so the word a is itself the relation; the quotient a * 1^-1 would read (-1,).
+    report = freeness_to_depth(f2, (), B, 2)
+    assert (report.verdict, report.depth, report.relation) == ("relation-found", 1, (1,))
 
 
 def test_embedding_fit_powers(f2):
