@@ -48,7 +48,6 @@ from .models import (
     ModelError,
     Word,
     build_model,
-    free_reduce,
     parse_letters,
 )
 from .oracle import OracleReport, SweepTable, exceptional_sweep, freeness_to_depth

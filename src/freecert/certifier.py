@@ -382,7 +382,8 @@ def nielsen_certify(
         formula_satisfied = n * tr_a >= threshold and m * tr_b >= threshold
 
     if epsilon_mode == "sharp-experimental":
-        check = freeness_to_depth(model, model.power(a, n), model.power(b, m), oracle_depth)
+        ga, gb = analysis.profile_a.element, analysis.profile_b.element
+        check = freeness_to_depth(model, model.power(ga, n), model.power(gb, m), oracle_depth)
         if check.verdict != "free-to-depth":
             raise CertificateRefused(
                 f"oracle back-check found a relation at exponents ({n}, {m}): {list(check.relation)}"

@@ -86,7 +86,7 @@ def translation_length(model: ActionModel, g: Word):
 
     Generic bounds: tr_upper = min_n d(x, g^n x)/n (subadditivity);
     tr_lower = max_n (d(x, g^2n x) - d(x, g^n x))/n, floored at 0.
-    g may be any word: it only reaches the model's own methods.
+    g must be canonical: the generic bounds apply it to points.
     """
     exact = model.exact_translation_length(g)
     if exact is not None:

@@ -19,8 +19,10 @@ exact integers; there is no floating point anywhere in this module.
 
 Every word a model method returns is canonical, and the identity is
 ``IDENTITY``: test it with ``w == IDENTITY``, never by reducing w again.
-``canon`` runs where words come in: the CLI's ``_element``, ``verify``'s
-certificate read, ``classify`` and the oracle's inputs.
+``compose``, ``inverse``, ``power`` and ``apply`` take canonical words;
+``canon`` reduces and range-checks words where they come in: the CLI's
+``_element``, ``verify``'s certificate read, ``classify`` and the oracle's
+inputs.
 """
 
 from __future__ import annotations
@@ -41,19 +43,6 @@ class CapExceeded(ModelError):
 
     Raised instead of silently truncating: infinite graphs must fail loudly.
     """
-
-
-def free_reduce(letters: Iterable[int]) -> Word:
-    """Freely reduce a word (cancel adjacent x·x^-1 pairs)."""
-    out: list[int] = []
-    for l in letters:
-        if l == 0:
-            raise ModelError("zero is not a generator letter")
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
 
 
 def parse_letters(text: str, names: Sequence[str]) -> Word:
@@ -112,11 +101,10 @@ class ActionModel:
         if n < 0:
             return self.power(self.inverse(g), -n)
         result: Word = IDENTITY
-        base = self.canon(g)
         while n:
             if n & 1:
-                result = self.compose(result, base)
-            base = self.compose(base, base)
+                result = self.compose(result, g)
+            g = self.compose(g, g)
             n >>= 1
         return result
 
@@ -265,7 +253,6 @@ class CyclicFreeProductModel(ActionModel):
             s * i: (i if i in involutions else s * i) for i in range(1, self.rank + 1) for s in (1, -1)
         }
         self._inverse = {l: (l if l in involutions else -l) for l in self._letters.values()}
-        self._has_involution = bool(involutions)
         # neighbor steps in generator order, positive letter first
         self._steps = tuple(dict.fromkeys(self._letters.values()))
 
@@ -275,12 +262,6 @@ class CyclicFreeProductModel(ActionModel):
         return w
 
     def canon(self, word: Iterable[int]) -> Word:
-        if not self._has_involution:
-            w = free_reduce(word)
-            for l in w:
-                if abs(l) > self.rank:
-                    raise ModelError(f"letter {l} out of range for rank {self.rank}")
-            return w
         letters, inverse = self._letters, self._inverse
         out: list[int] = []
         for l in word:
@@ -291,6 +272,21 @@ class CyclicFreeProductModel(ActionModel):
                 out.pop()
             else:
                 out.append(l)
+        return tuple(out)
+
+    def inverse(self, g: Word) -> Word:
+        return tuple(self._inverse[l] for l in reversed(g))
+
+    def compose(self, *elements: Word) -> Word:
+        # Normal forms cancel only where they join (Lyndon-Schupp IV.1).
+        inverse = self._inverse
+        out: list[int] = []
+        for e in elements:
+            k = 0
+            while out and k < len(e) and out[-1] == inverse[e[k]]:
+                out.pop()
+                k += 1
+            out.extend(e[k:])
         return tuple(out)
 
     def generators(self) -> list[Word]:
@@ -392,7 +388,7 @@ class CycleModel(ActionModel):
         return [(1,)]
 
     def apply(self, g: Word, x: int) -> int:
-        return (x + len(self.canon(g))) % self.n
+        return (x + len(g)) % self.n
 
     def distance(self, x: int, y: int) -> int:
         d = abs(x - y) % self.n

@@ -148,6 +148,7 @@ def exceptional_sweep(
     """
     if depth < 2:
         raise ModelError("depth must be >= 2")
+    a, b = model.canon(a), model.canon(b)
     cells: dict = {}
     witnesses: dict = {}
     reasons: dict = {}

@@ -136,6 +136,20 @@ def test_nielsen_sharp_mode_requires_epsilon(f2):
         nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"), epsilon_mode="sharp-experimental")
 
 
+def test_nielsen_sharp_mode_checks_the_canonical_pair():
+    # The oracle back-check powers the analysed elements, not the caller's
+    # words: a raw -2 or an a·a^-1 pair gives the certificate of the normal form.
+    model = FreeProductModel()
+    constants = resolve_constants(model, 0, "tree-case")
+
+    def certify(a, b):
+        return nielsen_certify(
+            model, a, b, constants, epsilon_mode="sharp-experimental", epsilon=Fraction(1), exponents=(2, 2),
+        ).to_doc()
+
+    assert certify((1, -2, 2, 1, -2), (-2, -1, 1, 1)) == certify((1, 1, 2), (2, 1))
+
+
 def test_nielsen_torsion_partner_refused(zz2):
     with pytest.raises(CertificateRefused, match="hyperbolic"):
         nielsen_certify(zz2, (1,), (2,), resolve_constants(zz2, 0, "tree-case"))

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +186,39 @@ def test_documents_are_deterministic(model_dir, tmp_path):
                    "--criterion", "nielsen", "--depth", "2", "--out", str(path)) == 0
         outs.append(path.read_text())
     assert outs[0] == outs[1]
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_words_are_reduced_once_where_they_come_in(tmp_path, capsys, monkeypatch):
+    # canon runs on the words that enter a command; model arithmetic never
+    # reduces its own canonical results again.
+    calls = []
+    original = freecert.models.CyclicFreeProductModel.canon
+
+    def counted(self, word):
+        calls.append(word)
+        return original(self, word)
+
+    monkeypatch.setattr(freecert.models.CyclicFreeProductModel, "canon", counted)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--model", str(REPO / "demos/models/f2.json"), "--a", "ab", "--b", "ba",
+                 "--criterion", "nielsen", "--out", str(cert)]) == 0
+    assert len(calls) <= 10, len(calls)
+    calls.clear()
+    assert main(["verify", "--certificate", str(cert), "--out", str(tmp_path / "verify.json")]) == 0
+    assert len(calls) <= 4, len(calls)
+
+
+def test_demo_certificates_match_their_golden_bytes(monkeypatch, capsys):
+    # tests/data/demo_certify.json holds the exit code, stdout and stderr of
+    # every criterion on three demo pairs, recorded before the tree model
+    # stopped re-reducing its products.  The test only reads it.
+    monkeypatch.chdir(REPO)
+    golden = json.loads((REPO / "tests/data/demo_certify.json").read_text())
+    assert len(golden) == 18
+    for run_ in golden:
+        code = main(run_["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]

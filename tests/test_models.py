@@ -15,7 +15,6 @@ from freecert import (
     FreeProductModel,
     ModelError,
     build_model,
-    free_reduce,
     parse_letters,
 )
 from freecert.models import IDENTITY
@@ -69,11 +68,6 @@ def test_cap_exceeded_is_loud():
 
 
 @given(letters_f2)
-def test_free_reduce_idempotent(w):
-    assert free_reduce(free_reduce(w)) == free_reduce(w)
-
-
-@given(letters_f2)
 def test_canon_inverse_composes_to_identity(w):
     m = FreeGroupModel(2, cap=128)
     g = m.canon(w)
@@ -84,14 +78,14 @@ def test_canon_inverse_composes_to_identity(w):
 @given(letters_f2, letters_f2)
 def test_canon_closed_under_composition(u, v):
     m = FreeGroupModel(2, cap=128)
-    gh = m.compose(u, v)
+    gh = m.compose(m.canon(u), m.canon(v))  # compose takes canonical words
     assert m.canon(gh) == gh
 
 
 @given(letters_zz2)
 def test_free_product_canon_idempotent(w):
-    m = FreeProductModel(cap=128)
-    assert m.canon(m.canon(w)) == m.canon(w)
+    for m in (FreeProductModel(cap=128), FreeGroupModel(2, cap=128)):
+        assert m.canon(m.canon(w)) == m.canon(w)
 
 
 def test_free_product_torsion(zz2):
@@ -182,9 +176,14 @@ class _RefFreeGroup:
         self.rank = rank
 
     def canon(self, word):
-        w = free_reduce(word)
-        assert all(abs(l) <= self.rank for l in w)
-        return w
+        out = []
+        for l in word:
+            assert 1 <= abs(l) <= self.rank
+            if out and out[-1] == -l:
+                out.pop()
+            else:
+                out.append(l)
+        return tuple(out)
 
     def neighbors(self, x):
         steps = [l for i in range(1, self.rank + 1) for l in (i, -i)]
@@ -285,6 +284,54 @@ def test_tree_model_infinite_dihedral():
     assert m.neighbors((1,)) == [(), (1, 2)]
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        FreeGroupModel(2, cap=256),
+        FreeGroupModel(3, cap=256),
+        FreeProductModel(cap=256),
+        CyclicFreeProductModel((2, 2), ("s", "t")),
+    ],
+    ids=["F2", "F3", "ZxZ2", "Z2xZ2"],
+)
+def test_tree_model_arithmetic_matches_canon_of_concatenation(model):
+    # compose, inverse and power take canonical words and cancel only at the
+    # seams; canon of the whole concatenated word is the reference.
+    rng = random.Random(f"tree-arithmetic:{model.orders}")
+    alphabet = [l for i in range(1, model.rank + 1) for l in (i, -i)]
+
+    def word(prev=()):
+        # Often opens with the inverse of prev's tail, so that seams cancel deep.
+        head = tuple(-l for l in reversed(prev))[: rng.randint(0, len(prev))] if rng.random() < 0.5 else ()
+        return model.canon(head + tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 8))))
+
+    for _ in range(500):
+        words = [word()]
+        for _ in range(rng.randint(0, 3)):
+            words.append(word(words[-1]))
+        assert model.compose(*words) == model.canon(l for w in words for l in w)
+        g = words[0]
+        g_inv = model.inverse(g)
+        assert g_inv == model.canon(-l for l in reversed(g))
+        assert model.compose(g, g_inv) == model.compose(g_inv, g) == IDENTITY
+        for n in range(-5, 6):
+            assert model.power(g, n) == model.compose(*[g if n > 0 else g_inv] * abs(n))
+
+
+def test_tree_model_seams_cancel_involutions():
+    zz2 = FreeProductModel(cap=256)
+    assert zz2.compose((2,), (2,)) == IDENTITY
+    assert zz2.compose((1, 2), (2, -1)) == IDENTITY
+    assert zz2.compose((1, 2), (2, 1, 2)) == (1, 1, 2)
+    assert zz2.inverse((1, 2, -1)) == (1, 2, -1)
+    assert zz2.power((1, 2), -2) == (2, -1, 2, -1)
+    dihedral = CyclicFreeProductModel((2, 2), ("s", "t"))
+    assert dihedral.compose((1, 2), (2, 1)) == IDENTITY
+    assert dihedral.compose((1, 2, 1), (1, 2), (2,)) == (1, 2)
+    assert dihedral.compose((1, 2, 1), (1,), (2, 1)) == IDENTITY  # a seam that swallows a whole word
+    assert dihedral.power((1, 2), 3) == (1, 2, 1, 2, 1, 2)
+
+
 @pytest.mark.parametrize("orders", [(None, 3), (2, 4), (1,), ()])
 def test_tree_model_refuses_orders_without_a_tree(orders):
     with pytest.raises(ModelError):
@@ -329,7 +376,7 @@ def test_reduced_word_counts():
 
 def test_reduced_words_are_reduced_and_ordered():
     words = FreeGroupModel(2).group_ball(4)
-    assert all(free_reduce(w) == w for w in words)
+    assert all(_RefFreeGroup(2).canon(w) == w for w in words)
     keys = [(len(w), w) for w in words]
     assert len(set(words)) == len(words)
     assert all(keys[i][0] <= keys[i + 1][0] for i in range(len(keys) - 1))

@@ -89,6 +89,14 @@ def test_sweep_torsion_pair(zz2):
     assert acts_trivially(zz2, table.witnesses[(1, 1)], zz2.canon((1, 2)), (1,))
 
 
+def test_sweep_reduces_caller_words():
+    # A raw -2 or an f·f^-1 pair sweeps exactly as its normal form does.
+    model = FreeProductModel()
+    raw = exceptional_sweep(model, (1, -2, 2, 1, -2), (-2, 1, -1, 2, 1), range(1, 3), range(1, 3), 4)
+    canonical = exceptional_sweep(model, (1, 1, 2), (1,), range(1, 3), range(1, 3), 4)
+    assert raw.exceptional_pairs and raw == canonical
+
+
 def test_sweep_dependent_pair_all_relations(f2):
     table = exceptional_sweep(f2, A, f2.power(A, 2), range(1, 3), range(1, 3), 4)
     assert all(v == "relation-found" for v in table.cells.values())
