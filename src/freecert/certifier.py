@@ -679,6 +679,7 @@ def build_witness_chain(
     E = Fraction(E)
     if Q < 1:
         raise ModelError("Q must be >= 1")
+    a, b = model.canon(a), model.canon(b)
     syl = word_syllables(word)
     case = word_case(syl)
     tr_a = Fraction(translation_length(model, a)[0])

@@ -342,6 +342,7 @@ def independence_test(model: ActionModel, a: Word, b: Word, exponent_bound: int)
     """
     if exponent_bound < 1:
         raise ModelError("exponent_bound must be >= 1")
+    a, b = model.canon(a), model.canon(b)
     exponents = [e for n in range(1, exponent_bound + 1) for e in (n, -n)]
     a_pow = {e: model.power(a, e) for e in exponents}
     b_pow = {e: model.power(b, e) for e in exponents}

@@ -20,9 +20,9 @@ exact integers; there is no floating point anywhere in this module.
 Every word a model method returns is canonical, and the identity is
 ``IDENTITY``: test it with ``w == IDENTITY``, never by reducing w again.
 ``compose``, ``inverse``, ``power`` and ``apply`` take canonical words;
-``canon`` reduces and range-checks words where they come in: the CLI's
-``_element``, ``verify``'s certificate read, ``classify`` and the oracle's
-inputs.
+``canon`` reduces and range-checks words where they come in: the CLI, and
+each library function that takes a caller's words (``classify``,
+``independence_test``, ``build_witness_chain``, the oracle's two).
 """
 
 from __future__ import annotations

@@ -300,6 +300,14 @@ E8 = Fraction(204, 1000)
 Q8 = 3
 
 
+def test_chain_reduces_caller_words(f2, chain_setup):
+    # a with a b·b^-1 pair in front and b with an a·a^-1 pair give the chain of
+    # their normal forms, point for point.
+    a, x, y = chain_setup
+    raw = build_witness_chain(f2, (1, 2), (2, -2) + a, (1, -1) + B, x, y, E8, Q8, 0)
+    assert raw == build_witness_chain(f2, (1, 2), a, B, x, y, E8, Q8, 0)
+
+
 def test_chain_word_ab(f2, chain_setup):
     a, x, y = chain_setup
     chain = build_witness_chain(f2, (1, 2), a, B, x, y, E8, Q8, 0)

@@ -192,23 +192,26 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def test_words_are_reduced_once_where_they_come_in(tmp_path, capsys, monkeypatch):
-    # canon runs on the words that enter a command; model arithmetic never
-    # reduces its own canonical results again.
+    # canon runs on the words that enter a command or a library function; model
+    # arithmetic never reduces its own canonical results again.  certify reduces
+    # a and b where the CLI reads them and in classify, independence_test and
+    # the two tree-geometry queries, and the oracle reduces its two powers:
+    # twelve calls on four words (1,726 when compose re-reduced every product).
     calls = []
     original = freecert.models.CyclicFreeProductModel.canon
 
     def counted(self, word):
-        calls.append(word)
+        calls.append(tuple(word))
         return original(self, word)
 
     monkeypatch.setattr(freecert.models.CyclicFreeProductModel, "canon", counted)
     cert = tmp_path / "cert.json"
     assert main(["certify", "--model", str(REPO / "demos/models/f2.json"), "--a", "ab", "--b", "ba",
                  "--criterion", "nielsen", "--out", str(cert)]) == 0
-    assert len(calls) <= 10, len(calls)
+    assert len(calls) <= 12 and len(set(calls)) <= 4, len(calls)
     calls.clear()
     assert main(["verify", "--certificate", str(cert), "--out", str(tmp_path / "verify.json")]) == 0
-    assert len(calls) <= 4, len(calls)
+    assert len(calls) <= 4 and len(set(calls)) <= 4, len(calls)
 
 
 def test_demo_certificates_match_their_golden_bytes(monkeypatch, capsys):

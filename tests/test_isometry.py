@@ -190,6 +190,12 @@ def test_dependence_past_the_first_pair(zz2):
     assert independence_test(zz2, (2,), (1,), 3) == ("dependent", (2, 1))
 
 
+def test_independence_reduces_caller_words(f2, zz2):
+    # A b·b^-1 pair or a raw -2 tests exactly as its normal form does.
+    assert independence_test(f2, (2, -2, 1), (1,), 1) == independence_test(f2, (1,), (1,), 1) == ("dependent", (1, 1))
+    assert independence_test(zz2, (-2,), (1,), 3) == independence_test(zz2, (2,), (1,), 3) == ("dependent", (2, 1))
+
+
 def test_independence_in_free_product(zz2):
     assert independence_test(zz2, (1,), (2, 1, 2), 4) == ("independent-to-bound", None)
 
