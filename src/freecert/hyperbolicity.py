@@ -1,16 +1,20 @@
 """Thin-triangle constant computation and slimness checks.
 
 The constant is quantified over *all* geodesic choices per vertex pair, not
-just the canonical one, so downstream certificates see the worst case.  A
-triple budget bounds the cost; exceeding it yields a clearly flagged sampled
-report, never a silently truncated "exhaustive" one.
+just the canonical one, so downstream certificates see the worst case.
+Each side, the geodesics between one pair of points, is measured once, and
+the worst choice is taken one side at a time: a vertex of one side is
+measured against the farthest choice of each other side, never against
+every combination of choices.  A triple budget bounds the cost; exceeding
+it yields a clearly flagged sampled report, never a silently truncated
+"exhaustive" one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -71,12 +75,38 @@ def all_geodesics(model: ActionModel, x, y, cap: int = DEFAULT_GEODESIC_CAP):
     return paths, truncated
 
 
-def _slack(sides) -> tuple[int, object]:
-    """(slack, witness) of three :class:`EdgePath` sides of a triangle.
+class _GeodesicSet:
+    """Every geodesic between two points, as a triangle side whose choice is open.
+
+    It offers the :class:`EdgePath` interface the slimness measure reads:
+    ``points`` are the vertices of any geodesic, ``members`` those on every
+    geodesic (at distance 0 from each choice), and ``distance(v)`` is the
+    distance from v to the farthest choice, memoised per vertex.
+    """
+
+    def __init__(self, model: ActionModel, paths):
+        self.paths = [EdgePath(model, path) for path in paths]
+        self.points = tuple(dict.fromkeys(v for path in paths for v in path))
+        self.members = frozenset.intersection(*(path.members for path in self.paths))
+        self._far: dict = {}
+
+    def distance(self, v) -> int:
+        far = self._far.get(v)
+        if far is None:
+            far = self._far[v] = max(path.distance(v) for path in self.paths)
+        return far
+
+
+def _slimness(sides) -> tuple[int, object]:
+    """(slack, witness) of a triangle, its geodesic choices taken one side at a time.
 
     The slack is the largest distance from a vertex of one side to the
-    other two; the witness is the first vertex at it (else the first point).
-    A vertex on another side is skipped before any distance is measured.
+    nearer of the other two; the witness is the first vertex at it (else the
+    first point of the first side).  A vertex on every choice of another
+    side is skipped before any distance is measured.  On
+    :class:`_GeodesicSet` sides this is the worst case over all choices:
+    for independent choices Q, R of the other two sides,
+    max min(d(v, Q), d(v, R)) = min(max_Q d(v, Q), max_R d(v, R)).
     """
     a, b, c = sides
     worst, witness = 0, a.points[0]
@@ -84,9 +114,11 @@ def _slack(sides) -> tuple[int, object]:
         for v in side.points:
             if v in o1.members or v in o2.members:
                 continue
-            d = min(o1.distance(v), o2.distance(v))
+            d = o1.distance(v)
             if d > worst:
-                worst, witness = d, v
+                d = min(d, o2.distance(v))
+                if d > worst:
+                    worst, witness = d, v
     return worst, witness
 
 
@@ -103,19 +135,8 @@ def check_slim(model: ActionModel, triangle, delta: int):
         raise ModelError("paths do not form a triangle")
     if any(model.distance(p, q) > 1 for side in triangle for p, q in zip(side, side[1:])):
         raise ModelError("triangle sides must be edge paths")
-    worst, witness = _slack([EdgePath(model, side) for side in triangle])
+    worst, witness = _slimness([EdgePath(model, side) for side in triangle])
     return worst <= delta, witness
-
-
-def _triple_delta(model: ActionModel, x, y, z) -> tuple[int, bool]:
-    """(needed delta, truncated) of one vertex triple over all geodesic choices."""
-    choices = []
-    truncated = False
-    for p, q in ((x, y), (y, z), (x, z)):
-        paths, trunc = all_geodesics(model, p, q)
-        choices.append([EdgePath(model, path) for path in paths])
-        truncated = truncated or trunc
-    return max(_slack(sides)[0] for sides in product(*choices)), truncated
 
 
 def compute_delta(
@@ -130,7 +151,9 @@ def compute_delta(
     The region is ``points``, or the ball of ``radius`` about the model's
     basepoint.  Enumerates every vertex triple when that fits in
     ``triple_budget``, otherwise samples that many triples with a seeded
-    RNG and reports ``exhaustive=False``.
+    RNG and reports ``exhaustive=False``.  Each side is measured once: when
+    enumerating, one table holds a side per pair of points before the
+    triple loop; when sampling, each triple builds its three sides.
     """
     if points is None:
         center = model.basepoint()
@@ -143,15 +166,24 @@ def compute_delta(
         return HyperbolicityReport(0, region, True, 0)
 
     exhaustive = comb(n, 3) <= triple_budget
+    truncated = False
+
+    def side(i: int, j: int):
+        """Side points[i]-points[j]: an :class:`EdgePath` for one geodesic, else a :class:`_GeodesicSet`."""
+        nonlocal truncated
+        paths, trunc = all_geodesics(model, points[i], points[j])
+        truncated = truncated or trunc
+        return EdgePath(model, paths[0]) if len(paths) == 1 else _GeodesicSet(model, paths)
+
     if exhaustive:
-        triples = combinations(range(n), 3)
+        table = [[side(i, j) if i < j else None for j in range(n)] for i in range(n)]
+        triangles = ((table[i][j], table[j][k], table[i][k]) for i, j, k in combinations(range(n), 3))
     else:
         rng = random.Random(seed)
         triples = (rng.sample(range(n), 3) for _ in range(triple_budget))
+        triangles = ((side(i, j), side(j, k), side(i, k)) for i, j, k in triples)
     delta = count = 0
-    for i, j, k in triples:
-        needed, truncated = _triple_delta(model, points[i], points[j], points[k])
-        delta = max(delta, needed)
-        exhaustive = exhaustive and not truncated
+    for sides in triangles:
+        delta = max(delta, _slimness(sides)[0])
         count += 1
-    return HyperbolicityReport(delta, region, exhaustive, count)
+    return HyperbolicityReport(delta, region, exhaustive and not truncated, count)

@@ -444,6 +444,7 @@ class ExplicitGraphModel(ActionModel):
         self._perms = perms
         self.generator_names = tuple(chr(ord("a") + i) for i in range(len(perms)))
         self._canon_by_perm = self._enumerate_group()
+        self._perm_by_canon = {word: perm for perm, word in self._canon_by_perm.items()}
         self.order = len(self._canon_by_perm)
         self._dist = self._all_pairs_distances()
 
@@ -508,7 +509,7 @@ class ExplicitGraphModel(ActionModel):
         return [w for w in elems if len(w) <= radius]
 
     def apply(self, g: Word, x: int) -> int:
-        return self._perm_of(g)[x]
+        return self._perm_by_canon[g][x]
 
     def distance(self, x: int, y: int) -> int:
         if not (0 <= x < self.n and 0 <= y < self.n):

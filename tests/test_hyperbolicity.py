@@ -1,6 +1,8 @@
 """Thin-triangle constant and slimness checks."""
 
 import random
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -12,6 +14,7 @@ from freecert import (
     all_geodesics,
     check_slim,
     compute_delta,
+    hyperbolicity,
 )
 
 
@@ -152,3 +155,33 @@ def test_check_slim_matches_all_pairs_reference(model):
         worst, witness = _reference_slack(model, triangle)
         for delta in (worst - 1, worst):
             assert check_slim(model, triangle, delta) == (worst <= delta, witness)
+
+
+def test_delta_measures_each_side_once(monkeypatch):
+    calls = []
+
+    def counted(model, x, y, *args, **kwargs):
+        calls.append((x, y))
+        return all_geodesics(model, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(hyperbolicity, "all_geodesics", counted)
+    report = compute_delta(_torus(), radius=4)
+    assert report.exhaustive and report.region["size"] == 16
+    assert len(calls) == comb(16, 2) == len(set(calls))
+
+
+def test_delta_takes_the_worst_choice_of_a_truncated_geodesic_set():
+    model = _torus(6, 6)
+    # 0 and 21 = (3, 3) are antipodal: 80 geodesics, cut at the cap of 64.
+    points = [0, 21, 1, 8, 15]
+    paths, truncated = all_geodesics(model, 0, 21)
+    assert truncated and len(paths) == 64
+    report = compute_delta(model, points=points)
+    assert report.exhaustive is False
+    worst = first = 0
+    for i, j, k in combinations(range(len(points)), 3):
+        x, y, z = points[i], points[j], points[k]
+        choices = [all_geodesics(model, p, q)[0] for p, q in ((x, y), (y, z), (x, z))]
+        worst = max(worst, max(_reference_slack(model, triangle)[0] for triangle in product(*choices)))
+        first = max(first, _reference_slack(model, [sides[0] for sides in choices])[0])
+    assert report.delta == worst > first  # the first geodesic of each side is not the worst choice

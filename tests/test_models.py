@@ -341,16 +341,38 @@ def test_tree_model_refuses_orders_without_a_tree(orders):
 # -- explicit graph model -----------------------------------------------------
 
 
-def test_explicit_graph_square():
+def _square():
     rot = [1, 2, 3, 0]
     flip = [0, 3, 2, 1]
-    m = ExplicitGraphModel([[1, 3], [0, 2], [1, 3], [0, 2]], [rot, flip])
+    return ExplicitGraphModel([[1, 3], [0, 2], [1, 3], [0, 2]], [rot, flip])
+
+
+def test_explicit_graph_square():
+    m = _square()
     assert m.distance(0, 2) == 2
     # The generated group is the dihedral group of order 8.
     assert len(m.group_ball(10)) == 8
     assert m.apply((1,), 0) == 1
     assert m.canon((1, 1, 1, 1)) == IDENTITY
     assert m.canon((2, 2)) == IDENTITY
+
+
+def _torus_3x4():
+    vertex = lambda x, y: (x % 3) * 4 + (y % 4)
+    adjacency = [
+        [vertex(x + 1, y), vertex(x - 1, y), vertex(x, y + 1), vertex(x, y - 1)] for x in range(3) for y in range(4)
+    ]
+    shift = lambda dx, dy: [vertex(x + dx, y + dy) for x in range(3) for y in range(4)]
+    return ExplicitGraphModel(adjacency, [shift(1, 0), shift(0, 1)])
+
+
+@pytest.mark.parametrize("make", [_square, _torus_3x4], ids=["square", "torus3x4"])
+def test_explicit_graph_apply_matches_the_letter_by_letter_permutation(make):
+    m = make()
+    group = m.group_ball(m.order)
+    assert len(group) == m.order
+    for g in group:
+        assert [m.apply(g, x) for x in range(m.n)] == list(m._perm_of(g))
 
 
 # -- parsing and enumeration --------------------------------------------------
