@@ -32,7 +32,7 @@ from .isometry import (
     quasi_axis,
     translation_length,
 )
-from .models import ActionModel, ModelError, Word
+from .models import ActionModel, ModelError, Word, check_int
 from .oracle import evaluate, freeness_to_depth
 
 SCHEMA_VERSION = 1
@@ -233,13 +233,26 @@ REQUIRED_CERT_FIELDS = (
 
 
 def validate_certificate(doc: dict) -> None:
+    if not isinstance(doc, dict):
+        raise ModelError("certificate document must be a mapping")
     missing = [f for f in REQUIRED_CERT_FIELDS if f not in doc]
     if missing:
         raise ModelError(f"certificate document missing fields: {missing}")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ModelError(f"unsupported certificate schema version {doc['schema_version']}")
-    if not {"a", "b"} <= set(doc["elements"]):
+    elements, exponents = doc["elements"], doc["exponents"]
+    if not isinstance(elements, dict) or not {"a", "b"} <= set(elements):
         raise ModelError("certificate elements block must contain 'a' and 'b'")
+    for name in ("a", "b"):
+        if not isinstance(elements[name], list):
+            raise ModelError(f"certificate element {name!r} must be a list of letters")
+        for letter in elements[name]:
+            check_int(letter, f"a letter of certificate element {name!r}")
+    if not isinstance(exponents, dict):
+        raise ModelError("certificate exponents must be a mapping")
+    for name in ("n_min", "m_min"):
+        if name in exponents:
+            check_int(exponents[name], f"certificate exponent {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Exit codes: 0 success, 1 refused certificate (or a verification that
 failed or could not run: an oracle check stopped by the model cap is
 written with the verdict ``unchecked`` and its reason), 2 invalid input.
 All output documents are JSON with stable field order; files are written
-atomically.
+atomically.  ``main`` builds its parser once per process, so library
+callers may call it in a loop.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -235,7 +237,13 @@ def _cmd_chain(args) -> int:
     return 0 if not chain.failures else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``freecert`` parser, built on first use and shared by every ``main`` call.
+
+    Reuse carries no state: ``parse_args`` returns a fresh namespace each
+    call and every default is immutable.
+    """
     parser = argparse.ArgumentParser(prog="freecert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

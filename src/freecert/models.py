@@ -293,7 +293,7 @@ class CyclicFreeProductModel(ActionModel):
         return [(i,) for i in range(1, self.rank + 1)]
 
     def apply(self, g: Word, x: Word) -> Word:
-        return self._check_cap(self.compose(g, x))
+        return self._check_cap(g if x == IDENTITY else self.compose(g, x))
 
     def neighbors(self, x: Word) -> list[Word]:
         back = self._inverse[x[-1]] if x else None
@@ -536,6 +536,22 @@ class ExplicitGraphModel(ActionModel):
         }
 
 
+def check_int(value, what: str) -> int:
+    """``value`` itself if it is an int (a bool is not), else a ModelError naming ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_rows(value, field: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ModelError(f"model spec field {field!r} must be a list of lists")
+    for row in value:
+        for v in row:
+            check_int(v, f"an entry of model spec field {field!r}")
+    return value
+
+
 def build_model(spec: dict) -> ActionModel:
     """Build and validate a model from a spec document.
 
@@ -547,15 +563,17 @@ def build_model(spec: dict) -> ActionModel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ModelError("model spec must be a mapping with a 'kind' field")
     kind = spec["kind"]
-    cap = spec.get("cap", 64)
+    cap = check_int(spec.get("cap", 64), "model spec field 'cap'")
     if kind == "free-group":
-        model: ActionModel = FreeGroupModel(rank=spec.get("rank", 2), cap=cap)
+        model: ActionModel = FreeGroupModel(rank=check_int(spec.get("rank", 2), "model spec field 'rank'"), cap=cap)
     elif kind == "free-product":
         model = FreeProductModel(cap=cap)
     elif kind == "cycle":
-        model = CycleModel(n=spec.get("n", 0))
+        model = CycleModel(n=check_int(spec.get("n", 0), "model spec field 'n'"))
     elif kind == "explicit-graph":
-        model = ExplicitGraphModel(spec.get("adjacency", []), spec.get("generators", []))
+        model = ExplicitGraphModel(
+            _int_rows(spec.get("adjacency", []), "adjacency"), _int_rows(spec.get("generators", []), "generators")
+        )
     else:
         raise ModelError(f"unsupported model kind {kind!r}")
     _validate_isometries(model)

@@ -79,7 +79,10 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int) -> Oracl
     failure is reported: either a trivially-acting word itself, or the
     quotient w1 * w2^-1 of the first evaluation collision (which can be
     longer than the depth at which it was detected).  Displacements of the
-    base point are folded into the embedding stats.
+    base point are folded into the embedding stats: every word of a level
+    has the same length, so each level's least and greatest displacement
+    become exact ratios once per level (a level cut short by a relation
+    included), the same values as one ratio per word.
     """
     if depth < 1:
         raise ModelError("depth must be >= 1")
@@ -98,22 +101,41 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int) -> Oracl
     level: list[tuple[Word, Word]] = [((), ())]
     for length in range(1, depth + 1):
         next_level = []
+        lo = hi = None  # least and greatest displacement on this level so far
         for word, value in level:
             for l in (1, -1, 2, -2):
                 if word and word[-1] == -l:
                     continue
                 w, v = word + (l,), model.compose(value, letters[l])
-                if v in seen:
+                prev = seen.setdefault(v, w)
+                if prev is not w:
                     # w acts trivially, or two distinct words evaluate to the same element.
-                    rel = w if v == IDENTITY else model_free_quotient(seen[v], w)
+                    rel = w if v == IDENTITY else model_free_quotient(prev, w)
+                    min_ratio, max_ratio = _fold(min_ratio, max_ratio, lo, hi, length)
                     return OracleReport(length, "relation-found", rel, min_ratio, _fit_L(min_ratio, max_ratio))
-                seen[v] = w
-                r = Fraction(model.distance(base, model.apply(v, base)), length)
-                min_ratio = r if min_ratio is None else min(min_ratio, r)
-                max_ratio = r if max_ratio is None else max(max_ratio, r)
+                d = model.distance(base, model.apply(v, base))
+                if lo is None:
+                    lo = hi = d
+                elif d < lo:
+                    lo = d
+                elif d > hi:
+                    hi = d
                 next_level.append((w, v))
+        min_ratio, max_ratio = _fold(min_ratio, max_ratio, lo, hi, length)
         level = next_level
     return OracleReport(depth, "free-to-depth", None, min_ratio, _fit_L(min_ratio, max_ratio))
+
+
+def _fold(
+    min_ratio: Optional[Fraction], max_ratio: Optional[Fraction], lo: Optional[int], hi: Optional[int], length: int
+) -> tuple[Optional[Fraction], Optional[Fraction]]:
+    """The extreme ratios with one level's displacements ``lo``..``hi`` over ``length`` folded in."""
+    if lo is None:
+        return min_ratio, max_ratio
+    lo_r, hi_r = Fraction(lo, length), Fraction(hi, length)
+    if min_ratio is None:
+        return lo_r, hi_r
+    return min(min_ratio, lo_r), max(max_ratio, hi_r)
 
 
 def model_free_quotient(w1: Word, w2: Word) -> Word:

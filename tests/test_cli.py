@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, document round-trips, determinism."""
 
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -225,3 +226,72 @@ def test_demo_certificates_match_their_golden_bytes(monkeypatch, capsys):
         code = main(run_["argv"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]
+
+
+def _certificate_with(tmp_path, **fields):
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--model", str(REPO / "demos/models/f2.json"), "--a", "a", "--b", "b",
+                 "--criterion", "nielsen", "--no-verify", "--out", str(cert)]) == 0
+    doc = {**json.loads(cert.read_text()), **fields}
+    cert.write_text(json.dumps(doc))
+    return cert
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [
+        ("spec", {"kind": "free-group", "rank": "x"}),
+        ("spec", {"kind": "free-group", "rank": 2.5}),
+        ("spec", {"kind": "free-group", "rank": True}),
+        ("spec", {"kind": "free-group", "cap": "big"}),
+        ("spec", {"kind": "cycle", "n": "5"}),
+        ("spec", {"kind": "explicit-graph", "adjacency": [["1"], [0]]}),
+        ("spec", {"kind": "explicit-graph", "adjacency": [[1], [0]], "generators": 5}),
+        ("cert", {"elements": {"a": 5, "b": [2]}}),
+        ("cert", {"elements": {"a": [1.0], "b": [2]}}),
+        ("cert", {"exponents": {"n_min": "5"}}),
+        ("cert", {"exponents": [1]}),
+    ],
+)
+def test_a_field_of_the_wrong_type_is_invalid_input(kind, content, tmp_path, capsys):
+    if kind == "spec":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(content))
+        argv = ["delta", "--model", str(spec), "--radius", "1"]
+    else:
+        argv = ["verify", "--certificate", str(_certificate_with(tmp_path, **content)), "--depth", "1"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_the_shared_parser_carries_nothing_from_call_to_call(monkeypatch, capsys):
+    certify = ["certify", "--model", str(REPO / "demos/models/f2.json"), "--a", "a", "--b", "b",
+               "--criterion", "nielsen", "--no-verify", "--window", "16"]
+
+    def delta_of(argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["constants"]["delta"]
+
+    freecert.cli.build_parser.cache_clear()
+    first = main(certify), capsys.readouterr()
+    assert delta_of(certify + ["--delta", "1"]) == {"value": 1, "provenance": "config-override"}
+    assert delta_of(certify) == {"value": 0, "provenance": "tree-case"}
+    assert main(certify + ["--bogus"]) == 2
+    capsys.readouterr()
+    assert (main(certify), capsys.readouterr()) == first
+
+    # One parser (and its eight subparsers) for any number of calls.
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    freecert.cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert main(certify) == 0
+    assert len(built) == 9, built

@@ -133,6 +133,16 @@ def test_apply_examples(f2):
     assert f2.apply((), (1, 2)) == (1, 2)
 
 
+@pytest.mark.parametrize("model", [FreeGroupModel(2, cap=4), FreeProductModel(cap=4)], ids=["F2", "ZxZ2"])
+def test_apply_at_the_identity_is_g_and_still_capped(model):
+    # The base point is the identity, so the oracle applies every word there.
+    for g in [(), (1,), (1, 2, 1), (1, 2, 1, 2)]:
+        g = model.canon(g)
+        assert model.apply(g, IDENTITY) == g
+    with pytest.raises(CapExceeded):
+        model.apply((1, 2, 1, 2, 1), IDENTITY)
+
+
 # -- geodesics and balls ------------------------------------------------------
 
 

@@ -1,8 +1,11 @@
 """Brute-force word oracle: triviality, freeness to depth, embeddings, sweeps."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from freecert import FreeGroupModel, FreeProductModel, exceptional_sweep, freeness_to_depth
+from freecert import CycleModel, FreeGroupModel, FreeProductModel, exceptional_sweep, freeness_to_depth
 from freecert.models import IDENTITY
 from freecert.oracle import evaluate
 
@@ -106,3 +109,43 @@ def test_sweep_rows_sorted_by_total_exponent(f2):
     table = exceptional_sweep(f2, A, B, range(1, 4), range(1, 4), 2)
     totals = [row["n"] + row["m"] for row in table.rows()]
     assert totals == sorted(totals)
+
+
+def _ratios_word_by_word(model, a, b, depth):
+    """(min, max) of Fraction(d(x, wx), |w|), one Fraction per word the oracle visits.
+
+    Words go in the oracle's order, length then lex over (1, -1, 2, -2), up
+    to the first that repeats a value, which the oracle reports as a relation.
+    """
+    base, seen, ratios = model.basepoint(), {IDENTITY}, []
+    for length in range(1, depth + 1):
+        for w in itertools.product((1, -1, 2, -2), repeat=length):
+            if any(x == -y for x, y in zip(w, w[1:])):
+                continue
+            v = evaluate(model, w, a, b)
+            if v in seen:
+                return min(ratios), max(ratios)
+            seen.add(v)
+            ratios.append(Fraction(model.distance(base, model.apply(v, base)), length))
+    return min(ratios), max(ratios)
+
+
+@pytest.mark.parametrize(
+    "model, a, b, depth, verdict",
+    [
+        (FreeGroupModel(2, cap=64), (1, 2), (2, 2, -1), 4, "free-to-depth"),
+        # Displacements 1 and 3 on level one; the relation a b^-1 = a^-1 a^-1
+        # is the fourth word of level two.
+        (CycleModel(50), (1,), (1, 1, 1), 3, "relation-found"),
+        # f^2 s, f^2: the relation is found at the eighth word of level two,
+        # whose first seven words lower the least ratio from 2 to 1/2.
+        (FreeProductModel(cap=512), (1, 1, 2), (1, 1), 4, "relation-found"),
+    ],
+    ids=["F2", "C50", "ZxZ2-torsion"],
+)
+def test_ratios_folded_per_level_match_a_fraction_per_word(model, a, b, depth, verdict):
+    report = freeness_to_depth(model, a, b, depth)
+    lo, hi = _ratios_word_by_word(model, a, b, depth)
+    assert report.verdict == verdict
+    assert report.min_displacement_ratio == lo
+    assert report.fitted_L == max(hi, 1 / lo, Fraction(1))
