@@ -7,7 +7,7 @@ quantity in every freeness criterion: powers only need to clear D plus a
 buffer before ping-pong kicks in.
 """
 
-from freecert import FreeGroupModel, classify, independence_test, overlap_diameter, quasi_axis
+from freecert import FreeGroupModel, classify, displacement_power, independence_test, overlap_diameter, quasi_axis
 
 model = FreeGroupModel(2, cap=512)
 
@@ -15,8 +15,7 @@ for word, name in [((1,), "a"), ((1, 2), "ab"), ((1, 2, -1), "aba^-1")]:
     p = classify(model, word, delta=0)
     print(f"{name}: tr = {p.tr_lower} (exact), hyperbolic = {p.hyperbolic}")
 
-p = classify(model, (1,), delta=0, power_cap=128)
-print("displacement criterion first fires for a at power", p.criterion1_power)
+print("displacement criterion first fires for a at power", displacement_power(model, (1,), delta=0))
 
 axis_a = quasi_axis(model, classify(model, (1,), 0), window=6, delta=0)
 axis_b = quasi_axis(model, classify(model, (2,), 0), window=6, delta=0)

@@ -32,6 +32,7 @@ from .isometry import (
     IsometryProfile,
     OverlapReport,
     classify,
+    displacement_power,
     independence_test,
     overlap_diameter,
     quasi_axis,

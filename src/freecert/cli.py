@@ -36,13 +36,30 @@ from .certifier import (
     validate_certificate,
 )
 from .hyperbolicity import DEFAULT_TRIPLE_BUDGET, compute_delta
-from .isometry import classify, overlap_diameter, quasi_axis
+from .isometry import classify, displacement_power, overlap_diameter, quasi_axis
 from .models import ActionModel, CapExceeded, ModelError, Word, build_model, parse_letters
 from .oracle import exceptional_sweep, freeness_to_depth
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.
+
+    json's indenting encoder is pure Python, and its nested closures leave
+    reference cycles behind on every call; this recursion leaves none.
+    """
+    if isinstance(value, dict) and value:
+        inner = newline + "  "
+        items = [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+        return "{" + ",".join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        return "[" + ",".join([inner + _json_text(v, inner) for v in value]) + newline + "]"
+    return json.dumps(value)
+
+
 def _write_doc(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    text = _json_text(doc) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -113,8 +130,9 @@ def _cmd_profile(args) -> int:
     delta, _ = _resolve_delta(model, args)
     g = _element(model, args.a)
     profile = classify(model, g, delta)
-    doc = {"command": "profile", "delta": delta, **profile.to_doc()}
+    doc = {"command": "profile", "delta": delta, **profile.to_doc(), "criterion1_power": None}
     if profile.hyperbolic == "yes":
+        doc["criterion1_power"] = displacement_power(model, profile.element, delta)
         axis = quasi_axis(model, profile, window=args.window, delta=delta)
         doc["axis"] = {
             "mode": axis.mode,

@@ -5,7 +5,8 @@ flag.  Where the model knows the exact length (its
 ``exact_translation_length``: the cyclically reduced length on a Cayley
 tree, 0 on a finite model) the interval collapses to it; everywhere else
 the estimator is conservative, so downstream certificate inequalities can
-always pick the safe end.  An axis is built from the element's profile
+always pick the safe end; an exact length also decides hyperbolicity (g
+is hyperbolic iff it is > 0).  An axis is built from the element's profile
 and starts at the model's ``min_displacement_point``.
 """
 
@@ -44,7 +45,6 @@ class IsometryProfile:
     tr_upper: Fraction
     exact: bool
     hyperbolic: str
-    criterion1_power: Optional[int] = None
 
     def to_doc(self) -> dict:
         return {
@@ -53,7 +53,6 @@ class IsometryProfile:
             "tr_upper": str(self.tr_upper),
             "exact": self.exact,
             "hyperbolic": self.hyperbolic,
-            "criterion1_power": self.criterion1_power,
         }
 
 
@@ -116,58 +115,67 @@ def translation_length(model: ActionModel, g: Word):
 
 
 def classify(model: ActionModel, g: Word, delta: int, power_cap: int = 128) -> IsometryProfile:
-    """Hyperbolicity verdict for g, with the displacement-criterion power.
+    """Hyperbolicity verdict for g.
 
-    Records the least n <= power_cap at which some sampled p satisfies
-    |p - g^n p| <= |g^n p - g^-n p| - 100(delta+1).  ``unknown`` is a
-    legitimate outcome: the criterion is sufficient, not complete.
+    An exact translation length tau decides it: ``yes`` iff tau > 0.  Without
+    one: ``no`` if a power g^n, n <= power_cap, is the identity first; ``yes``
+    if :func:`displacement_power` finds a power or tr_lower > 0; ``no`` if g
+    fixes a sampled point; else ``unknown``, as the criterion is not complete.
     """
     if power_cap < 1:
         raise ModelError("power_cap must be >= 1")
     g = model.canon(g)
     tr_lower, tr_upper, exact = translation_length(model, g)
+    if exact:
+        verdict = HYPERBOLIC_YES if tr_lower > 0 else HYPERBOLIC_NO
+    else:
+        power, finite_order = _displacement_search(model, g, delta, power_cap)
+        if finite_order:
+            verdict = HYPERBOLIC_NO
+        elif power is not None or tr_lower > 0:
+            verdict = HYPERBOLIC_YES
+        elif any(model.apply(g, p) == p for p in _criterion_sample(model)):
+            verdict = HYPERBOLIC_NO
+        else:
+            verdict = HYPERBOLIC_UNKNOWN
+    return IsometryProfile(g, tr_lower, tr_upper, exact, verdict)
 
-    sample = [model.basepoint()] + model.ball(model.basepoint(), 1)[1:3]
-    criterion1_power = None
-    finite_order = g == IDENTITY
+
+def displacement_power(model: ActionModel, g: Word, delta: int, power_cap: int = 128) -> Optional[int]:
+    """The least n <= power_cap at which some sampled p satisfies
+    |p - g^n p| <= |g^n p - g^-n p| - 100(delta+1), or None.  The search also
+    stops, with None, at a power of g that is the identity and once every
+    sampled point outgrows the model cap.  g must be canonical.
+    """
+    return _displacement_search(model, g, delta, power_cap)[0]
+
+
+def _criterion_sample(model: ActionModel) -> list:
+    return [model.basepoint()] + model.ball(model.basepoint(), 1)[1:3]
+
+
+def _displacement_search(model: ActionModel, g: Word, delta: int, power_cap: int) -> tuple[Optional[int], bool]:
+    """(:func:`displacement_power`, whether the search met a power of g that is the identity)."""
+    sample = _criterion_sample(model)
     margin = 100 * (delta + 1)
-    fwd = ()
+    fwd = IDENTITY
     for n in range(1, power_cap + 1):
         fwd = model.compose(fwd, g)
         if fwd == IDENTITY:
-            finite_order = True
-            break
+            return None, True
         bwd = model.inverse(fwd)
-        if criterion1_power is None:
-            overflowed = 0
-            for p in sample:
-                try:
-                    fp, bp = model.apply(fwd, p), model.apply(bwd, p)
-                except CapExceeded:
-                    overflowed += 1
-                    continue
-                if model.distance(p, fp) <= model.distance(fp, bp) - margin:
-                    criterion1_power = n
-                    break
-            if overflowed == len(sample):
-                break  # points can no longer be expanded; the search is over
-        if criterion1_power is not None:
-            break
-
-    if finite_order:
-        verdict = HYPERBOLIC_NO
-    elif criterion1_power is not None or tr_lower > 0:
-        verdict = HYPERBOLIC_YES
-    elif exact and tr_lower == 0:
-        verdict = HYPERBOLIC_NO
-    elif any(model.apply(g, p) == p for p in sample):
-        verdict = HYPERBOLIC_NO
-    else:
-        verdict = HYPERBOLIC_UNKNOWN
-
-    if verdict == HYPERBOLIC_NO:
-        criterion1_power = None
-    return IsometryProfile(g, tr_lower, tr_upper, exact, verdict, criterion1_power)
+        overflowed = 0
+        for p in sample:
+            try:
+                fp, bp = model.apply(fwd, p), model.apply(bwd, p)
+            except CapExceeded:
+                overflowed += 1
+                continue
+            if model.distance(p, fp) <= model.distance(fp, bp) - margin:
+                return n, False
+        if overflowed == len(sample):
+            break  # points can no longer be expanded; the search is over
+    return None, False
 
 
 class EdgePath:

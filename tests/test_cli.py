@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, document round-trips, determinism."""
 
 import argparse
+import gc
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,13 +11,15 @@ import pytest
 
 import freecert
 from freecert import analyze_pair, build_witness_chain, build_model, chain_base_points, validate_certificate
-from freecert.cli import main
+from freecert.cli import _write_doc, main
 
 MODELS = {
     "f2.json": {"kind": "free-group", "rank": 2, "cap": 512},
     "zxz2.json": {"kind": "free-product", "cap": 256},
     "c4.json": {"kind": "cycle", "n": 4},
     "c3.json": {"kind": "cycle", "n": 3},
+    "c500.json": {"kind": "cycle", "n": 500},
+    "f1000.json": {"kind": "free-group", "rank": 1000},
 }
 
 
@@ -123,6 +127,22 @@ def test_capped_sweep_cell_is_unchecked_with_the_reason(model_dir, capsys):
                             "reason": "word length 360 exceeds expansion cap 256"}]
 
 
+def test_profile_of_a_finite_rotation_is_not_hyperbolic(model_dir, capsys):
+    # delta is brute-forced as 0 on an arc of the 500-cycle, where the displacement
+    # criterion passes; the rotation still has finite order, so: "no", and no axis.
+    assert run(model_dir, "profile", "--model", "@c500.json", "--a", "r") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["delta"], doc["exact"], doc["hyperbolic"], doc["criterion1_power"]) == (0, True, "no", None)
+    assert "axis" not in doc
+
+
+def test_an_oversized_ball_is_refused_fast(model_dir, capsys):
+    start = time.perf_counter()
+    assert run(model_dir, "delta", "--model", "@f1000.json") == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err.startswith("error: a ball of radius 4 holds more than")
+
+
 def test_delta_c4_reports_one(model_dir, capsys):
     assert run(model_dir, "delta", "--model", "@c4.json") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -226,6 +246,46 @@ def test_demo_certificates_match_their_golden_bytes(monkeypatch, capsys):
         code = main(run_["argv"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]
+
+
+def test_profile_documents_match_their_golden_bytes(monkeypatch, capsys):
+    # tests/data/profile_f2.json holds the stdout of profile on a, ab and aba'
+    # in F2, criterion1_power included, recorded while classify still searched
+    # for that power itself.  The test only reads it.
+    monkeypatch.chdir(REPO)
+    golden = json.loads((REPO / "tests/data/profile_f2.json").read_text())
+    assert len(golden) == 3
+    for run_ in golden:
+        code = main(run_["argv"])
+        assert (code, capsys.readouterr().out) == (run_["exit"], run_["stdout"]), run_["argv"]
+
+
+DOCS = [
+    {},
+    [],
+    {"empty": {}, "none": [], "nested": [[], [{}], [1, [2.5, [None, True]]]], 7: "int key", "tuple": (1, 2)},
+    {"text": "naïve ∂ \"quoted\"\n", "ключ": ["ü", {"deep": {"er": [-0.0, 10**30]}}]},
+]
+
+
+def test_documents_are_written_as_json_dumps_writes_them(tmp_path, capsys):
+    for doc in DOCS:
+        _write_doc(doc, None)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+        _write_doc(doc, str(tmp_path / "doc.json"))
+        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_writing_a_document_leaves_no_reference_cycles(tmp_path):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _write_doc(DOCS[2], str(tmp_path / "doc.json"))
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def _certificate_with(tmp_path, **fields):

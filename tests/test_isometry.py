@@ -11,6 +11,7 @@ from freecert import (
     FreeGroupModel,
     FreeProductModel,
     classify,
+    displacement_power,
     independence_test,
     overlap_diameter,
     quasi_axis,
@@ -95,24 +96,55 @@ def test_translation_length_generic_interval():
 def test_classify_generator_criterion_power(f2):
     p = classify(f2, (1,), delta=0, power_cap=128)
     assert p.hyperbolic == "yes"
-    assert p.criterion1_power == 100
     assert (p.tr_lower, p.tr_upper) == (1, 1)
+    assert displacement_power(f2, (1,), 0, power_cap=128) == 100
 
 
 def test_classify_small_power_cap_still_yes(f2):
     p = classify(f2, (1,), delta=0, power_cap=10)
     assert p.hyperbolic == "yes"
-    assert p.criterion1_power is None
+    assert displacement_power(f2, (1,), 0, power_cap=10) is None
 
 
 def test_classify_torsion_is_no(zz2):
     p = classify(zz2, (2,), delta=0)
     assert p.hyperbolic == "no"
-    assert p.criterion1_power is None
+    assert displacement_power(zz2, (2,), 0) is None
 
 
 def test_classify_identity_is_no(f2):
     assert classify(f2, (), delta=0).hyperbolic == "no"
+
+
+def test_classify_searches_without_an_exact_length():
+    # Without an exact length the verdict comes from the displacement search.
+    generic = _GenericF2(2, cap=512)
+    p = classify(generic, (1,), delta=0)
+    assert (p.exact, p.hyperbolic) == (False, "yes")
+    assert displacement_power(generic, (1,), 0) == 100
+    p = classify(_GenericZxZ2(cap=256), (2,), delta=0)
+    assert (p.exact, p.hyperbolic) == (False, "no")  # s * s is the identity
+
+
+def test_a_rotation_of_a_large_finite_model_is_not_hyperbolic():
+    # The rotation's order is beyond power_cap; on the 500-cycle the displacement
+    # criterion even passes at delta 0 (n = 100), yet the exact length 0 says "no".
+    assert displacement_power(CycleModel(500), (1,), 0) == 100
+    n = 300
+    cycle = ExplicitGraphModel([[(v - 1) % n, (v + 1) % n] for v in range(n)], [[(v + 1) % n for v in range(n)]])
+    for model in (CycleModel(500), cycle):
+        p = classify(model, (1,), delta=0)
+        assert (p.tr_lower, p.exact, p.hyperbolic) == (0, True, "no")
+
+
+def test_exact_length_verdict_matches_the_displacement_criterion(f2, zz2):
+    # On a tree, tau > 0 iff the criterion finds a power: 161 words of F2 and 46 of Z * Z/2.
+    for model, size in ((f2, 161), (zz2, 46)):
+        words = model.group_ball(4)
+        assert len(words) == size
+        for g in words:
+            p = classify(model, g, 0)
+            assert (p.hyperbolic == "yes") == (p.tr_lower > 0) == (displacement_power(model, g, 0) is not None), g
 
 
 # -- axes ----------------------------------------------------------------------

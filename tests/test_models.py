@@ -176,6 +176,16 @@ def test_group_ball_bfs_order(f2):
     assert all(len(w) <= 2 for w in ball)
 
 
+def test_a_ball_beyond_the_budget_is_refused(f2):
+    # Radius 8 in F2 (13,121 points) is the largest ball the tests build; radius 10
+    # (118,097) and radius 2 in F1000 (about four million) are refused.
+    assert len(f2.ball((), 8)) == 13121 < FreeGroupModel.BALL_BUDGET
+    for build in (lambda: f2.ball((), 10), lambda: FreeGroupModel(1000).ball((), 2),
+                  lambda: FreeGroupModel(1000).group_ball(2)):
+        with pytest.raises(ModelError, match="holds more than 100000 points"):
+            build()
+
+
 # -- the tree model against reference normal forms ---------------------------
 
 
