@@ -12,14 +12,14 @@ from freecert import FreeGroupModel, classify, displacement_power, independence_
 model = FreeGroupModel(2, cap=512)
 
 for word, name in [((1,), "a"), ((1, 2), "ab"), ((1, 2, -1), "aba^-1")]:
-    p = classify(model, word, delta=0)
-    print(f"{name}: tr = {p.tr_lower} (exact), hyperbolic = {p.hyperbolic}")
+    p = classify(model, word)
+    print(f"{name}: tr = {p.tr}, hyperbolic = {p.hyperbolic}")
 
 print("displacement criterion first fires for a at power", displacement_power(model, (1,), delta=0))
 
-axis_a = quasi_axis(model, classify(model, (1,), 0), window=6, delta=0)
-axis_b = quasi_axis(model, classify(model, (2,), 0), window=6, delta=0)
-axis_ab = quasi_axis(model, classify(model, (1, 2), 0), window=6, delta=0)
+axis_a = quasi_axis(model, classify(model, (1,)), window=6, delta=0)
+axis_b = quasi_axis(model, classify(model, (2,)), window=6, delta=0)
+axis_ab = quasi_axis(model, classify(model, (1, 2)), window=6, delta=0)
 print("\naxis of a:", axis_a.mode, "defect", axis_a.invariance_defect)
 
 print("\noverlap diameters (c = 10 delta = 0):")

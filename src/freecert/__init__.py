@@ -36,7 +36,6 @@ from .isometry import (
     independence_test,
     overlap_diameter,
     quasi_axis,
-    translation_length,
 )
 from .models import (
     ActionModel,

@@ -3,8 +3,8 @@
 Each certifying operation re-verifies its defining inequalities on the
 measured quantities at emission time and refuses (raises
 :class:`CertificateRefused`) rather than emit an optimistic claim.
-Interval discipline: wherever a translation length must be large we use
-tr_lower, wherever it must be small we use tr_upper.  The criteria share
+Translation lengths are the models' exact ones, as Fractions, so every
+inequality is decided on exact values.  The criteria share
 their ending: ``_measured_D`` reads the axis overlap D (refusing when the
 window cannot bound it) and ``_emit`` builds every certificate, so each
 criterion holds only its own inequality.
@@ -30,7 +30,6 @@ from .isometry import (
     overlap_diameter,
     overlap_points,
     quasi_axis,
-    translation_length,
 )
 from .models import ActionModel, ModelError, Word, check_int
 from .oracle import evaluate, freeness_to_depth
@@ -114,7 +113,7 @@ def lemma5_bound(delta: int, P: int, K20: int, L20: int, tr_max: Fraction, slack
 def _least_power(threshold: Fraction, tr: Fraction) -> int:
     """Smallest n >= 1 with n * tr >= threshold."""
     if tr <= 0:
-        raise CertificateRefused("translation length lower bound is not positive")
+        raise CertificateRefused("translation length is not positive")
     return max(1, ceil(Fraction(threshold) / tr))
 
 
@@ -282,8 +281,8 @@ def analyze_pair(
     window: int = 8,
     c: Optional[int] = None,
 ) -> PairAnalysis:
-    pa = classify(model, a, delta)
-    pb = classify(model, b, delta)
+    pa = classify(model, a)
+    pb = classify(model, b)
     if pa.hyperbolic != HYPERBOLIC_YES or pb.hyperbolic != HYPERBOLIC_YES:
         raise CertificateRefused("both elements must be verified hyperbolic")
     verdict, witness = independence_test(model, pa.element, pb.element, INDEPENDENCE_BOUND)
@@ -383,7 +382,7 @@ def nielsen_certify(
     else:
         raise ModelError(f"unknown epsilon mode {epsilon_mode!r}")
 
-    tr_a, tr_b = analysis.profile_a.tr_lower, analysis.profile_b.tr_lower
+    tr_a, tr_b = analysis.profile_a.tr, analysis.profile_b.tr
     threshold = D + eps
     if exponents is None:
         n, m = _least_power(threshold, tr_a), _least_power(threshold, tr_b)
@@ -406,7 +405,7 @@ def nielsen_certify(
         if not (n * tr_a >= threshold and m * tr_b >= threshold):
             raise CertificateRefused("computed exponents fail the defining inequality")
 
-    lam = (eps / 100 - delta) ** -1 * max(n * analysis.profile_a.tr_upper, m * analysis.profile_b.tr_upper)
+    lam = (eps / 100 - delta) ** -1 * max(n * tr_a, m * tr_b)
     details = {
         "lambda": _num_str(lam),
         "predicted_embedding_L": _num_str(min(n * tr_a, m * tr_b) / lam),
@@ -438,13 +437,13 @@ def prop6_certify(
     analysis = analyze_pair(model, a, b, delta, window)
     pa, pb = analysis.profile_a, analysis.profile_b
 
-    if not pb.tr_upper <= pa.tr_lower:
+    if not pb.tr <= pa.tr:
         raise CertificateRefused("ratio precondition fails: tr(b) > tr(a); swap the roles")
-    if not pa.tr_upper / q <= pb.tr_lower:
+    if not pa.tr / q <= pb.tr:
         raise CertificateRefused("ratio precondition fails: tr(b) < tr(a)/q")
 
     D = _measured_D(analysis)
-    bound = lemma5_bound(delta, P, K20, L20, pa.tr_upper)
+    bound = lemma5_bound(delta, P, K20, L20, pa.tr)
     if not Fraction(D) < bound:
         raise CertificateRefused(
             f"measured overlap D = {D} violates the commutator bound {bound}: empirical constants too small"
@@ -455,16 +454,16 @@ def prop6_certify(
     return _emit("prop6", model, analysis, constants, own, N6, ceil(q * N6), {"lemma5_bound": _num_str(bound)})
 
 
-def _prop7_E(D: int, delta: int, P: int, K20: int, L20: int, tr_f_upper: Fraction) -> Fraction:
-    return D + 100 * (delta + 1) + 10 * P * K20 * L20 * tr_f_upper
+def _prop7_E(D: int, delta: int, P: int, K20: int, L20: int, tr_f: Fraction) -> Fraction:
+    return D + 100 * (delta + 1) + 10 * P * K20 * L20 * tr_f
 
 
-def choose_Q(tr_a_lower: Fraction, tr_a_upper: Fraction, tr_g_lower: Fraction, tr_g_upper: Fraction):
+def choose_Q(tr_a: Fraction, tr_g: Fraction):
     """Integer Q with tr(a)/100 <= Q*tr(g) <= tr(a)/50, plus the interval."""
-    lo = tr_a_upper / (100 * tr_g_lower)
-    hi = tr_a_lower / (50 * tr_g_upper)
+    lo = tr_a / (100 * tr_g)
+    hi = tr_a / (50 * tr_g)
     Q = max(1, ceil(lo))
-    if Q * tr_g_upper > tr_a_lower / 50:
+    if Q > hi:
         raise CertificateRefused("Q interval is empty: tr(g) too large relative to tr(f^n)")
     return Q, (lo, hi)
 
@@ -487,16 +486,16 @@ def prop7_certify(
     pf, pg = analysis.profile_a, analysis.profile_b
     D = _measured_D(analysis)
 
-    if not pg.tr_upper <= pf.tr_lower:
+    if not pg.tr <= pf.tr:
         raise CertificateRefused("condition 1 fails: tr(g) > tr(f)")
-    if not Fraction(D) <= 2 * pf.tr_lower:
+    if not Fraction(D) <= 2 * pf.tr:
         raise CertificateRefused(f"condition 2 fails: D = {D} > 2 tr(f)")
 
-    E = _prop7_E(D, delta, P, K20, L20, pf.tr_upper)
-    N7 = _least_power(1000 * E, pf.tr_lower)
-    if not N7 * pf.tr_lower >= 1000 * E:
+    E = _prop7_E(D, delta, P, K20, L20, pf.tr)
+    N7 = _least_power(1000 * E, pf.tr)
+    if not N7 * pf.tr >= 1000 * E:
         raise CertificateRefused("computed threshold fails the defining inequality")
-    Q, (q_lo, q_hi) = choose_Q(N7 * pf.tr_lower, N7 * pf.tr_upper, pg.tr_lower, pg.tr_upper)
+    Q, (q_lo, q_hi) = choose_Q(N7 * pf.tr, pg.tr)
 
     own = {"E": (E, "paper-formula"), "N7": (N7, "paper-formula"), "Q": (Q, "paper-formula")}
     return _emit("prop7", model, analysis, constants, own, N7, 1, {"Q_interval": [_num_str(q_lo), _num_str(q_hi)]})
@@ -506,9 +505,9 @@ def prop8_threshold(pf: IsometryProfile, pg: IsometryProfile, D: int, constants:
     """Per-pair N: least n with tr(f^n) >= 1000 E and tr(g) <= tr(f^n)/100."""
     delta, P = cval(constants, "delta"), cval(constants, "P")
     K20, L20 = cval(constants, "K20"), cval(constants, "L20")
-    E = _prop7_E(D, delta, P, K20, L20, pf.tr_upper)
-    n1 = _least_power(1000 * E, pf.tr_lower)
-    n2 = _least_power(100 * pg.tr_upper, pf.tr_lower)
+    E = _prop7_E(D, delta, P, K20, L20, pf.tr)
+    n1 = _least_power(1000 * E, pf.tr)
+    n2 = _least_power(100 * pg.tr, pf.tr)
     return max(n1, n2), E
 
 
@@ -559,12 +558,12 @@ def theorem9_certify(
     if not quasi_mode and {analysis.axis_a.mode, analysis.axis_b.mode} != {"geodesic-axis"}:
         raise CertificateRefused("theorem9 mode requires geodesic axes; use theorem14 mode")
 
-    swapped = analysis.profile_b.tr_lower > analysis.profile_a.tr_lower
+    swapped = analysis.profile_b.tr > analysis.profile_a.tr
     big, small = (analysis.profile_b, analysis.profile_a) if swapped else (analysis.profile_a, analysis.profile_b)
 
     D = _measured_D(analysis)
     slack = 10000 if quasi_mode else 100
-    bound = lemma5_bound(delta, P, K20, L20, big.tr_upper, slack)
+    bound = lemma5_bound(delta, P, K20, L20, big.tr, slack)
     if not Fraction(D) < bound:
         raise CertificateRefused(
             f"measured D = {D} violates the commutator bound {bound}: empirical constants inconsistent"
@@ -575,11 +574,11 @@ def theorem9_certify(
     M = m_formula(delta, P, K20, L20, N6, N7)
 
     # Case replay on measured quantities, in the theorem's order.
-    if small.tr_upper / big.tr_lower > Fraction(N6, M):
+    if small.tr / big.tr > Fraction(N6, M):
         branch = "step1-prop6"
-    elif M * small.tr_lower > D + 100 * (delta + 1):
+    elif M * small.tr > D + 100 * (delta + 1):
         branch = "step2-nielsen"
-    elif Fraction(D) <= 2 * big.tr_lower:
+    elif Fraction(D) <= 2 * big.tr:
         branch = "step3-prop7"
     else:
         raise CertificateRefused(
@@ -695,7 +694,7 @@ def build_witness_chain(
     a, b = model.canon(a), model.canon(b)
     syl = word_syllables(word)
     case = word_case(syl)
-    tr_a = Fraction(translation_length(model, a)[0])
+    tr_a = Fraction(model.exact_translation_length(a))
 
     failures: list = []
     conditions: dict = {}

@@ -129,7 +129,7 @@ def _cmd_profile(args) -> int:
     model = _load_model(args.model)
     delta, _ = _resolve_delta(model, args)
     g = _element(model, args.a)
-    profile = classify(model, g, delta)
+    profile = classify(model, g)
     doc = {"command": "profile", "delta": delta, **profile.to_doc(), "criterion1_power": None}
     if profile.hyperbolic == "yes":
         doc["criterion1_power"] = displacement_power(model, profile.element, delta)
@@ -147,8 +147,8 @@ def _cmd_overlap(args) -> int:
     model = _load_model(args.model)
     delta, _ = _resolve_delta(model, args)
     a, b = _element(model, args.a), _element(model, args.b)
-    axis_a = quasi_axis(model, classify(model, a, delta), window=args.window, delta=delta)
-    axis_b = quasi_axis(model, classify(model, b, delta), window=args.window, delta=delta)
+    axis_a = quasi_axis(model, classify(model, a), window=args.window, delta=delta)
+    axis_b = quasi_axis(model, classify(model, b), window=args.window, delta=delta)
     c = args.c if args.c is not None else 10 * delta
     report = overlap_diameter(model, axis_a, axis_b, c)
     _write_doc({"command": "overlap", "delta": delta, **report.to_doc()}, args.out)

@@ -1,13 +1,10 @@
 """Per-isometry analysis: translation length, hyperbolicity, axes, overlaps.
 
-Translation lengths are intervals [tr_lower, tr_upper] with an exactness
-flag.  Where the model knows the exact length (its
+The translation length of g is the model's exact one (its
 ``exact_translation_length``: the cyclically reduced length on a Cayley
-tree, 0 on a finite model) the interval collapses to it; everywhere else
-the estimator is conservative, so downstream certificate inequalities can
-always pick the safe end; an exact length also decides hyperbolicity (g
-is hyperbolic iff it is > 0).  An axis is built from the element's profile
-and starts at the model's ``min_displacement_point``.
+tree, 0 on a finite model), a single rational number, and g is hyperbolic
+iff it is > 0.  An axis is built from the element's profile and starts at
+the model's ``min_displacement_point``.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word
 
 HYPERBOLIC_YES = "yes"
 HYPERBOLIC_NO = "no"
-HYPERBOLIC_UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -41,17 +37,16 @@ class AxisData:
 @dataclass(frozen=True)
 class IsometryProfile:
     element: Word
-    tr_lower: Fraction
-    tr_upper: Fraction
-    exact: bool
+    tr: Fraction
     hyperbolic: str
 
     def to_doc(self) -> dict:
+        # The document keeps the interval keys of its schema; both ends are tr.
         return {
             "element": list(self.element),
-            "tr_lower": str(self.tr_lower),
-            "tr_upper": str(self.tr_upper),
-            "exact": self.exact,
+            "tr_lower": str(self.tr),
+            "tr_upper": str(self.tr),
+            "exact": True,
             "hyperbolic": self.hyperbolic,
         }
 
@@ -76,69 +71,12 @@ class OverlapReport:
         }
 
 
-# Powers n <= TRANSLATION_DEPTH (and 2n) feed the generic translation-length bounds.
-TRANSLATION_DEPTH = 12
-
-
-def translation_length(model: ActionModel, g: Word):
-    """Translation length interval (tr_lower, tr_upper, exact).
-
-    Generic bounds: tr_upper = min_n d(x, g^n x)/n (subadditivity);
-    tr_lower = max_n (d(x, g^2n x) - d(x, g^n x))/n, floored at 0.
-    g must be canonical: the generic bounds apply it to points.
-    """
-    exact = model.exact_translation_length(g)
-    if exact is not None:
-        v = Fraction(exact)
-        return v, v, True
-
-    bases = [model.basepoint()]
-    bases.extend(model.ball(model.basepoint(), 2)[1:4])
-    lower = Fraction(0)
-    upper: Optional[Fraction] = None
-    for x in bases:
-        disp = {}
-        p = x
-        for n in range(1, 2 * TRANSLATION_DEPTH + 1):
-            p = model.apply(g, p)
-            disp[n] = model.distance(x, p)
-        for n in range(1, TRANSLATION_DEPTH + 1):
-            u = Fraction(disp[n], n)
-            upper = u if upper is None else min(upper, u)
-            lo = Fraction(disp[2 * n] - disp[n], n)
-            if lo > lower:
-                lower = lo
-    assert upper is not None
-    if lower > upper:
-        lower = upper
-    return lower, upper, False
-
-
-def classify(model: ActionModel, g: Word, delta: int, power_cap: int = 128) -> IsometryProfile:
-    """Hyperbolicity verdict for g.
-
-    An exact translation length tau decides it: ``yes`` iff tau > 0.  Without
-    one: ``no`` if a power g^n, n <= power_cap, is the identity first; ``yes``
-    if :func:`displacement_power` finds a power or tr_lower > 0; ``no`` if g
-    fixes a sampled point; else ``unknown``, as the criterion is not complete.
-    """
-    if power_cap < 1:
-        raise ModelError("power_cap must be >= 1")
+def classify(model: ActionModel, g: Word) -> IsometryProfile:
+    """Translation length and hyperbolicity verdict for g: ``yes`` iff the
+    model's exact translation length is > 0."""
     g = model.canon(g)
-    tr_lower, tr_upper, exact = translation_length(model, g)
-    if exact:
-        verdict = HYPERBOLIC_YES if tr_lower > 0 else HYPERBOLIC_NO
-    else:
-        power, finite_order = _displacement_search(model, g, delta, power_cap)
-        if finite_order:
-            verdict = HYPERBOLIC_NO
-        elif power is not None or tr_lower > 0:
-            verdict = HYPERBOLIC_YES
-        elif any(model.apply(g, p) == p for p in _criterion_sample(model)):
-            verdict = HYPERBOLIC_NO
-        else:
-            verdict = HYPERBOLIC_UNKNOWN
-    return IsometryProfile(g, tr_lower, tr_upper, exact, verdict)
+    tr = Fraction(model.exact_translation_length(g))
+    return IsometryProfile(g, tr, HYPERBOLIC_YES if tr > 0 else HYPERBOLIC_NO)
 
 
 def displacement_power(model: ActionModel, g: Word, delta: int, power_cap: int = 128) -> Optional[int]:
@@ -147,22 +85,13 @@ def displacement_power(model: ActionModel, g: Word, delta: int, power_cap: int =
     stops, with None, at a power of g that is the identity and once every
     sampled point outgrows the model cap.  g must be canonical.
     """
-    return _displacement_search(model, g, delta, power_cap)[0]
-
-
-def _criterion_sample(model: ActionModel) -> list:
-    return [model.basepoint()] + model.ball(model.basepoint(), 1)[1:3]
-
-
-def _displacement_search(model: ActionModel, g: Word, delta: int, power_cap: int) -> tuple[Optional[int], bool]:
-    """(:func:`displacement_power`, whether the search met a power of g that is the identity)."""
-    sample = _criterion_sample(model)
+    sample = [model.basepoint()] + model.ball(model.basepoint(), 1)[1:3]
     margin = 100 * (delta + 1)
     fwd = IDENTITY
     for n in range(1, power_cap + 1):
         fwd = model.compose(fwd, g)
         if fwd == IDENTITY:
-            return None, True
+            return None
         bwd = model.inverse(fwd)
         overflowed = 0
         for p in sample:
@@ -172,10 +101,10 @@ def _displacement_search(model: ActionModel, g: Word, delta: int, power_cap: int
                 overflowed += 1
                 continue
             if model.distance(p, fp) <= model.distance(fp, bp) - margin:
-                return n, False
+                return n
         if overflowed == len(sample):
             break  # points can no longer be expanded; the search is over
-    return None, False
+    return None
 
 
 class EdgePath:

@@ -2,7 +2,7 @@
 
 Every other module operates on an :class:`ActionModel`, which also owns
 the structure the isometry layer needs: the exact translation length of an
-element where the model knows it, and a point of least displacement.
+element, and a point of least displacement for a hyperbolic one.
 Three desk-scale families are built in:
 
 * :class:`CyclicFreeProductModel` -- a free product of copies of Z and
@@ -75,15 +75,17 @@ class ActionModel:
     must provide canonical forms for group elements, the action, the
     vertex metric, and neighbor enumeration in a fixed total order
     (generator index, then sign) so BFS-based geodesics are deterministic.
+    An infinite model also provides exact translation lengths and the axis
+    base point of a hyperbolic element.
     """
 
     kind: str = "abstract"
     is_tree = False
     order: Optional[int] = None  # size of the acting group; None when infinite
     generator_names: tuple[str, ...] = ()
-    DISPLACEMENT_SEARCH_RADIUS = 8  # ball searched by min_displacement_point
-    # Most points a ball may hold: the largest the tests, demos and benchmark
-    # build is 13,121 (radius 8 in F2); radius 10 in F2 (118,097) is refused.
+    # Most points a ball, or an enumerated group, may hold: the largest the tests,
+    # demos and benchmark build is 13,121 (radius 8 in F2); radius 10 in F2
+    # (118,097) is refused.
     BALL_BUDGET = 100_000
 
     # -- group structure ------------------------------------------------
@@ -131,11 +133,11 @@ class ActionModel:
             for p in frontier:
                 for q in successors(p):
                     if q not in seen:
+                        if len(order) == self.BALL_BUDGET:
+                            raise ModelError(f"a ball of radius {radius} holds more than {self.BALL_BUDGET} points")
                         seen.add(q)
                         order.append(q)
                         nxt.append(q)
-                if len(order) > self.BALL_BUDGET:
-                    raise ModelError(f"a ball of radius {radius} holds more than {self.BALL_BUDGET} points")
             frontier = nxt
         return order
 
@@ -185,22 +187,22 @@ class ActionModel:
 
     # -- isometry structure ----------------------------------------------
 
-    def exact_translation_length(self, g: Word) -> Optional[int]:
-        """Exact translation length of g, or None where the model knows none.
+    def exact_translation_length(self, g: Word) -> int:
+        """Exact translation length of g.
 
-        In a finite group every orbit is bounded, so every length is 0.
+        In a finite group every orbit is bounded, so every length is 0; an
+        infinite model must give its own.
         """
-        return 0 if self.order is not None else None
+        if self.order is None:
+            raise NotImplementedError(f"{type(self).__name__} has no exact translation length")
+        return 0
 
     def min_displacement_point(self, g: Word):
-        """A point moved least by g: the least (d(p, gp), point_key(p)) on a ball."""
-        best = None
-        best_key = None
-        for p in self.ball(self.basepoint(), self.DISPLACEMENT_SEARCH_RADIUS):
-            key = (self.distance(p, self.apply(g, p)), self.point_key(p))
-            if best_key is None or key < best_key:
-                best_key, best = key, p
-        return best
+        """A point moved least by a hyperbolic g, on its axis.
+
+        Only an infinite model has hyperbolic elements, and it must give its own.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no axis base point")
 
     def spec_dict(self) -> dict:
         raise NotImplementedError
@@ -405,9 +407,10 @@ class CycleModel(ActionModel):
 class ExplicitGraphModel(ActionModel):
     """A finite graph acted on by the group generated by given automorphisms.
 
-    The full group is enumerated up front (it is a subgroup of Sym(V)), and
-    each element's canonical form is the shortest, lexicographically least
-    word over the generator alphabet producing its permutation.
+    The full group is enumerated up front (it is a subgroup of Sym(V); one
+    of more than BALL_BUDGET elements is refused), and each element's
+    canonical form is the shortest, lexicographically least word over the
+    generator alphabet producing its permutation.
     """
 
     kind = "explicit-graph"
@@ -445,7 +448,7 @@ class ExplicitGraphModel(ActionModel):
         gens: list[tuple[int, Word]] = []
         for i, p in enumerate(self._perms, start=1):
             inv = tuple(sorted(range(self.n), key=lambda v: p[v]))
-            gens.append((i, p))
+            gens.append((i, p))  # generator order, positive letter first
             gens.append((-i, inv))
         table = {identity: IDENTITY}
         frontier = [identity]
@@ -453,9 +456,11 @@ class ExplicitGraphModel(ActionModel):
             nxt = []
             for perm in frontier:
                 base = table[perm]
-                for letter, g in sorted(gens, key=lambda t: (abs(t[0]), t[0] < 0)):
+                for letter, g in gens:
                     comp = tuple(g[perm[v]] for v in range(self.n))
                     if comp not in table:
+                        if len(table) == self.BALL_BUDGET:
+                            raise ModelError(f"the generated group has more than {self.BALL_BUDGET} elements")
                         table[comp] = base + (letter,)
                         nxt.append(comp)
             frontier = nxt

@@ -32,7 +32,6 @@ from freecert import (
     resolve_constants,
     theorem9_certify,
     three_points_check,
-    translation_length,
 )
 from freecert.models import IDENTITY
 from freecert.oracle import evaluate
@@ -68,18 +67,17 @@ def test_criterion_1_tree_exactness():
 def test_criterion_2_translation_length_laws():
     with criterion(2, "translation length laws: tr(g^k) = k tr(g), conjugation invariance"):
         model = FreeGroupModel(2, cap=512)
+        tr = model.exact_translation_length
         rng = random.Random(20)
         for _ in range(20):
             g = random_element(model, rng, 6)
-            lo, hi, exact = translation_length(model, g)
-            assert exact and lo == hi
             for k in range(1, 6):
-                assert translation_length(model, model.power(g, k))[0] == k * lo
+                assert tr(model.power(g, k)) == k * tr(g)
         for _ in range(20):
             g = random_element(model, rng, 6)
             h = random_element(model, rng, 6)
             conj = model.compose(h, g, model.inverse(h))
-            assert translation_length(model, conj)[0] == translation_length(model, g)[0]
+            assert tr(conj) == tr(g)
 
 
 def test_criterion_3_three_points_soundness():
@@ -169,16 +167,16 @@ def test_criterion_6_power_displacement():
             assert P0 == 1
             for w in words:
                 g = model.canon(w)
-                profile = classify(model, g, 0, power_cap=8)
+                profile = classify(model, g)
                 if profile.hyperbolic == "yes":
-                    assert translation_length(model, model.power(g, P0))[0] >= 1
+                    assert model.exact_translation_length(model.power(g, P0)) >= 1
         finite = [
             CycleModel(5),
             ExplicitGraphModel([[1, 3], [0, 2], [1, 3], [0, 2]], [[1, 2, 3, 0]]),
         ]
         for model in finite:
             for g in model.group_ball(6):
-                assert classify(model, g, 1, power_cap=16).hyperbolic != "yes"
+                assert classify(model, g).hyperbolic != "yes"
 
 
 def test_criterion_7_overlap_bound():
@@ -193,12 +191,12 @@ def test_criterion_7_overlap_bound():
             b = random_element(model, rng, 4)
             if independence_test(model, a, b, 3)[0] != "independent-to-bound":
                 continue
-            axis_a = quasi_axis(model, classify(model, a, 0), window=6, delta=0)
-            axis_b = quasi_axis(model, classify(model, b, 0), window=6, delta=0)
+            axis_a = quasi_axis(model, classify(model, a), window=6, delta=0)
+            axis_b = quasi_axis(model, classify(model, b), window=6, delta=0)
             rep = overlap_diameter(model, axis_a, axis_b, 0)
             if rep.unbounded_in_window:
                 continue
-            tr_max = max(translation_length(model, a)[0], translation_length(model, b)[0])
+            tr_max = max(model.exact_translation_length(a), model.exact_translation_length(b))
             assert rep.D < 4 * 1 * K * L * tr_max, (a, b, rep.D, tr_max)
             checked += 1
 

@@ -20,6 +20,12 @@ MODELS = {
     "c3.json": {"kind": "cycle", "n": 3},
     "c500.json": {"kind": "cycle", "n": 500},
     "f1000.json": {"kind": "free-group", "rank": 1000},
+    # K9 with a 9-cycle and a transposition: they generate S9, 362,880 elements.
+    "k9.json": {
+        "kind": "explicit-graph",
+        "adjacency": [[u for u in range(9) if u != v] for v in range(9)],
+        "generators": [[(v + 1) % 9 for v in range(9)], [1, 0, 2, 3, 4, 5, 6, 7, 8]],
+    },
 }
 
 
@@ -143,6 +149,13 @@ def test_an_oversized_ball_is_refused_fast(model_dir, capsys):
     assert capsys.readouterr().err.startswith("error: a ball of radius 4 holds more than")
 
 
+def test_an_oversized_group_is_refused_fast(model_dir, capsys):
+    start = time.perf_counter()
+    assert run(model_dir, "delta", "--model", "@k9.json") == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == "error: the generated group has more than 100000 elements\n"
+
+
 def test_delta_c4_reports_one(model_dir, capsys):
     assert run(model_dir, "delta", "--model", "@c4.json") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -248,16 +261,27 @@ def test_demo_certificates_match_their_golden_bytes(monkeypatch, capsys):
         assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]
 
 
-def test_profile_documents_match_their_golden_bytes(monkeypatch, capsys):
-    # tests/data/profile_f2.json holds the stdout of profile on a, ab and aba'
-    # in F2, criterion1_power included, recorded while classify still searched
-    # for that power itself.  The test only reads it.
+def _assert_profiles_match(name, monkeypatch, capsys):
     monkeypatch.chdir(REPO)
-    golden = json.loads((REPO / "tests/data/profile_f2.json").read_text())
+    golden = json.loads((REPO / "tests/data" / name).read_text())
     assert len(golden) == 3
     for run_ in golden:
         code = main(run_["argv"])
         assert (code, capsys.readouterr().out) == (run_["exit"], run_["stdout"]), run_["argv"]
+
+
+def test_profile_documents_match_their_golden_bytes(monkeypatch, capsys):
+    # tests/data/profile_f2.json holds the stdout of profile on a, ab and aba'
+    # in F2, criterion1_power included, recorded while classify still searched
+    # for that power itself.  The test only reads it.
+    _assert_profiles_match("profile_f2.json", monkeypatch, capsys)
+
+
+def test_not_hyperbolic_profile_documents_match_their_golden_bytes(monkeypatch, capsys):
+    # tests/data/profile_no.json holds the stdout of profile on s and fsf' in
+    # Z * Z/2 and on r in the 4-cycle, all "no", recorded while a profile still
+    # held a translation length interval.  The test only reads it.
+    _assert_profiles_match("profile_no.json", monkeypatch, capsys)
 
 
 DOCS = [

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from freecert import (
+    ActionModel,
     CycleModel,
     EdgePath,
     ExplicitGraphModel,
@@ -15,7 +16,6 @@ from freecert import (
     independence_test,
     overlap_diameter,
     quasi_axis,
-    translation_length,
 )
 
 
@@ -33,97 +33,68 @@ def zz2():
 
 
 def test_translation_length_examples(f2):
-    assert translation_length(f2, (1,)) == (1, 1, True)
-    assert translation_length(f2, (1, 2, -1)) == (1, 1, True)
-    assert translation_length(f2, ()) == (0, 0, True)
+    assert classify(f2, (1,)).tr == 1
+    assert classify(f2, (1, 2, -1)).tr == 1
+    assert classify(f2, ()).tr == 0
 
 
 def test_translation_length_torsion(zz2):
-    assert translation_length(zz2, (2,)) == (0, 0, True)
-    assert translation_length(zz2, (1, 2, -1)) == (0, 0, True)  # conjugate of s
+    assert classify(zz2, (2,)).tr == 0
+    assert classify(zz2, (1, 2, -1)).tr == 0  # conjugate of s
 
 
 def test_translation_length_homogeneous(f2):
     rng = random.Random(11)
     for _ in range(12):
         w = f2.canon(tuple(rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 6))))
-        lo, hi, exact = translation_length(f2, w)
-        assert exact and lo == hi
+        tr = classify(f2, w).tr
         for k in range(1, 5):
-            assert translation_length(f2, f2.power(w, k))[0] == k * lo
+            assert classify(f2, f2.power(w, k)).tr == k * tr
 
 
 def test_translation_length_finite_model_is_exact_zero():
-    lo, hi, exact = translation_length(CycleModel(6), (1,))
-    assert exact and lo == hi == 0  # finite model: every orbit is bounded
+    assert classify(CycleModel(6), (1,)).tr == 0  # finite model: every orbit is bounded
 
 
-class _NoExactLength:
-    """Hides the model's exact translation length, so the generic bounds run."""
+class _InfiniteLine(ActionModel):
+    """Z acting on the line by translation, with no exact translation length of its own."""
 
-    def exact_translation_length(self, g):
-        return None
-
-
-class _GenericF2(_NoExactLength, FreeGroupModel):
-    pass
+    def canon(self, word):
+        e = sum(word)
+        return (1,) * e if e >= 0 else (-1,) * -e
 
 
-class _GenericZxZ2(_NoExactLength, FreeProductModel):
-    pass
-
-
-def test_translation_length_generic_interval():
-    cases = [
-        # identity, generators, a conjugate, a commutator and mixed words
-        (_GenericF2(2, cap=512), FreeGroupModel(2, cap=512),
-         [(), (1,), (-2,), (1, 2), (1, 2, -1), (1, 1, -2), (2, 1, -2, -2), (1, 2, -1, -2)]),
-        # torsion (s and a conjugate of it) next to hyperbolic words
-        (_GenericZxZ2(cap=512), FreeProductModel(cap=512),
-         [(2,), (1, 2, -1), (1,), (1, 2), (2, 1, 2), (1, 1, 2, -1)]),
-    ]
-    for generic, exact, words in cases:
-        for w in words:
-            true_tr = exact.exact_translation_length(w)
-            lo, hi, is_exact = translation_length(generic, w)
-            assert is_exact is False
-            assert lo <= true_tr <= hi, (w, lo, true_tr, hi)
+def test_an_infinite_model_without_an_exact_length_is_refused():
+    # No silent verdict: the model must give the length, or classify raises.
+    with pytest.raises(NotImplementedError, match="_InfiniteLine has no exact translation length"):
+        classify(_InfiniteLine(), (1,))
+    with pytest.raises(NotImplementedError, match="_InfiniteLine has no axis base point"):
+        _InfiniteLine().min_displacement_point((1,))
 
 
 # -- classification -----------------------------------------------------------
 
 
 def test_classify_generator_criterion_power(f2):
-    p = classify(f2, (1,), delta=0, power_cap=128)
-    assert p.hyperbolic == "yes"
-    assert (p.tr_lower, p.tr_upper) == (1, 1)
+    p = classify(f2, (1,))
+    assert (p.tr, p.hyperbolic) == (1, "yes")
     assert displacement_power(f2, (1,), 0, power_cap=128) == 100
 
 
 def test_classify_small_power_cap_still_yes(f2):
-    p = classify(f2, (1,), delta=0, power_cap=10)
-    assert p.hyperbolic == "yes"
+    # The verdict never depended on the power the displacement search reaches.
+    assert classify(f2, (1,)).hyperbolic == "yes"
     assert displacement_power(f2, (1,), 0, power_cap=10) is None
 
 
 def test_classify_torsion_is_no(zz2):
-    p = classify(zz2, (2,), delta=0)
+    p = classify(zz2, (2,))
     assert p.hyperbolic == "no"
     assert displacement_power(zz2, (2,), 0) is None
 
 
 def test_classify_identity_is_no(f2):
-    assert classify(f2, (), delta=0).hyperbolic == "no"
-
-
-def test_classify_searches_without_an_exact_length():
-    # Without an exact length the verdict comes from the displacement search.
-    generic = _GenericF2(2, cap=512)
-    p = classify(generic, (1,), delta=0)
-    assert (p.exact, p.hyperbolic) == (False, "yes")
-    assert displacement_power(generic, (1,), 0) == 100
-    p = classify(_GenericZxZ2(cap=256), (2,), delta=0)
-    assert (p.exact, p.hyperbolic) == (False, "no")  # s * s is the identity
+    assert classify(f2, ()).hyperbolic == "no"
 
 
 def test_a_rotation_of_a_large_finite_model_is_not_hyperbolic():
@@ -133,8 +104,8 @@ def test_a_rotation_of_a_large_finite_model_is_not_hyperbolic():
     n = 300
     cycle = ExplicitGraphModel([[(v - 1) % n, (v + 1) % n] for v in range(n)], [[(v + 1) % n for v in range(n)]])
     for model in (CycleModel(500), cycle):
-        p = classify(model, (1,), delta=0)
-        assert (p.tr_lower, p.exact, p.hyperbolic) == (0, True, "no")
+        p = classify(model, (1,))
+        assert (p.tr, p.hyperbolic) == (0, "no")
 
 
 def test_exact_length_verdict_matches_the_displacement_criterion(f2, zz2):
@@ -143,29 +114,29 @@ def test_exact_length_verdict_matches_the_displacement_criterion(f2, zz2):
         words = model.group_ball(4)
         assert len(words) == size
         for g in words:
-            p = classify(model, g, 0)
-            assert (p.hyperbolic == "yes") == (p.tr_lower > 0) == (displacement_power(model, g, 0) is not None), g
+            p = classify(model, g)
+            assert (p.hyperbolic == "yes") == (p.tr > 0) == (displacement_power(model, g, 0) is not None), g
 
 
 # -- axes ----------------------------------------------------------------------
 
 
 def test_axis_of_generator(f2):
-    axis = quasi_axis(f2, classify(f2, (1,), 0), window=3, delta=0)
+    axis = quasi_axis(f2, classify(f2, (1,)), window=3, delta=0)
     assert axis.mode == "geodesic-axis"
     assert axis.invariance_defect == 0
     assert axis.path == tuple((1,) * k if k >= 0 else (-1,) * (-k) for k in range(-3, 4))
 
 
 def test_axis_of_conjugate(f2):
-    axis = quasi_axis(f2, classify(f2, (1, 2, -1), 0), window=2, delta=0)
+    axis = quasi_axis(f2, classify(f2, (1, 2, -1)), window=2, delta=0)
     assert axis.mode == "geodesic-axis"
     expected = {f2.compose((1,), (2,) * k if k >= 0 else (-2,) * (-k)) for k in range(-2, 3)}
     assert expected <= set(axis.path)
 
 
 def test_axis_of_ab(f2):
-    axis = quasi_axis(f2, classify(f2, (1, 2), 0), window=2, delta=0)
+    axis = quasi_axis(f2, classify(f2, (1, 2)), window=2, delta=0)
     assert axis.mode == "geodesic-axis"
     assert axis.step == 2
     for p in ((), (1,), (1, 2), (1, 2, 1), (-2,)):
@@ -176,8 +147,8 @@ def test_axis_of_ab(f2):
 
 
 def overlap_of(model, g, h, c=0, window=6):
-    aa = quasi_axis(model, classify(model, g, 0), window=window, delta=0)
-    bb = quasi_axis(model, classify(model, h, 0), window=window, delta=0)
+    aa = quasi_axis(model, classify(model, g), window=window, delta=0)
+    bb = quasi_axis(model, classify(model, h), window=window, delta=0)
     return overlap_diameter(model, aa, bb, c)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freecert import (
+    ActionModel,
     CapExceeded,
     CycleModel,
     CyclicFreeProductModel,
@@ -184,6 +185,32 @@ def test_a_ball_beyond_the_budget_is_refused(f2):
                   lambda: FreeGroupModel(1000).group_ball(2)):
         with pytest.raises(ModelError, match="holds more than 100000 points"):
             build()
+
+
+class _Star(ActionModel):
+    """A centre 0 joined to the leaves 1..leaves, whose neighbours are listed lazily."""
+
+    BALL_BUDGET = 10
+
+    def __init__(self, leaves):
+        self.leaves, self.read = leaves, 0
+
+    def neighbors(self, x):
+        if x:
+            yield 0
+            return
+        for leaf in range(1, self.leaves + 1):
+            assert leaf <= self.BALL_BUDGET, "read a point past the first one beyond the budget"
+            self.read = leaf
+            yield leaf
+
+
+def test_a_ball_is_refused_at_the_first_point_beyond_the_budget():
+    assert _Star(9).ball(0, 1) == list(range(10))  # exactly BALL_BUDGET points
+    star = _Star(1000)
+    with pytest.raises(ModelError, match="a ball of radius 1 holds more than 10 points"):
+        star.ball(0, 1)
+    assert star.read == 10  # the centre and leaves 1..10: point BALL_BUDGET + 1 refuses
 
 
 # -- the tree model against reference normal forms ---------------------------
