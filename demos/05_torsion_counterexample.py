@@ -27,7 +27,7 @@ for n in (1, 3, 6):
     g = model.canon((1,) * n + (2,))
     h = model.canon((1,) * n)
     analysis = analyze_pair(model, g, h, delta=0, window=6)
-    report = freeness_to_depth(model, g, h, 4)
+    report = freeness_to_depth(model, g, h, 1, 1, 4)
     print(
         f"n = {n}: independence {independence_test(model, g, h, 3)[0]}, "
         f"D = {analysis.overlap.D}, oracle {report.verdict} {list(report.relation)}"
@@ -44,3 +44,4 @@ except CertificateRefused as exc:
 
 table = exceptional_sweep(model, g, h, range(1, 4), range(1, 4), 4)
 print("\nexceptional cells in the 3 x 3 exponent grid:", table.exceptional_pairs)
+print("the relation in cell (1, 1):", list(table.reports[(1, 1)].relation))

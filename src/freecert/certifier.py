@@ -394,8 +394,9 @@ def nielsen_certify(
         formula_satisfied = n * tr_a >= threshold and m * tr_b >= threshold
 
     if epsilon_mode == "sharp-experimental":
-        ga, gb = analysis.profile_a.element, analysis.profile_b.element
-        check = freeness_to_depth(model, model.power(ga, n), model.power(gb, m), oracle_depth)
+        check = freeness_to_depth(model, analysis.profile_a.element, analysis.profile_b.element, n, m, oracle_depth)
+        if check.verdict == "unchecked":
+            raise CertificateRefused(f"oracle back-check could not run at exponents ({n}, {m}): {check.reason}")
         if check.verdict != "free-to-depth":
             raise CertificateRefused(
                 f"oracle back-check found a relation at exponents ({n}, {m}): {list(check.relation)}"

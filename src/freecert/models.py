@@ -22,7 +22,8 @@ Every word a model method returns is canonical, and the identity is
 ``compose``, ``inverse``, ``power`` and ``apply`` take canonical words;
 ``canon`` reduces and range-checks words where they come in: the CLI, and
 each library function that takes a caller's words (``classify``,
-``independence_test``, ``build_witness_chain``, the oracle's two).
+``independence_test``, ``build_witness_chain``, and ``freeness_to_depth``,
+which reduces a and b once and forms their powers itself).
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ class ActionModel:
         order = [start]
         frontier = [start]
         for _ in range(radius):
+            if not frontier:
+                break  # the whole component is listed; a larger radius adds nothing
             nxt = []
             for p in frontier:
                 for q in successors(p):
@@ -237,6 +240,8 @@ class CyclicFreeProductModel(ActionModel):
             raise ModelError(f"factor orders must be None (Z) or 2 (Z/2), got {list(orders)}")
         if len(names) != len(orders):
             raise ModelError("one generator name per factor required")
+        if 1 + sum(1 if o == 2 else 2 for o in orders) > self.BALL_BUDGET:
+            raise ModelError(f"a ball of radius 1 holds more than {self.BALL_BUDGET} points")
         self.orders = tuple(orders)
         self.generator_names = tuple(names)
         self.cap = cap
@@ -396,9 +401,6 @@ class CycleModel(ActionModel):
 
     def point_key(self, x: int):
         return x
-
-    def ball(self, center: int, r: int) -> list[int]:
-        return super().ball(center, min(r, self.n))
 
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "n": self.n}

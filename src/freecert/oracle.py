@@ -3,12 +3,14 @@ orbit displacement statistics, and exponent-grid sweeps.
 
 This module is deliberately independent of the certifier's formulas: it
 only ever evaluates words through the model's exact canonical forms, so it
-can confirm or refute certificates without sharing their reasoning.
+can confirm or refute certificates without sharing their reasoning.  It
+takes a, b and the exponents of a claim about <a^n, b^m>, forms the powers
+itself, and alone decides what a run reports, ``unchecked`` included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -18,13 +20,15 @@ from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word
 @dataclass(frozen=True)
 class OracleReport:
     depth: int
-    verdict: str  # "free-to-depth" | "relation-found"
+    verdict: str  # "free-to-depth" | "relation-found" | "unchecked"
     relation: Optional[Word]
     min_displacement_ratio: Optional[Fraction]
     fitted_L: Optional[Fraction]
-    fitted_C: Fraction = Fraction(0)
+    reason: Optional[str]  # why an unchecked run stopped: the model cap's message
 
     def to_doc(self) -> dict:
+        if self.verdict == "unchecked":
+            return {"verdict": self.verdict, "reason": self.reason}
         return {
             "depth": self.depth,
             "verdict": self.verdict,
@@ -33,28 +37,24 @@ class OracleReport:
             if self.min_displacement_ratio is not None
             else None,
             "fitted_L": str(self.fitted_L) if self.fitted_L is not None else None,
-            "fitted_C": str(self.fitted_C),
         }
 
 
 @dataclass
 class SweepTable:
-    cells: dict  # (n, m) -> verdict string
-    witnesses: dict  # (n, m) -> relation word
-    exceptional_pairs: list
-    reasons: dict = field(default_factory=dict)  # (n, m) -> why the cell is unchecked
+    reports: dict  # (n, m) -> OracleReport, small n + m first
+
+    @property
+    def exceptional_pairs(self) -> list:
+        return [nm for nm, report in self.reports.items() if report.verdict == "relation-found"]
 
     def rows(self) -> list[dict]:
         out = []
-        for (n, m) in sorted(self.cells, key=lambda t: (t[0] + t[1], t)):
-            row = {
-                "n": n,
-                "m": m,
-                "verdict": self.cells[(n, m)],
-                "witness": list(self.witnesses.get((n, m), ())) or None,
-            }
-            if (n, m) in self.reasons:
-                row["reason"] = self.reasons[(n, m)]
+        for (n, m), report in self.reports.items():
+            row = {"n": n, "m": m, "verdict": report.verdict,
+                   "witness": list(report.relation) if report.relation else None}
+            if report.reason is not None:
+                row["reason"] = report.reason
             out.append(row)
         return out
 
@@ -71,26 +71,34 @@ def evaluate(model: ActionModel, word: Word, a: Word, b: Word) -> Word:
     return out
 
 
-def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int) -> OracleReport:
-    """Check every reduced word in (a, b) up to ``depth`` for relations.
+def freeness_to_depth(model: ActionModel, a: Word, b: Word, n: int, m: int, depth: int) -> OracleReport:
+    """Check every reduced word in (a^n, b^m) up to ``depth`` for relations.
 
-    Free-to-depth means all words act nontrivially *and* pairwise
-    distinctly.  Words are visited in length-then-lex order and the first
-    failure is reported: either a trivially-acting word itself, or the
-    quotient w1 * w2^-1 of the first evaluation collision (which can be
-    longer than the depth at which it was detected).  Displacements of the
-    base point are folded into the embedding stats: every word of a level
-    has the same length, so each level's least and greatest displacement
-    become exact ratios once per level (a level cut short by a relation
-    included), the same values as one ratio per word.
+    a and b are reduced once, and the oracle forms a^n, b^m and their
+    inverses itself.  Free-to-depth means all words act nontrivially *and*
+    pairwise distinctly.  Words are visited in length-then-lex order and
+    the first failure is reported: either a trivially-acting word itself,
+    or the quotient w1 * w2^-1 of the first evaluation collision (which can
+    be longer than the depth at which it was detected).  Displacements of
+    the base point are folded into the embedding stats: every word of a
+    level has the same length, so each level's least and greatest
+    displacement become exact ratios once per level (a level cut short by
+    a relation included), the same values as one ratio per word.  A run
+    that the model cap stops is reported ``unchecked``, with the cap's
+    message as the reason.
     """
     if depth < 1:
         raise ModelError("depth must be >= 1")
-    a, b = model.canon(a), model.canon(b)
+    an, bm = model.power(model.canon(a), n), model.power(model.canon(b), m)
+    try:
+        return _search(model, {1: an, -1: model.inverse(an), 2: bm, -2: model.inverse(bm)}, depth)
+    except CapExceeded as exc:
+        return OracleReport(depth, "unchecked", None, None, None, str(exc))
+
+
+def _search(model: ActionModel, letters: dict, depth: int) -> OracleReport:
+    """The oracle's level-by-level pass over words in ``letters``, keyed 1, -1, 2, -2."""
     base = model.basepoint()
-
-    letters = {1: a, -1: model.inverse(a), 2: b, -2: model.inverse(b)}
-
     seen: dict[Word, Word] = {IDENTITY: ()}  # the empty word evaluates to the identity
     min_ratio: Optional[Fraction] = None
     max_ratio: Optional[Fraction] = None
@@ -112,7 +120,7 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int) -> Oracl
                     # w acts trivially, or two distinct words evaluate to the same element.
                     rel = w if v == IDENTITY else model_free_quotient(prev, w)
                     min_ratio, max_ratio = _fold(min_ratio, max_ratio, lo, hi, length)
-                    return OracleReport(length, "relation-found", rel, min_ratio, _fit_L(min_ratio, max_ratio))
+                    return OracleReport(length, "relation-found", rel, min_ratio, _fit_L(min_ratio, max_ratio), None)
                 d = model.distance(base, model.apply(v, base))
                 if lo is None:
                     lo = hi = d
@@ -123,7 +131,7 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, depth: int) -> Oracl
                 next_level.append((w, v))
         min_ratio, max_ratio = _fold(min_ratio, max_ratio, lo, hi, length)
         level = next_level
-    return OracleReport(depth, "free-to-depth", None, min_ratio, _fit_L(min_ratio, max_ratio))
+    return OracleReport(depth, "free-to-depth", None, min_ratio, _fit_L(min_ratio, max_ratio), None)
 
 
 def _fold(
@@ -165,26 +173,10 @@ def exceptional_sweep(
 ) -> SweepTable:
     """Grid sweep of (a^n, b^m) pairs, small n+m first.
 
-    Each cell records the oracle verdict, with the relation found or the
-    reason the model cap left the cell unchecked.
+    Each cell keeps its oracle report: the verdict, with the relation found
+    or the reason the model cap left the cell unchecked.
     """
     if depth < 2:
         raise ModelError("depth must be >= 2")
-    a, b = model.canon(a), model.canon(b)
-    cells: dict = {}
-    witnesses: dict = {}
-    reasons: dict = {}
-    exceptional = []
-    for n, m in sorted(((n, m) for n in n_range for m in m_range), key=lambda t: (t[0] + t[1], t)):
-        an, bm = model.power(a, n), model.power(b, m)
-        try:
-            report = freeness_to_depth(model, an, bm, depth)
-        except CapExceeded as exc:
-            cells[(n, m)] = "unchecked"
-            reasons[(n, m)] = str(exc)
-            continue
-        cells[(n, m)] = report.verdict
-        if report.verdict == "relation-found":
-            witnesses[(n, m)] = report.relation
-            exceptional.append((n, m))
-    return SweepTable(cells, witnesses, exceptional, reasons)
+    cells = sorted(((n, m) for n in n_range for m in m_range), key=lambda t: (t[0] + t[1], t))
+    return SweepTable({(n, m): freeness_to_depth(model, a, b, n, m, depth) for n, m in cells})

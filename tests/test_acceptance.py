@@ -136,8 +136,7 @@ def test_criterion_4_nielsen_pipeline():
         assert sum(counts[l] for l in range(1, 6)) == 484
 
         # Orbit displacements of the base point meet the predicted embedding constant 1.
-        an, bm = model.power(a, 100), model.power(b, 100)
-        report = freeness_to_depth(model, an, bm, 6)
+        report = freeness_to_depth(model, a, b, 100, 100, 6)
         assert report.verdict == "free-to-depth"
         assert report.min_displacement_ratio == 100
 
@@ -230,7 +229,7 @@ def test_criterion_9_torsion_pair_refusal():
             g = model.canon((1,) * n + (2,))
             h = model.canon((1,) * n)
             assert model.canon(evaluate(model, (-2, 1, -2, 1), g, h)) == IDENTITY  # (y^-1 x)^2 acts trivially
-            report = freeness_to_depth(model, g, h, 4)
+            report = freeness_to_depth(model, g, h, 1, 1, 4)
             assert report.verdict == "relation-found"
             assert len(report.relation) == 4
             assert model.canon(evaluate(model, report.relation, g, h)) == IDENTITY
@@ -263,7 +262,7 @@ def test_criterion_10_cross_validation():
             except CertificateRefused:
                 continue
             n, m = cert.exponents["n_min"], cert.exponents["m_min"]
-            report = freeness_to_depth(model, model.power(a, n), model.power(b, m), 6)
+            report = freeness_to_depth(model, a, b, n, m, 6)
             assert report.verdict == "free-to-depth", (a, b, n, m, report.relation)
             emitted += 1
         elapsed = time.monotonic() - start

@@ -150,6 +150,15 @@ def test_nielsen_sharp_mode_checks_the_canonical_pair():
     assert certify((1, -2, 2, 1, -2), (-2, -1, 1, 1)) == certify((1, 1, 2), (2, 1))
 
 
+def test_nielsen_sharp_mode_refuses_a_back_check_the_cap_stops():
+    model = FreeGroupModel(2, cap=512)
+    with pytest.raises(CertificateRefused) as exc:
+        nielsen_certify(model, (1, 2), (2, 1), resolve_constants(model, 0, "tree-case"),
+                        epsilon_mode="sharp-experimental", epsilon=Fraction(1), exponents=(200, 200))
+    assert str(exc.value) == ("oracle back-check could not run at exponents (200, 200): "
+                              "word length 800 exceeds expansion cap 512")
+
+
 def test_nielsen_torsion_partner_refused(zz2):
     with pytest.raises(CertificateRefused, match="hyperbolic"):
         nielsen_certify(zz2, (1,), (2,), resolve_constants(zz2, 0, "tree-case"))

@@ -1,6 +1,7 @@
 """Model layer: canonical forms, metrics, actions, geodesics, enumeration."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -420,6 +421,26 @@ def test_explicit_graph_apply_matches_the_letter_by_letter_permutation(make):
     assert len(group) == m.order
     for g in group:
         assert [m.apply(g, x) for x in range(m.n)] == list(m._perm_of(g))
+
+
+@pytest.mark.parametrize("make, diameter", [(lambda: CycleModel(4), 2), (_square, 2), (_torus_3x4, 3)],
+                         ids=["c4", "square", "torus3x4"])
+def test_a_radius_past_the_diameter_stops_with_the_whole_graph(make, diameter):
+    # BFS stops once its frontier is empty, so a radius of 10**12 lists the
+    # ball of radius = diameter at once instead of looping over nothing.
+    m = make()
+    assert m.ball(m.basepoint(), 10**12) == m.ball(m.basepoint(), diameter) == list(m.ball(m.basepoint(), m.n))
+    assert m.group_ball(10**12) == m.group_ball(m.order)
+
+
+def test_a_free_group_whose_first_shell_outgrows_the_budget_is_refused_before_its_tables():
+    # Rank k gives a radius-1 ball of 1 + 2k points: 100,001 at rank 50,000.
+    start = time.perf_counter()
+    for rank in (50_000, 10**6):
+        with pytest.raises(ModelError, match="a ball of radius 1 holds more than 100000 points"):
+            build_model({"kind": "free-group", "rank": rank})
+    assert time.perf_counter() - start < 0.5
+    assert build_model({"kind": "free-group", "rank": 49_999}).rank == 49_999
 
 
 # -- parsing and enumeration --------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from freecert import CycleModel, FreeGroupModel, FreeProductModel, exceptional_sweep, freeness_to_depth
-from freecert.models import IDENTITY
+from freecert.models import IDENTITY, CapExceeded, ModelError
 from freecert.oracle import evaluate
 
 
@@ -41,40 +41,60 @@ def test_torsion_relation_trivial(zz2):
 
 
 def test_freeness_classical_ping_pong(f2):
-    report = freeness_to_depth(f2, f2.power(A, 2), f2.power(B, 2), 6)
+    report = freeness_to_depth(f2, A, B, 2, 2, 6)
     assert report.verdict == "free-to-depth"
     assert report.relation is None
 
 
 def test_freeness_finds_torsion_relation(zz2):
     g, h = zz2.canon((1, 1, 2)), (1, 1)
-    report = freeness_to_depth(zz2, g, h, 4)
+    report = freeness_to_depth(zz2, g, h, 1, 1, 4)
     assert report.verdict == "relation-found"
     assert len(report.relation) == 4
     assert acts_trivially(zz2, report.relation, g, h)
 
 
 def test_freeness_equal_elements(f2):
-    report = freeness_to_depth(f2, A, A, 2)
+    report = freeness_to_depth(f2, A, A, 1, 1, 2)
     assert report.verdict == "relation-found"
     assert report.relation == (1, -2)
 
 
 def test_trivial_word_is_its_own_relation(f2):
     # a = 1, so the word a is itself the relation; the quotient a * 1^-1 would read (-1,).
-    report = freeness_to_depth(f2, (), B, 2)
+    report = freeness_to_depth(f2, (), B, 1, 1, 2)
     assert (report.verdict, report.depth, report.relation) == ("relation-found", 1, (1,))
 
 
 def test_embedding_fit_powers(f2):
     # Base-point displacements per letter, against the predicted embedding constant 1.
-    report = freeness_to_depth(f2, f2.power(A, 100), f2.power(B, 100), 3)
+    report = freeness_to_depth(f2, A, B, 100, 100, 3)
     assert report.verdict == "free-to-depth"
     assert report.min_displacement_ratio == 100
 
 
+def test_oracle_forms_the_powers_of_caller_words(f2):
+    # A raw a·a^-1·a reduces to a, and exponents reach the oracle as numbers:
+    # the same report as the powers handed over as words.
+    report = freeness_to_depth(f2, (1, -1, 1), B, 3, 2, 4)
+    assert report == freeness_to_depth(f2, f2.power(A, 3), f2.power(B, 2), 1, 1, 4)
+    assert report.verdict == "free-to-depth"
+
+
+def test_a_capped_run_is_unchecked_with_the_reason():
+    report = freeness_to_depth(FreeGroupModel(2, cap=8), A, B, 5, 5, 3)
+    assert (report.verdict, report.reason) == ("unchecked", "word length 10 exceeds expansion cap 8")
+    assert report.to_doc() == {"verdict": "unchecked", "reason": "word length 10 exceeds expansion cap 8"}
+
+
+def test_a_letter_out_of_range_is_still_invalid_input(f2):
+    with pytest.raises(ModelError, match="out of range") as exc:
+        freeness_to_depth(f2, (3,), B, 1, 1, 2)
+    assert not isinstance(exc.value, CapExceeded)
+
+
 def test_embedding_fit_generators_tight(f2):
-    report = freeness_to_depth(f2, A, B, 5)
+    report = freeness_to_depth(f2, A, B, 1, 1, 5)
     assert report.verdict == "free-to-depth"
     assert report.min_displacement_ratio == 1
 
@@ -82,14 +102,14 @@ def test_embedding_fit_generators_tight(f2):
 def test_sweep_free_pair_no_exceptions(f2):
     table = exceptional_sweep(f2, A, B, range(1, 6), range(1, 6), 4)
     assert table.exceptional_pairs == []
-    assert all(v == "free-to-depth" for v in table.cells.values())
+    assert all(r.verdict == "free-to-depth" for r in table.reports.values())
 
 
 def test_sweep_torsion_pair(zz2):
     table = exceptional_sweep(zz2, zz2.canon((1, 2)), (1,), range(1, 4), range(1, 4), 4)
     assert (1, 1) in table.exceptional_pairs
-    assert table.cells[(1, 1)] == "relation-found"
-    assert acts_trivially(zz2, table.witnesses[(1, 1)], zz2.canon((1, 2)), (1,))
+    assert table.reports[(1, 1)].verdict == "relation-found"
+    assert acts_trivially(zz2, table.reports[(1, 1)].relation, zz2.canon((1, 2)), (1,))
 
 
 def test_sweep_reduces_caller_words():
@@ -100,9 +120,19 @@ def test_sweep_reduces_caller_words():
     assert raw.exceptional_pairs and raw == canonical
 
 
+def test_sweep_keeps_one_report_per_cell_small_total_first():
+    table = exceptional_sweep(FreeGroupModel(2, cap=8), A, B, range(3, 5), range(4, 6), 2)
+    assert list(table.reports) == [(3, 4), (3, 5), (4, 4), (4, 5)]
+    # The longest word of length 2 is b^m b^m: m = 4 fits the cap of 8, m = 5 does not.
+    assert [r.verdict for r in table.reports.values()] == ["free-to-depth", "unchecked"] * 2
+    rows = table.rows()
+    assert rows[1]["reason"] == "word length 10 exceeds expansion cap 8" and "reason" not in rows[0]
+    assert table.exceptional_pairs == []
+
+
 def test_sweep_dependent_pair_all_relations(f2):
     table = exceptional_sweep(f2, A, f2.power(A, 2), range(1, 3), range(1, 3), 4)
-    assert all(v == "relation-found" for v in table.cells.values())
+    assert all(r.verdict == "relation-found" for r in table.reports.values())
 
 
 def test_sweep_rows_sorted_by_total_exponent(f2):
@@ -144,7 +174,7 @@ def _ratios_word_by_word(model, a, b, depth):
     ids=["F2", "C50", "ZxZ2-torsion"],
 )
 def test_ratios_folded_per_level_match_a_fraction_per_word(model, a, b, depth, verdict):
-    report = freeness_to_depth(model, a, b, depth)
+    report = freeness_to_depth(model, a, b, 1, 1, depth)
     lo, hi = _ratios_word_by_word(model, a, b, depth)
     assert report.verdict == verdict
     assert report.min_displacement_ratio == lo
