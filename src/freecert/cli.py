@@ -87,6 +87,8 @@ def _element(model: ActionModel, text: str) -> Word:
 
 def _resolve_delta(model: ActionModel, args) -> tuple[int, str]:
     if args.delta is not None:
+        if args.delta < 0:
+            raise ModelError(f"delta must be >= 0, got {args.delta}")
         return args.delta, "config-override"
     if model.is_tree:
         return 0, "tree-case"
@@ -146,10 +148,12 @@ def _cmd_profile(args) -> int:
 def _cmd_overlap(args) -> int:
     model = _load_model(args.model)
     delta, _ = _resolve_delta(model, args)
+    c = args.c if args.c is not None else 10 * delta
+    if c < 0:
+        raise ModelError(f"overlap radius c must be >= 0, got {c}")
     a, b = _element(model, args.a), _element(model, args.b)
     axis_a = quasi_axis(model, classify(model, a), window=args.window, delta=delta)
     axis_b = quasi_axis(model, classify(model, b), window=args.window, delta=delta)
-    c = args.c if args.c is not None else 10 * delta
     report = overlap_diameter(model, axis_a, axis_b, c)
     _write_doc({"command": "overlap", "delta": delta, **report.to_doc()}, args.out)
     return 0

@@ -5,9 +5,11 @@ just the canonical one, so downstream certificates see the worst case.
 Each side, the geodesics between one pair of points, is measured once, and
 the worst choice is taken one side at a time: a vertex of one side is
 measured against the farthest choice of each other side, never against
-every combination of choices.  A triple budget bounds the cost; exceeding
-it yields a clearly flagged sampled report, never a silently truncated
-"exhaustive" one.
+every combination of choices.  On a tree, whose geodesics are unique, a
+side is joined from its corners' branches out of the region's first
+point, each built once per call, with its vertices as integer ids.  A
+triple budget bounds the cost; exceeding it yields a clearly flagged
+sampled report, never a silently truncated "exhaustive" one.
 """
 
 from __future__ import annotations
@@ -97,6 +99,49 @@ class _GeodesicSet:
         return far
 
 
+class _TreeSides:
+    """Sides of tree triangles, joined from their corners' branches, on integer ids.
+
+    A tree has one geodesic per pair of points, so side i-j is the branch
+    from ``points[0]`` to ``points[i]``, walked back to where the branch to
+    ``points[j]`` leaves it, then that branch onwards.  Each branch is one
+    :meth:`ActionModel.geodesic`, built on first use, its vertices interned
+    as ints scoped to this object: a side is two tuple slices, and its
+    :class:`EdgePath` hashes ints.  This object is those paths' metric:
+    ``point`` maps an id back to its point, and ``distance`` measures there.
+    """
+
+    def __init__(self, model: ActionModel, points):
+        self.model = model
+        self.points = points
+        self._ids: dict = {}  # point -> id, handed out in insertion order
+        self._vertices: list = []  # id -> point, rebuilt when an id is past its end
+        self._branches: list = [None] * len(points)
+
+    def _branch(self, i: int):
+        """(branch, reversed branch, vertex set) from points[0] to points[i], built and cached."""
+        ids = self._ids
+        path = tuple([ids.setdefault(v, len(ids)) for v in self.model.geodesic(self.points[0], self.points[i])])
+        branch = self._branches[i] = (path, path[::-1], frozenset(path))
+        return branch
+
+    def side(self, i: int, j: int) -> EdgePath:
+        branches = self._branches
+        path_i, back_i, set_i = branches[i] or self._branch(i)
+        path_j, _, set_j = branches[j] or self._branch(j)
+        shared = len(set_i & set_j)  # two branches from one root share exactly a prefix
+        return EdgePath(self, back_i[: len(path_i) - shared + 1] + path_j[shared:])
+
+    def point(self, x: int):
+        """The point whose id is x."""
+        if x >= len(self._vertices):
+            self._vertices = list(self._ids)
+        return self._vertices[x]
+
+    def distance(self, x: int, y: int) -> int:
+        return self.model.distance(self.point(x), self.point(y))
+
+
 def _slimness(sides) -> tuple[int, object]:
     """(slack, witness) of a triangle, its geodesic choices taken one side at a time.
 
@@ -153,8 +198,12 @@ def compute_delta(
     ``triple_budget``, otherwise samples that many triples with a seeded
     RNG and reports ``exhaustive=False``.  Each side is measured once: when
     enumerating, one table holds a side per pair of points before the
-    triple loop; when sampling, each triple builds its three sides.
+    triple loop; when sampling, each triple builds its three sides.  On a
+    tree, either way, a side is built from its corners' cached branches
+    (see :class:`_TreeSides`).  A ``triple_budget`` below 1 is refused.
     """
+    if triple_budget < 1:
+        raise ModelError(f"triple budget must be >= 1, got {triple_budget}")
     if points is None:
         center = model.basepoint()
         points = model.ball(center, radius)
@@ -168,12 +217,14 @@ def compute_delta(
     exhaustive = comb(n, 3) <= triple_budget
     truncated = False
 
-    def side(i: int, j: int):
+    def graph_side(i: int, j: int):
         """Side points[i]-points[j]: an :class:`EdgePath` for one geodesic, else a :class:`_GeodesicSet`."""
         nonlocal truncated
         paths, trunc = all_geodesics(model, points[i], points[j])
         truncated = truncated or trunc
         return EdgePath(model, paths[0]) if len(paths) == 1 else _GeodesicSet(model, paths)
+
+    side = _TreeSides(model, points).side if model.is_tree else graph_side
 
     if exhaustive:
         table = [[side(i, j) if i < j else None for j in range(n)] for i in range(n)]

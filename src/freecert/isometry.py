@@ -174,10 +174,12 @@ def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, de
     geodesic axis when the concatenation is a geodesic with invariance
     defect <= 2*delta, otherwise verifies the quasi-geodesic-axis
     properties on the window: bounded defect, and subpaths within 10*delta
-    of the geodesics between their endpoints.
+    of the geodesics between their endpoints.  A window below 1 is refused.
     """
     if profile.hyperbolic != HYPERBOLIC_YES:
         raise ModelError("quasi_axis requires a hyperbolic element")
+    if window < 1:
+        raise ModelError(f"window must be >= 1, got {window}")
     g = profile.element
     pstar = model.min_displacement_point(g)
     step = model.distance(pstar, model.apply(g, pstar))

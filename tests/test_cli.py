@@ -70,6 +70,13 @@ def test_exit_code_matrix(model_dir, tmp_path, capsys):
         (2, ["certify", "--model", "@f2.json", "--a", "a", "--b", "b", "--criterion", "bogus"]),
         (2, ["delta", "--model", "@missing.json"]),
         (2, ["profile", "--model", "@f2.json", "--a", "q"]),
+        # Numbers out of range are invalid input, not a document of nonsense.
+        (2, ["delta", "--model", "@c4.json", "--budget", "0"]),
+        (2, ["delta", "--model", "@c4.json", "--budget", "-3"]),
+        (2, ["profile", "--model", "@c4.json", "--a", "r", "--delta", "-2"]),
+        (2, ["overlap", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--delta", "-1"]),
+        (2, ["overlap", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--c", "-1"]),
+        (2, ["profile", "--model", "@f2.json", "--a", "ab", "--window", "0"]),
         # Flags a command does not read are refused.
         (2, ["acyl", "--model", "@c4.json", "--radii", "1", "--delta", "1"]),
         (2, ["sweep", "--model", "@f2.json", "--a", "a", "--b", "b", "--range", "1:2", "--window", "3"]),
@@ -82,6 +89,24 @@ def test_exit_code_matrix(model_dir, tmp_path, capsys):
             assert err.startswith("refused: delta = 0 (brute-forced) on a graph that is not a tree") and "--delta" in err
         if "200,200" in argv:
             assert capsys.readouterr().err.startswith("refused: oracle back-check could not run")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["delta", "--model", "@c4.json", "--budget", "0"], "triple budget must be >= 1, got 0"),
+        (["profile", "--model", "@c4.json", "--a", "r", "--delta", "-2"], "delta must be >= 0, got -2"),
+        (["overlap", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--delta", "-1"], "delta must be >= 0, got -1"),
+        (["overlap", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--c", "-1"],
+         "overlap radius c must be >= 0, got -1"),
+        (["profile", "--model", "@f2.json", "--a", "ab", "--window", "0"], "window must be >= 1, got 0"),
+    ],
+    ids=["budget", "profile-delta", "overlap-delta", "overlap-c", "window"],
+)
+def test_out_of_range_number_names_its_bound(model_dir, capsys, argv, message):
+    assert run(model_dir, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_certify_writes_valid_document_and_verify_reproduces(model_dir, tmp_path, capsys):

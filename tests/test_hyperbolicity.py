@@ -10,6 +10,7 @@ from freecert import (
     CycleModel,
     ExplicitGraphModel,
     FreeGroupModel,
+    FreeProductModel,
     ModelError,
     all_geodesics,
     check_slim,
@@ -185,3 +186,74 @@ def test_delta_takes_the_worst_choice_of_a_truncated_geodesic_set():
         worst = max(worst, max(_reference_slack(model, triangle)[0] for triangle in product(*choices)))
         first = max(first, _reference_slack(model, [sides[0] for sides in choices])[0])
     assert report.delta == worst > first  # the first geodesic of each side is not the worst choice
+
+
+def test_delta_refuses_a_triple_budget_below_one():
+    for budget in (0, -3):
+        with pytest.raises(ModelError, match="triple budget must be >= 1"):
+            compute_delta(CycleModel(4), triple_budget=budget)
+    assert compute_delta(CycleModel(4), triple_budget=1).triple_count == 1
+
+
+def _recorded_sides(monkeypatch):
+    """Every triangle compute_delta measures, as the sides it built."""
+    triangles = []
+
+    def recording(sides):
+        triangles.append(sides)
+        return slimness(sides)
+
+    slimness = hyperbolicity._slimness
+    monkeypatch.setattr(hyperbolicity, "_slimness", recording)
+    return triangles
+
+
+@pytest.mark.parametrize(
+    "model, kwargs",
+    [
+        (FreeGroupModel(2, cap=64), {"radius": 4, "triple_budget": 300, "seed": 5}),
+        (FreeGroupModel(2, cap=64), {"radius": 2}),
+        (FreeProductModel(cap=64), {"radius": 5, "triple_budget": 300, "seed": 2}),
+        (FreeGroupModel(2, cap=64), {"points": [(1, 2), (), (1, 2, 1), (-2, 1), (1, -2), (1, 2), (2, 2, 2)]}),
+    ],
+    ids=["f2-sampled", "f2-exhaustive", "zxz2-sampled", "explicit-points"],
+)
+def test_tree_sides_are_the_model_geodesics_between_their_corners(monkeypatch, model, kwargs):
+    triangles = _recorded_sides(monkeypatch)
+    report = compute_delta(model, **kwargs)
+    region = kwargs.get("points") or model.ball(model.basepoint(), kwargs["radius"])
+    assert report.delta == 0 and len(triangles) == report.triple_count > 0
+    assert report.exhaustive == ("triple_budget" not in kwargs)
+    for a, b, c in triangles:
+        sides = [[side.model.point(v) for v in side.points] for side in (a, b, c)]
+        x, y, z = sides[0][0], sides[1][0], sides[2][-1]
+        assert {x, y, z} <= set(region)
+        assert sides == [model.geodesic(x, y), model.geodesic(y, z), model.geodesic(x, z)]
+
+
+def test_tree_side_distance_maps_ids_back_to_points(monkeypatch):
+    model = FreeGroupModel(2, cap=64)
+    triangles = _recorded_sides(monkeypatch)
+    compute_delta(model, radius=3, triple_budget=40, seed=1)
+    metric = triangles[0][0].model
+    ids = {v for triangle in triangles for side in triangle for v in side.points}
+    for side in triangles[-1]:
+        path = [metric.point(v) for v in side.points]
+        for v in ids:
+            assert side.distance(v) == min(model.distance(metric.point(v), p) for p in path)
+
+
+def test_sampled_tree_delta_builds_one_geodesic_per_region_point(monkeypatch):
+    model = FreeGroupModel(2, cap=64)
+    calls = []
+    geodesic = model.geodesic
+
+    def counted(x, y):
+        calls.append(y)
+        return geodesic(x, y)
+
+    monkeypatch.setattr(model, "geodesic", counted)
+    report = compute_delta(model, radius=4, triple_budget=500, seed=7)
+    assert not report.exhaustive and report.triple_count == 500
+    # One branch per distinct point drawn, against three geodesics per triple.
+    assert len(calls) == len(set(calls)) <= report.region["size"] == 161

@@ -11,6 +11,7 @@ from freecert import (
     ExplicitGraphModel,
     FreeGroupModel,
     FreeProductModel,
+    ModelError,
     classify,
     displacement_power,
     independence_test,
@@ -141,6 +142,14 @@ def test_axis_of_ab(f2):
     assert axis.step == 2
     for p in ((), (1,), (1, 2), (1, 2, 1), (-2,)):
         assert p in axis.path
+
+
+def test_axis_refuses_a_window_below_one(f2):
+    profile = classify(f2, (1, 2))
+    for window in (0, -2):
+        with pytest.raises(ModelError, match=f"window must be >= 1, got {window}"):
+            quasi_axis(f2, profile, window=window)
+    assert len(quasi_axis(f2, profile, window=1).path) == 5
 
 
 # -- overlaps -------------------------------------------------------------------
