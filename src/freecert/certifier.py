@@ -665,7 +665,7 @@ class WitnessChain:
 
 def _segment_overlap(model: ActionModel, path1, path2, c: int) -> int:
     """Diameter of the c-overlap of two geodesic segments (0 when empty)."""
-    pts = overlap_points(model, path1, path2, c)[2]
+    pts = overlap_points(EdgePath(model, path1), EdgePath(model, path2), c)[2]
     return farthest_pair(model, pts)[0] if pts else 0
 
 
@@ -835,9 +835,10 @@ def chain_base_points(model: ActionModel, axis_a: AxisData, axis_b: AxisData, ov
 
     D > 0: midpoint of the longest overlap segment, projected to each axis.
     D = 0: the midpoint of a distance-realizing segment between the axes,
-    used for both (deterministic tie-breaks throughout).
+    used for both (deterministic tie-breaks throughout).  Both are measured
+    on the :class:`EdgePath` each axis carries.
     """
-    pa, pb = EdgePath(model, axis_a.path), EdgePath(model, axis_b.path)
+    pa, pb = axis_a.edges, axis_b.edges
     if overlap.D > 0 and overlap.witness_segment:
         seg = list(overlap.witness_segment)
         mid = seg[len(seg) // 2]

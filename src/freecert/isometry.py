@@ -9,7 +9,7 @@ the model's ``min_displacement_point``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -24,14 +24,18 @@ class AxisData:
     """A window of an invariant (quasi-)axis.
 
     ``path`` is an edge path: consecutive points are at distance <= 1, as
-    it is a concatenation of model geodesics.  :class:`EdgePath` relies on
-    this to skip ahead when measuring distances to the path.
+    it is a concatenation of model geodesics.  The axis carries the
+    :class:`EdgePath` over ``path`` that :func:`quasi_axis` built as
+    ``edges``, and overlaps and chain base points measure against it
+    instead of indexing the points again.  Two axes are equal when their
+    path, mode, defect and step are.
     """
 
     path: tuple
     mode: str  # "geodesic-axis" | "quasi-geodesic-axis"
     invariance_defect: int
-    step: int = 1  # edges advanced per application; margin for end effects
+    step: int  # edges advanced per application; margin for end effects
+    edges: EdgePath = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -136,9 +140,15 @@ class EdgePath:
         return best
 
     def within(self, p, c: int) -> bool:
-        """Whether some path point lies within c of p; stops at the first hit."""
+        """Whether some path point lies within c of p; stops at the first hit.
+
+        Only a path point lies within 0 of the path, so c < 1 is decided by
+        membership alone, without measuring a distance.
+        """
         if p in self.members:
             return c >= 0
+        if c < 1:
+            return False
         dist, points = self.model.distance, self.points
         i = 0
         while i < len(points):
@@ -184,7 +194,10 @@ def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, de
     pstar = model.min_displacement_point(g)
     step = model.distance(pstar, model.apply(g, pstar))
 
-    orbit = [model.apply(model.power(g, k), pstar) for k in range(-window, window + 1)]
+    # g^-window p*, then g^(k+1) p* = g . g^k p*: one application per point.
+    orbit = [model.apply(model.power(g, -window), pstar)]
+    for _ in range(2 * window):
+        orbit.append(model.apply(g, orbit[-1]))
     path: list = []
     for u, v in zip(orbit, orbit[1:]):
         seg = model.geodesic(u, v)
@@ -194,13 +207,16 @@ def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, de
     edge_path = EdgePath(model, path)
 
     # Invariance defect, excluding a margin of one translation step at the ends.
+    # An image that is a path point is at distance 0; only the others are measured.
     margin = max(step, 1)
     interior = path[margin:-margin] if len(path) > 2 * margin else path
-    defect = max(edge_path.distance(model.apply(g, p)) for p in interior)
+    members = edge_path.members
+    images = (model.apply(g, p) for p in interior)
+    defect = max((edge_path.distance(q) for q in images if q not in members), default=0)
 
     is_geodesic = len(path) - 1 == model.distance(path[0], path[-1])
     if is_geodesic and defect <= 2 * delta:
-        return AxisData(edge_path.points, "geodesic-axis", defect, step=step)
+        return AxisData(edge_path.points, "geodesic-axis", defect, step, edge_path)
 
     # Fact-12 style checks on the window.
     if defect > 30 * delta:
@@ -215,18 +231,19 @@ def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, de
             )
             if not close:
                 raise ModelError("subpath strays beyond 10*delta of its chord")
-    return AxisData(edge_path.points, "quasi-geodesic-axis", defect, step=step)
+    return AxisData(edge_path.points, "quasi-geodesic-axis", defect, step, edge_path)
 
 
-def overlap_points(model: ActionModel, path_a, path_b, c: int) -> tuple[list, list, list]:
-    """The c-overlap of two edge paths (consecutive points at distance <= 1).
+def overlap_points(near_a: EdgePath, near_b: EdgePath, c: int) -> tuple[list, list, list]:
+    """The c-overlap of two edge paths, each given as its :class:`EdgePath`
+    (an axis carries its own as ``edges``).
 
     Returns (in_a, in_b, union): the points of each path within c of the
-    other, and both lists joined in order without repeats.
+    other, and both lists joined in order without repeats.  With c < 1
+    :meth:`EdgePath.within` decides each point by membership alone.
     """
-    near_a, near_b = EdgePath(model, path_a), EdgePath(model, path_b)
-    in_a = [p for p in path_a if near_b.within(p, c)]
-    in_b = [q for q in path_b if near_a.within(q, c)]
+    in_a = [p for p in near_a.points if near_b.within(p, c)]
+    in_b = [q for q in near_b.points if near_a.within(q, c)]
     return in_a, in_b, list(dict.fromkeys(in_a + in_b))
 
 
@@ -247,14 +264,15 @@ def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: 
     The overlap set is (A in the c-neighborhood of B) union (B in the
     c-neighborhood of A); the empty set has diameter 0 by convention.
     Both axis paths are edge paths (consecutive points at distance <= 1),
-    which lets :func:`overlap_points` skip along them instead of scanning.
-    Touching a window end makes D only a lower bound, and touching both
-    ends of one axis flags the overlap as unbounded in the window.
+    which lets :func:`overlap_points` skip along each axis's own
+    :class:`EdgePath` instead of scanning.  Touching a window end makes D
+    only a lower bound, and touching both ends of one axis flags the
+    overlap as unbounded in the window.
     """
-    pa, pb = list(axis_a.path), list(axis_b.path)
+    pa, pb = axis_a.path, axis_b.path
     window = min(len(pa), len(pb)) - 1
 
-    in_a, in_b, union = overlap_points(model, pa, pb, c)
+    in_a, in_b, union = overlap_points(axis_a.edges, axis_b.edges, c)
     if not union:
         return OverlapReport(0, c, window, (), False, False)
 
@@ -277,22 +295,20 @@ def independence_test(model: ActionModel, a: Word, b: Word, exponent_bound: int)
     """Search for commuting power pairs [a^p, b^q] = 1 with |p|,|q| <= bound.
 
     Returns ("dependent", (p, q)) on the first trivially-acting commutator
-    (smallest |p|+|q|, positive signs first) or ("independent-to-bound", None).
+    (smallest |p|+|q|) or ("independent-to-bound", None).  The commutator
+    is trivial exactly when a^p b^q = b^q a^p, which is decided as that
+    equality of two products.  A power of a commutes with b^q exactly when
+    its inverse does (and likewise for b), so the four signs of (p, q) share
+    one verdict: only p, q > 0 are tried, and the witness is the one a
+    search over every sign, positive signs first, finds.
     """
     if exponent_bound < 1:
         raise ModelError("exponent_bound must be >= 1")
     a, b = model.canon(a), model.canon(b)
-    exponents = [e for n in range(1, exponent_bound + 1) for e in (n, -n)]
+    exponents = range(1, exponent_bound + 1)
     a_pow = {e: model.power(a, e) for e in exponents}
-    b_pow = {e: model.power(b, e) for e in exponents}
-    pairs = sorted(
-        ((p, q) for p in range(1, exponent_bound + 1) for q in range(1, exponent_bound + 1)),
-        key=lambda t: (t[0] + t[1], t),
-    )
-    for p, q in pairs:
-        for sp in (1, -1):
-            for sq in (1, -1):
-                e, f = sp * p, sq * q
-                if model.compose(a_pow[-e], b_pow[-f], a_pow[e], b_pow[f]) == IDENTITY:
-                    return "dependent", (e, f)
+    b_pow = {f: model.power(b, f) for f in exponents}
+    for p, q in sorted(((p, q) for p in exponents for q in exponents), key=lambda t: (t[0] + t[1], t)):
+        if model.compose(a_pow[p], b_pow[q]) == model.compose(b_pow[q], a_pow[p]):
+            return "dependent", (p, q)
     return "independent-to-bound", None

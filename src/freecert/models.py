@@ -292,7 +292,16 @@ class CyclicFreeProductModel(ActionModel):
         return [(i,) for i in range(1, self.rank + 1)]
 
     def apply(self, g: Word, x: Word) -> Word:
-        return self._check_cap(g if x == IDENTITY else self.compose(g, x))
+        # g * x as one join: cancel where the two normal forms meet, then one
+        # concatenation of what is left, without compose's list.  The oracle
+        # applies every word at the base point, the identity, so that is O(1).
+        if x == IDENTITY:
+            return self._check_cap(g)
+        inverse, n, k = self._inverse, len(g), 0
+        most = min(n, len(x))
+        while k < most and g[n - 1 - k] == inverse[x[k]]:
+            k += 1
+        return self._check_cap(g[: n - k] + x[k:])
 
     def neighbors(self, x: Word) -> list[Word]:
         back = self._inverse[x[-1]] if x else None

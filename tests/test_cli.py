@@ -292,6 +292,22 @@ def test_demo_certificates_match_their_golden_bytes(monkeypatch, capsys):
         assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]
 
 
+def test_axis_documents_match_their_golden_bytes(monkeypatch, capsys):
+    # tests/data/demo_chain.json holds the exit code, stdout and stderr of
+    # chain, overlap --c 0, overlap --c 3 and profile on a^k axes (k = 10, 27,
+    # 40; windows 3 and 6) in F2 and of one Z * Z/2 pair, recorded while each
+    # axis point was still a fresh power of its element and every overlap
+    # point was measured.  The test only reads it.
+    monkeypatch.chdir(REPO)
+    golden = json.loads((REPO / "tests/data/demo_chain.json").read_text())
+    assert len(golden) == 39
+    assert {run_["argv"][0] for run_ in golden} == {"chain", "overlap", "profile"}
+    for run_ in golden:
+        code = main(run_["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]
+
+
 def _assert_profiles_match(name, monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     golden = json.loads((REPO / "tests/data" / name).read_text())

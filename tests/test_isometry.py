@@ -1,11 +1,13 @@
 """Translation lengths, hyperbolicity verdicts, axes, overlaps, independence."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from freecert import (
     ActionModel,
+    AxisData,
     CycleModel,
     EdgePath,
     ExplicitGraphModel,
@@ -18,6 +20,7 @@ from freecert import (
     overlap_diameter,
     quasi_axis,
 )
+from freecert.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +147,53 @@ def test_axis_of_ab(f2):
         assert p in axis.path
 
 
+def _per_power_axis(model, g, window):
+    """The axis as built from one fresh power of g per orbit point, every
+    image measured: the reference for the stepped orbit."""
+    pstar = model.min_displacement_point(g)
+    step = model.distance(pstar, model.apply(g, pstar))
+    orbit = [model.apply(model.power(g, k), pstar) for k in range(-window, window + 1)]
+    path = []
+    for u, v in zip(orbit, orbit[1:]):
+        seg = model.geodesic(u, v)
+        path.extend(seg if not path else seg[1:])
+    edge_path = EdgePath(model, path)
+    margin = max(step, 1)
+    interior = path[margin:-margin] if len(path) > 2 * margin else path
+    defect = max(edge_path.distance(model.apply(g, p)) for p in interior)
+    assert len(path) - 1 == model.distance(path[0], path[-1]) and defect == 0  # a tree axis is a geodesic
+    return AxisData(tuple(path), "geodesic-axis", defect, step, edge_path)
+
+
+def _conjugates(model, rng, count):
+    """Hyperbolic conjugates u g u^-1 of random words g, with u of length 0 to 4."""
+    alphabet = [l for i in range(1, model.rank + 1) for l in (i, -i)]
+    found = []
+    while len(found) < count:
+        g = model.canon(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
+        u = model.canon(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+        g = model.compose(u, g, model.inverse(u))
+        if classify(model, g).hyperbolic == "yes":
+            found.append(g)
+    return found
+
+
+def test_stepped_orbit_gives_the_per_power_axis():
+    # The orbit steps g^(k+1) p* = g . g^k p* and measures only the images off
+    # the path; path, mode, defect and step stay those of the per-power build.
+    f2 = FreeGroupModel(2, cap=4096)
+    cases = [(f2, (1,) * k) for k in (1, 2, 3, 4, 7, 10, 16, 27, 33, 40)]
+    rng = random.Random("stepped-orbit")
+    for model in (f2, FreeGroupModel(3, cap=4096), FreeProductModel(cap=4096)):
+        cases += [(model, g) for g in _conjugates(model, rng, 8)]
+    for model, g in cases:
+        profile = classify(model, g)
+        for window in range(1, 9):
+            axis = quasi_axis(model, profile, window=window, delta=0)
+            assert axis == _per_power_axis(model, g, window), (g, window)
+            assert axis.edges.points is axis.path
+
+
 def test_axis_refuses_a_window_below_one(f2):
     profile = classify(f2, (1, 2))
     for window in (0, -2):
@@ -185,7 +235,59 @@ def test_overlap_same_axis_unbounded(f2):
     assert rep.boundary_touching
 
 
+def test_a_chain_builds_one_edge_path_per_axis(monkeypatch, capsys):
+    # The axis carries its EdgePath; the overlap and the chain base points reuse it.
+    model = FreeGroupModel(2, cap=512)
+    axes = [quasi_axis(model, classify(model, g), window=6, delta=0).path for g in ((1,) * 40, (2,))]
+    built = []
+    original = EdgePath.__init__
+
+    def recording(self, model, points):
+        original(self, model, points)
+        built.append(self.points)
+
+    monkeypatch.setattr(EdgePath, "__init__", recording)
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    argv = ["chain", "--model", "demos/models/f2.json", "--a", "a" * 40, "--b", "b", "--window", "6",
+            "--word", "ab", "--E", "40/1000", "--Q", "3"]
+    assert main(argv) == 0
+    assert '"failures": []' in capsys.readouterr().out
+    assert [built.count(path) for path in axes] == [1, 1]
+
+
 # -- independence ----------------------------------------------------------------
+
+
+def _commutator_test(model, a, b, bound):
+    """independence_test as one four-word product [a^e, b^f], reduced by canon."""
+    a, b = model.canon(a), model.canon(b)
+    pairs = sorted(((p, q) for p in range(1, bound + 1) for q in range(1, bound + 1)), key=lambda t: (t[0] + t[1], t))
+    for p, q in pairs:
+        for e in (p, -p):
+            for f in (q, -q):
+                word = model.power(a, -e) + model.power(b, -f) + model.power(a, e) + model.power(b, f)
+                if model.canon(word) == ():
+                    return "dependent", (e, f)
+    return "independent-to-bound", None
+
+
+def test_independence_matches_the_commutator_form():
+    rng = random.Random("independence")
+    for model in (FreeGroupModel(2, cap=512), FreeGroupModel(3, cap=512), FreeProductModel(cap=512)):
+        alphabet = [l for i in range(1, model.rank + 1) for l in (i, -i)]
+        draw = lambda: model.canon(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+        pairs = [(draw(), draw()) for _ in range(60)]
+        for _ in range(20):
+            w = draw()
+            pairs += [(model.power(w, 2), model.power(w, 3)), (w, model.inverse(w)), (w, model.power(w, -2))]
+        verdicts = set()
+        for a, b in pairs:
+            for bound in (1, 3):
+                result = independence_test(model, a, b, bound)
+                assert result == _commutator_test(model, a, b, bound), (a, b, bound)
+                verdicts.add(result[0])
+        assert verdicts == {"dependent", "independent-to-bound"}
+
 
 
 def test_independence_generators(f2):
@@ -233,11 +335,14 @@ def _edge_walk(model, rng, start, length):
     return path
 
 
-@pytest.mark.parametrize(
+EDGE_PATH_MODELS = pytest.mark.parametrize(
     "model",
     [FreeGroupModel(2, cap=64), FreeProductModel(cap=64), CycleModel(9), _torus()],
     ids=["free-group", "free-product", "cycle", "torus"],
 )
+
+
+@EDGE_PATH_MODELS
 def test_edge_path_matches_brute_force(model):
     rng = random.Random(f"edge-path:{model.kind}")
     near = model.ball(model.basepoint(), 3)
@@ -252,3 +357,22 @@ def test_edge_path_matches_brute_force(model):
             for c in range(-1, 4):
                 assert edge_path.within(p, c) == (exact <= c)
             assert edge_path.nearest(p) == min(path, key=lambda q: (model.distance(p, q), model.point_key(q)))
+
+
+@EDGE_PATH_MODELS
+def test_within_below_one_is_membership_alone(model, monkeypatch):
+    # Only a path point lies within 0 of the path, so c < 1 measures no distance.
+    rng = random.Random(f"within:{model.kind}")
+    calls = []
+    distance = model.distance
+    monkeypatch.setattr(model, "distance", lambda x, y: calls.append(1) or distance(x, y))
+    near = model.ball(model.basepoint(), 3)
+    for _ in range(40):
+        path = _edge_walk(model, rng, rng.choice(near), rng.randint(0, 24))
+        edge_path = EdgePath(model, path)
+        for p in rng.sample(path, min(3, len(path))) + rng.sample(near, min(8, len(near))):
+            for c in (-1, 0):
+                assert edge_path.within(p, c) == (c == 0 and p in path)
+    assert calls == []
+    single = EdgePath(model, [model.basepoint()])
+    assert single.within(model.neighbors(model.basepoint())[0], 1) and calls  # c >= 1 still measures

@@ -343,9 +343,11 @@ def test_tree_model_infinite_dihedral():
     ids=["F2", "F3", "ZxZ2", "Z2xZ2"],
 )
 def test_tree_model_arithmetic_matches_canon_of_concatenation(model):
-    # compose, inverse and power take canonical words and cancel only at the
-    # seams; canon of the whole concatenated word is the reference.
+    # compose, inverse, power and apply take canonical words and cancel only
+    # at the seams; canon of the whole concatenated word is the reference.
+    # apply joins its two words itself, and checks the cap on the product.
     rng = random.Random(f"tree-arithmetic:{model.orders}")
+    capped = CyclicFreeProductModel(model.orders, model.generator_names, cap=5)
     alphabet = [l for i in range(1, model.rank + 1) for l in (i, -i)]
 
     def word(prev=()):
@@ -358,7 +360,16 @@ def test_tree_model_arithmetic_matches_canon_of_concatenation(model):
         for _ in range(rng.randint(0, 3)):
             words.append(word(words[-1]))
         assert model.compose(*words) == model.canon(l for w in words for l in w)
+        for g, x in zip(words, words[1:]):
+            product = model.canon(g + x)
+            assert model.apply(g, x) == model.compose(g, x) == product
+            if len(product) > capped.cap:
+                with pytest.raises(CapExceeded, match=rf"^word length {len(product)} exceeds expansion cap 5$"):
+                    capped.apply(g, x)
+            else:
+                assert capped.apply(g, x) == product
         g = words[0]
+        assert model.apply(g, IDENTITY) is g and model.apply(IDENTITY, g) is g  # no copy at the identity
         g_inv = model.inverse(g)
         assert g_inv == model.canon(-l for l in reversed(g))
         assert model.compose(g, g_inv) == model.compose(g_inv, g) == IDENTITY
@@ -371,6 +382,9 @@ def test_tree_model_seams_cancel_involutions():
     assert zz2.compose((2,), (2,)) == IDENTITY
     assert zz2.compose((1, 2), (2, -1)) == IDENTITY
     assert zz2.compose((1, 2), (2, 1, 2)) == (1, 1, 2)
+    assert zz2.apply((2,), (2,)) == IDENTITY
+    assert zz2.apply((1, 2), (2, -1)) == IDENTITY
+    assert zz2.apply((1, 2), (2, 1, 2)) == (1, 1, 2)
     assert zz2.inverse((1, 2, -1)) == (1, 2, -1)
     assert zz2.power((1, 2), -2) == (2, -1, 2, -1)
     dihedral = CyclicFreeProductModel((2, 2), ("s", "t"))
