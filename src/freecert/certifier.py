@@ -1,13 +1,13 @@
 """Freeness criteria and machine-checkable certificates.
 
-Each certifying operation re-verifies its defining inequalities on the
-measured quantities at emission time and refuses (raises
-:class:`CertificateRefused`) rather than emit an optimistic claim.
-Translation lengths are the models' exact ones, as Fractions, so every
-inequality is decided on exact values.  The criteria share
-their ending: ``_measured_D`` reads the axis overlap D (refusing when the
-window cannot bound it) and ``_emit`` builds every certificate, so each
-criterion holds only its own inequality.
+Each criterion measures, then claims.  ``*_certify`` checks its inputs and
+measures the pair once: :func:`analyze_pair`, then ``_claim_on`` reads the
+axis overlap D (refusing when the window cannot bound it).  ``*_claim`` is
+pure arithmetic on the constants, tr(a), tr(b) and D: it returns (n_min,
+m_min, its own constants, details), or raises :class:`CertificateRefused`
+naming the inequality that failed, so each defining inequality is
+re-verified at emission time.  ``_emit`` builds every certificate from a
+claim.  Translation lengths are the models' exact ones, as Fractions.
 """
 
 from __future__ import annotations
@@ -91,23 +91,10 @@ def cval(constants: ConstantSet, name: str):
     return constants[name][0]
 
 
-def n6_formula(delta: int, P: int, K20: int, L20: int) -> int:
-    return 4 * P * K20 * L20 + 200 * (delta + 1) * P
-
-
-def n7_closed_form(delta: int, P: int, K20: int, L20: int) -> int:
-    # Uniform bound: E <= (2 + 100(delta+1)P + 10 P K L) tr(f) via
-    # tr(f) >= 1/P and D <= 2 tr(f), so tr(f^n) >= 1000 E once
-    # n >= 1000 (2 + 100(delta+1)P + 10 P K L).
-    return 1000 * (2 + 100 * (delta + 1) * P + 10 * P * K20 * L20)
-
-
-def m_formula(delta: int, P: int, K20: int, L20: int, N6: int, N7: int) -> int:
-    return 10 * K20 * L20 * P * N6 + 2000 * (delta + 1) * P + N7
-
-
-def lemma5_bound(delta: int, P: int, K20: int, L20: int, tr_max: Fraction, slack: int = 100) -> Fraction:
-    return 4 * P * K20 * L20 * tr_max + slack * delta
+def _delta_P_PKL(constants: ConstantSet) -> tuple[int, int, int]:
+    """delta, P and the product P K(20 delta) L(20 delta) that every threshold is built from."""
+    delta, P = cval(constants, "delta"), cval(constants, "P")
+    return delta, P, P * cval(constants, "K20") * cval(constants, "L20")
 
 
 def _least_power(threshold: Fraction, tr: Fraction) -> int:
@@ -273,14 +260,8 @@ class PairAnalysis:
 INDEPENDENCE_BOUND = 3
 
 
-def analyze_pair(
-    model: ActionModel,
-    a: Word,
-    b: Word,
-    delta: int,
-    window: int = 8,
-    c: Optional[int] = None,
-) -> PairAnalysis:
+def analyze_pair(model: ActionModel, a: Word, b: Word, delta: int, window: int = 8,
+                 c: Optional[int] = None) -> PairAnalysis:
     pa = classify(model, a)
     pb = classify(model, b)
     if pa.hyperbolic != HYPERBOLIC_YES or pb.hyperbolic != HYPERBOLIC_YES:
@@ -296,33 +277,33 @@ def analyze_pair(
     return PairAnalysis(pa, pb, axis_a, axis_b, overlap, verdict)
 
 
-def _measured_D(analysis: PairAnalysis) -> int:
-    """The overlap diameter D, or a refusal when the window cannot bound it."""
+# A claim: (n_min, m_min, the criterion's own constants, details).
+Claim = tuple
+
+
+def _claim_on(analysis: PairAnalysis, constants: ConstantSet, claim, *options) -> Claim:
+    """``claim`` on the analysed pair's exact translation lengths and measured overlap D.
+
+    Every criterion reads D here, so each refuses first, and alike, when
+    the window cannot bound it.
+    """
     overlap = analysis.overlap
     if overlap.unbounded_in_window:
         raise CertificateRefused(
             f"overlap unbounded in window: the {overlap.c}-overlap (D >= {overlap.D}) "
             f"reaches both ends of an axis in a {overlap.window}-edge window"
         )
-    return overlap.D
+    return claim(constants, analysis.profile_a.tr, analysis.profile_b.tr, overlap.D, *options)
 
 
-def _emit(
-    criterion: str,
-    model: ActionModel,
-    analysis: PairAnalysis,
-    constants: ConstantSet,
-    own: ConstantSet,
-    n_min: int,
-    m_min: int,
-    details: dict,
-    **fields,
-) -> Certificate:
+def _emit(criterion: str, model: ActionModel, analysis: PairAnalysis, constants: ConstantSet, claim: Claim,
+          **fields) -> Certificate:
     """The certificate for <a^n, b^m>, n >= n_min, m >= m_min, a and b as the analysis profiled them.
 
-    Its constants are the input ones, the criterion's ``own`` and the
-    measured D; its caveats follow the provenance of the input constants.
+    Its constants are the input ones, the claim's own and the measured D;
+    its caveats follow the provenance of the input constants.
     """
+    n_min, m_min, own, details = claim
     caveats = []
     if constants.get("delta", (0, ""))[1] == "brute-forced":
         caveats.append("empirical-delta")
@@ -345,241 +326,129 @@ def _emit(
 
 
 # ---------------------------------------------------------------------------
-# Criteria
+# Claims: each criterion's arithmetic on (constants, tr(a), tr(b), D)
 # ---------------------------------------------------------------------------
 
 
-def nielsen_certify(
-    model: ActionModel,
-    a: Word,
-    b: Word,
-    constants: ConstantSet,
-    epsilon_mode: str = "paper-literal",
-    epsilon: Optional[Fraction] = None,
-    exponents: Optional[tuple[int, int]] = None,
-    window: int = 8,
-    oracle_depth: int = 8,
-    analysis: Optional[PairAnalysis] = None,
-) -> Certificate:
-    """Certify via overlap-dominating powers: tr(a^n), tr(b^m) >= D + eps.
+def nielsen_claim(constants: ConstantSet, tr_a, tr_b, D, epsilon, exponents=None) -> Claim:
+    """Overlap-dominating powers: n tr(a) >= D + eps and m tr(b) >= D + eps, eps > 100 delta.
 
-    Paper-literal mode uses eps = 100(delta+1).  Sharp-experimental mode
-    takes a user eps > 100*delta, may take requested exponents below the
-    formula minimum, and is emitted only after the independent word oracle
-    confirms freeness of the certified pair to ``oracle_depth``.
+    Without ``exponents``, the least such n and m; explicit exponents are
+    kept and ``formula_satisfied`` records whether they meet the inequality.
     """
     delta = cval(constants, "delta")
-    if analysis is None:
-        analysis = analyze_pair(model, a, b, delta, window)
-    D = _measured_D(analysis)
-
-    if epsilon_mode == "paper-literal":
-        eps = Fraction(100 * (delta + 1))
-    elif epsilon_mode == "sharp-experimental":
-        if epsilon is None or Fraction(epsilon) <= 100 * delta:
-            raise CertificateRefused("sharp mode needs a user epsilon > 100 * delta")
-        eps = Fraction(epsilon)
-    else:
-        raise ModelError(f"unknown epsilon mode {epsilon_mode!r}")
-
-    tr_a, tr_b = analysis.profile_a.tr, analysis.profile_b.tr
+    if epsilon is None or Fraction(epsilon) <= 100 * delta:
+        raise CertificateRefused("sharp mode needs a user epsilon > 100 * delta")
+    eps = Fraction(epsilon)
     threshold = D + eps
     if exponents is None:
         n, m = _least_power(threshold, tr_a), _least_power(threshold, tr_b)
-        formula_satisfied = True
     else:
-        if epsilon_mode != "sharp-experimental":
-            raise CertificateRefused("explicit exponents are only allowed in sharp-experimental mode")
         n, m = exponents
-        formula_satisfied = n * tr_a >= threshold and m * tr_b >= threshold
-
-    if epsilon_mode == "sharp-experimental":
-        check = freeness_to_depth(model, analysis.profile_a.element, analysis.profile_b.element, n, m, oracle_depth)
-        if check.verdict == "unchecked":
-            raise CertificateRefused(f"oracle back-check could not run at exponents ({n}, {m}): {check.reason}")
-        if check.verdict != "free-to-depth":
-            raise CertificateRefused(
-                f"oracle back-check found a relation at exponents ({n}, {m}): {list(check.relation)}"
-            )
-    else:
-        # Emission-time re-verification of the defining inequalities.
-        if not (n * tr_a >= threshold and m * tr_b >= threshold):
-            raise CertificateRefused("computed exponents fail the defining inequality")
-
+    formula_satisfied = n * tr_a >= threshold and m * tr_b >= threshold
+    if exponents is None and not formula_satisfied:
+        raise CertificateRefused("computed exponents fail the defining inequality")
     lam = (eps / 100 - delta) ** -1 * max(n * tr_a, m * tr_b)
     details = {
         "lambda": _num_str(lam),
         "predicted_embedding_L": _num_str(min(n * tr_a, m * tr_b) / lam),
         "formula_satisfied": formula_satisfied,
     }
-    if epsilon_mode == "sharp-experimental":
-        details["oracle_confirmed_depth"] = oracle_depth
-    return _emit("nielsen", model, analysis, constants, {}, n, m, details, epsilon_mode=epsilon_mode, epsilon=eps)
+    return n, m, {}, details
 
 
-def prop6_certify(
-    model: ActionModel,
-    a: Word,
-    b: Word,
-    constants: ConstantSet,
-    q: Fraction,
-    window: int = 8,
-) -> Certificate:
-    """Comparable-translation-length criterion: free for n >= N6, m >= q*N6.
+def prop6_claim(constants: ConstantSet, tr_a, tr_b, D, q: Fraction) -> Claim:
+    """Comparable translation lengths: free for n >= N6, m >= q N6.
 
-    Requires tr(a)/q <= tr(b) <= tr(a) and re-verifies the commutator
-    overlap bound D < 4*P*K*L*tr(a) + 100*delta against the measured D.
+    Requires tr(a)/q <= tr(b) <= tr(a) and the commutator overlap bound
+    D < 4 P K L tr(a) + 100 delta.
     """
-    delta, P = cval(constants, "delta"), cval(constants, "P")
-    K20, L20 = cval(constants, "K20"), cval(constants, "L20")
-    q = Fraction(q)
-    if q < 1:
-        raise CertificateRefused("q must be >= 1")
-    analysis = analyze_pair(model, a, b, delta, window)
-    pa, pb = analysis.profile_a, analysis.profile_b
-
-    if not pb.tr <= pa.tr:
+    delta, P, PKL = _delta_P_PKL(constants)
+    if not tr_b <= tr_a:
         raise CertificateRefused("ratio precondition fails: tr(b) > tr(a); swap the roles")
-    if not pa.tr / q <= pb.tr:
+    if not tr_a / q <= tr_b:
         raise CertificateRefused("ratio precondition fails: tr(b) < tr(a)/q")
-
-    D = _measured_D(analysis)
-    bound = lemma5_bound(delta, P, K20, L20, pa.tr)
-    if not Fraction(D) < bound:
+    bound = 4 * PKL * tr_a + 100 * delta
+    if not D < bound:
         raise CertificateRefused(
             f"measured overlap D = {D} violates the commutator bound {bound}: empirical constants too small"
         )
-
-    N6 = n6_formula(delta, P, K20, L20)
+    N6 = 4 * PKL + 200 * (delta + 1) * P
     own = {"N6": (N6, "paper-formula"), "q": (q, "config-override")}
-    return _emit("prop6", model, analysis, constants, own, N6, ceil(q * N6), {"lemma5_bound": _num_str(bound)})
+    return N6, ceil(q * N6), own, {"lemma5_bound": _num_str(bound)}
 
 
-def _prop7_E(D: int, delta: int, P: int, K20: int, L20: int, tr_f: Fraction) -> Fraction:
-    return D + 100 * (delta + 1) + 10 * P * K20 * L20 * tr_f
+def prop7_claim(constants: ConstantSet, tr_f, tr_g, D) -> Claim:
+    """Dominant f: <g, f^n> free for all n >= N7, the least n with tr(f^n) >= 1000 E.
 
-
-def choose_Q(tr_a: Fraction, tr_g: Fraction):
-    """Integer Q with tr(a)/100 <= Q*tr(g) <= tr(a)/50, plus the interval."""
-    lo = tr_a / (100 * tr_g)
-    hi = tr_a / (50 * tr_g)
-    Q = max(1, ceil(lo))
-    if Q > hi:
-        raise CertificateRefused("Q interval is empty: tr(g) too large relative to tr(f^n)")
-    return Q, (lo, hi)
-
-
-def prop7_certify(
-    model: ActionModel,
-    f: Word,
-    g: Word,
-    constants: ConstantSet,
-    window: int = 8,
-) -> Certificate:
-    """Dominant-f criterion: <g, f^n> free for all n >= N7(pair).
-
-    Conditions: (1) tr(g) <= tr(f); (2) D <= 2 tr(f).  The threshold is the
-    least n with tr(f^n) >= 1000 E, E = D + 100(delta+1) + 10 P K L tr(f).
+    Conditions: (1) tr(g) <= tr(f); (2) D <= 2 tr(f).  E = D + 100(delta+1)
+    + 10 P K L tr(f), and Q is the least integer >= 1 with
+    tr(f^N7)/100 <= Q tr(g) <= tr(f^N7)/50.
     """
-    delta, P = cval(constants, "delta"), cval(constants, "P")
-    K20, L20 = cval(constants, "K20"), cval(constants, "L20")
-    analysis = analyze_pair(model, f, g, delta, window)
-    pf, pg = analysis.profile_a, analysis.profile_b
-    D = _measured_D(analysis)
-
-    if not pg.tr <= pf.tr:
+    delta, P, PKL = _delta_P_PKL(constants)
+    if not tr_g <= tr_f:
         raise CertificateRefused("condition 1 fails: tr(g) > tr(f)")
-    if not Fraction(D) <= 2 * pf.tr:
+    if not D <= 2 * tr_f:
         raise CertificateRefused(f"condition 2 fails: D = {D} > 2 tr(f)")
-
-    E = _prop7_E(D, delta, P, K20, L20, pf.tr)
-    N7 = _least_power(1000 * E, pf.tr)
-    if not N7 * pf.tr >= 1000 * E:
+    E = D + 100 * (delta + 1) + 10 * PKL * tr_f
+    N7 = _least_power(1000 * E, tr_f)
+    if not N7 * tr_f >= 1000 * E:
         raise CertificateRefused("computed threshold fails the defining inequality")
-    Q, (q_lo, q_hi) = choose_Q(N7 * pf.tr, pg.tr)
-
+    q_lo, q_hi = N7 * tr_f / (100 * tr_g), N7 * tr_f / (50 * tr_g)
+    Q = max(1, ceil(q_lo))
+    if Q > q_hi:
+        raise CertificateRefused("Q interval is empty: tr(g) too large relative to tr(f^n)")
     own = {"E": (E, "paper-formula"), "N7": (N7, "paper-formula"), "Q": (Q, "paper-formula")}
-    return _emit("prop7", model, analysis, constants, own, N7, 1, {"Q_interval": [_num_str(q_lo), _num_str(q_hi)]})
+    return N7, 1, own, {"Q_interval": [_num_str(q_lo), _num_str(q_hi)]}
 
 
-def prop8_threshold(pf: IsometryProfile, pg: IsometryProfile, D: int, constants: ConstantSet) -> tuple[int, Fraction]:
-    """Per-pair N: least n with tr(f^n) >= 1000 E and tr(g) <= tr(f^n)/100."""
-    delta, P = cval(constants, "delta"), cval(constants, "P")
-    K20, L20 = cval(constants, "K20"), cval(constants, "L20")
-    E = _prop7_E(D, delta, P, K20, L20, pf.tr)
-    n1 = _least_power(1000 * E, pf.tr)
-    n2 = _least_power(100 * pg.tr, pf.tr)
-    return max(n1, n2), E
+def prop8_claim(constants: ConstantSet, tr_f, tr_g, D) -> Claim:
+    """Per-pair N with no condition on tr(f) against tr(g): the least n with
+    tr(f^n) >= 1000 E and tr(g) <= tr(f^n)/100, E as in :func:`prop7_claim`.
 
-
-def prop8_certify(
-    model: ActionModel,
-    f: Word,
-    g: Word,
-    constants: ConstantSet,
-    window: int = 8,
-) -> Certificate:
-    """Per-pair threshold with no conditions on tr(f) vs tr(g).
-
-    Also emits the composite two-sided claim: <f^n, g^m> is free whenever
-    |n| + |m| >= 2N with N the max of the two one-sided thresholds.
+    Also claims the composite two-sided bound: <f^n, g^m> is free whenever
+    |n| + |m| >= 2N with N the larger of the two one-sided thresholds.
     """
-    analysis = analyze_pair(model, f, g, cval(constants, "delta"), window)
-    D = _measured_D(analysis)
+    delta, P, PKL = _delta_P_PKL(constants)
 
-    N_fg, E = prop8_threshold(analysis.profile_a, analysis.profile_b, D, constants)
-    N_gf, _ = prop8_threshold(analysis.profile_b, analysis.profile_a, D, constants)
+    def threshold(tr_1, tr_2):
+        E = D + 100 * (delta + 1) + 10 * PKL * tr_1
+        return max(_least_power(1000 * E, tr_1), _least_power(100 * tr_2, tr_1)), E
+
+    (N_fg, E), (N_gf, _) = threshold(tr_f, tr_g), threshold(tr_g, tr_f)
     own = {"E": (E, "paper-formula"), "N": (N_fg, "paper-formula")}
-    details = {
-        "composite_threshold_N": max(N_fg, N_gf),
-        "composite_claim": "free for nm != 0 with |n| + |m| >= 2N",
-    }
-    return _emit("prop8", model, analysis, constants, own, N_fg, 1, details)
+    details = {"composite_threshold_N": max(N_fg, N_gf), "composite_claim": "free for nm != 0 with |n| + |m| >= 2N"}
+    return N_fg, 1, own, details
 
 
-def theorem9_certify(
-    model: ActionModel,
-    a: Word,
-    b: Word,
-    constants: ConstantSet,
-    window: int = 8,
-    quasi_mode: bool = False,
-) -> Certificate:
-    """Uniform bound: <a^n, b^m> free for all n, m >= M, M independent of a, b.
+def theorem9_claim(constants: ConstantSet, tr_a, tr_b, D, quasi_mode: bool = False) -> Claim:
+    """The uniform bound: <a^n, b^m> free for all n, m >= M, M independent of a and b.
 
-    Replays the case analysis on the measured quantities (after ordering so
-    tr(b) <= tr(a)) and records which branch fired.  ``quasi_mode`` is the
-    no-quasi-axis variant: 1000*delta overlaps, the enlarged commutator
-    bound, and quasi-geodesic axes allowed.
+    Orders the pair so tr(small) <= tr(big), checks the commutator bound
+    D < 4 P K L tr(big) + 100 delta, then replays the theorem's case
+    analysis and records which branch fired.  ``quasi_mode`` is the
+    no-quasi-axis variant: 1000 delta overlaps and the enlarged bound.
     """
-    delta, P = cval(constants, "delta"), cval(constants, "P")
-    K20, L20 = cval(constants, "K20"), cval(constants, "L20")
-    c = (1000 if quasi_mode else 10) * delta
-    analysis = analyze_pair(model, a, b, delta, window, c=c)
-    if not quasi_mode and {analysis.axis_a.mode, analysis.axis_b.mode} != {"geodesic-axis"}:
-        raise CertificateRefused("theorem9 mode requires geodesic axes; use theorem14 mode")
-
-    swapped = analysis.profile_b.tr > analysis.profile_a.tr
-    big, small = (analysis.profile_b, analysis.profile_a) if swapped else (analysis.profile_a, analysis.profile_b)
-
-    D = _measured_D(analysis)
-    slack = 10000 if quasi_mode else 100
-    bound = lemma5_bound(delta, P, K20, L20, big.tr, slack)
-    if not Fraction(D) < bound:
+    delta, P, PKL = _delta_P_PKL(constants)
+    swapped = tr_b > tr_a
+    big, small = (tr_b, tr_a) if swapped else (tr_a, tr_b)
+    bound = 4 * PKL * big + (10000 if quasi_mode else 100) * delta
+    if not D < bound:
         raise CertificateRefused(
             f"measured D = {D} violates the commutator bound {bound}: empirical constants inconsistent"
         )
 
-    N6 = n6_formula(delta, P, K20, L20)
-    N7 = n7_closed_form(delta, P, K20, L20)
-    M = m_formula(delta, P, K20, L20, N6, N7)
+    N6 = 4 * PKL + 200 * (delta + 1) * P
+    # E <= (2 + 100(delta+1)P + 10 P K L) tr(f) via tr(f) >= 1/P and
+    # D <= 2 tr(f), so tr(f^n) >= 1000 E once n >= N7.
+    N7 = 1000 * (2 + 100 * (delta + 1) * P + 10 * PKL)
+    M = 10 * PKL * N6 + 2000 * (delta + 1) * P + N7
 
-    # Case replay on measured quantities, in the theorem's order.
-    if small.tr / big.tr > Fraction(N6, M):
+    if small / big > Fraction(N6, M):
         branch = "step1-prop6"
-    elif M * small.tr > D + 100 * (delta + 1):
+    elif M * small > D + 100 * (delta + 1):
         branch = "step2-nielsen"
-    elif Fraction(D) <= 2 * big.tr:
+    elif D <= 2 * big:
         branch = "step3-prop7"
     else:
         raise CertificateRefused(
@@ -591,10 +460,89 @@ def theorem9_certify(
     details = {
         "branch": branch,
         "swapped_roles": swapped,
-        "overlap_radius_c": c,
+        "overlap_radius_c": (1000 if quasi_mode else 10) * delta,
         "lemma5_bound": _num_str(bound),
     }
-    return _emit("theorem14-mode" if quasi_mode else "theorem9", model, analysis, constants, own, M, M, details)
+    return M, M, own, details
+
+
+# ---------------------------------------------------------------------------
+# Criteria: input checks, then measure-then-claim
+# ---------------------------------------------------------------------------
+
+
+def nielsen_certify(
+    model: ActionModel, a: Word, b: Word, constants: ConstantSet,
+    epsilon_mode: str = "paper-literal", epsilon: Optional[Fraction] = None,
+    exponents: Optional[tuple[int, int]] = None, window: int = 8, oracle_depth: int = 8,
+    analysis: Optional[PairAnalysis] = None,
+) -> Certificate:
+    """Certify via overlap-dominating powers (:func:`nielsen_claim`).
+
+    Paper-literal mode uses eps = 100(delta+1).  Sharp-experimental mode
+    takes a user eps > 100*delta, may take requested exponents below the
+    formula minimum, and is emitted only after the independent word oracle
+    confirms freeness of the certified pair to ``oracle_depth``.
+    """
+    delta = cval(constants, "delta")
+    sharp = epsilon_mode == "sharp-experimental"
+    if epsilon_mode == "paper-literal":
+        epsilon = 100 * (delta + 1)
+    elif not sharp:
+        raise ModelError(f"unknown epsilon mode {epsilon_mode!r}")
+    if exponents is not None and not sharp:
+        raise CertificateRefused("explicit exponents are only allowed in sharp-experimental mode")
+    if analysis is None:
+        analysis = analyze_pair(model, a, b, delta, window)
+    claim = n, m, _, details = _claim_on(analysis, constants, nielsen_claim, epsilon, exponents)
+
+    if sharp:
+        check = freeness_to_depth(model, analysis.profile_a.element, analysis.profile_b.element, n, m, oracle_depth)
+        if check.verdict == "unchecked":
+            raise CertificateRefused(f"oracle back-check could not run at exponents ({n}, {m}): {check.reason}")
+        if check.verdict != "free-to-depth":
+            raise CertificateRefused(
+                f"oracle back-check found a relation at exponents ({n}, {m}): {list(check.relation)}"
+            )
+        details["oracle_confirmed_depth"] = oracle_depth
+    return _emit("nielsen", model, analysis, constants, claim, epsilon_mode=epsilon_mode, epsilon=Fraction(epsilon))
+
+
+def prop6_certify(model: ActionModel, a: Word, b: Word, constants: ConstantSet, q: Fraction,
+                  window: int = 8) -> Certificate:
+    """Comparable-translation-length criterion (:func:`prop6_claim`), q >= 1."""
+    q = Fraction(q)
+    if q < 1:
+        raise CertificateRefused("q must be >= 1")
+    analysis = analyze_pair(model, a, b, cval(constants, "delta"), window)
+    return _emit("prop6", model, analysis, constants, _claim_on(analysis, constants, prop6_claim, q))
+
+
+def prop7_certify(model: ActionModel, f: Word, g: Word, constants: ConstantSet, window: int = 8) -> Certificate:
+    """Dominant-f criterion (:func:`prop7_claim`): <g, f^n> free for all n >= N7(pair)."""
+    analysis = analyze_pair(model, f, g, cval(constants, "delta"), window)
+    return _emit("prop7", model, analysis, constants, _claim_on(analysis, constants, prop7_claim))
+
+
+def prop8_certify(model: ActionModel, f: Word, g: Word, constants: ConstantSet, window: int = 8) -> Certificate:
+    """Per-pair threshold with no conditions on tr(f) vs tr(g) (:func:`prop8_claim`)."""
+    analysis = analyze_pair(model, f, g, cval(constants, "delta"), window)
+    return _emit("prop8", model, analysis, constants, _claim_on(analysis, constants, prop8_claim))
+
+
+def theorem9_certify(model: ActionModel, a: Word, b: Word, constants: ConstantSet, window: int = 8,
+                     quasi_mode: bool = False) -> Certificate:
+    """Uniform bound M independent of a, b (:func:`theorem9_claim`).
+
+    Without ``quasi_mode`` both axes must be geodesic; with it (theorem 14)
+    overlaps are measured at 1000 delta and quasi-geodesic axes are allowed.
+    """
+    delta = cval(constants, "delta")
+    analysis = analyze_pair(model, a, b, delta, window, c=(1000 if quasi_mode else 10) * delta)
+    if not quasi_mode and {analysis.axis_a.mode, analysis.axis_b.mode} != {"geodesic-axis"}:
+        raise CertificateRefused("theorem9 mode requires geodesic axes; use theorem14 mode")
+    claim = _claim_on(analysis, constants, theorem9_claim, quasi_mode)
+    return _emit("theorem14-mode" if quasi_mode else "theorem9", model, analysis, constants, claim)
 
 
 def theorem14_mode(model: ActionModel, a: Word, b: Word, constants: ConstantSet, **kwargs) -> Certificate:

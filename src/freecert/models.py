@@ -110,8 +110,9 @@ class ActionModel:
         while n:
             if n & 1:
                 result = self.compose(result, g)
-            g = self.compose(g, g)
             n >>= 1
+            if n:  # square only while bits remain
+                g = self.compose(g, g)
         return result
 
     def generators(self) -> list[Word]:

@@ -118,7 +118,8 @@ def _search(model: ActionModel, letters: dict, depth: int) -> OracleReport:
                 prev = seen.setdefault(v, w)
                 if prev is not w:
                     # w acts trivially, or two distinct words evaluate to the same element.
-                    rel = w if v == IDENTITY else model_free_quotient(prev, w)
+                    # Equal last letters would make the prefixes an earlier collision, so prev w^-1 is reduced.
+                    rel = w if v == IDENTITY else prev + tuple(-x for x in reversed(w))
                     min_ratio, max_ratio = _fold(min_ratio, max_ratio, lo, hi, length)
                     return OracleReport(length, "relation-found", rel, min_ratio, _fit_L(min_ratio, max_ratio), None)
                 d = model.distance(base, model.apply(v, base))
@@ -144,17 +145,6 @@ def _fold(
     if min_ratio is None:
         return lo_r, hi_r
     return min(min_ratio, lo_r), max(max_ratio, hi_r)
-
-
-def model_free_quotient(w1: Word, w2: Word) -> Word:
-    """Reduced word for w1 * w2^-1 (a relation when both act identically)."""
-    out = list(w1)
-    for l in reversed(w2):
-        if out and out[-1] == l:
-            out.pop()
-        else:
-            out.append(-l)
-    return tuple(out)
 
 
 def _fit_L(min_ratio: Optional[Fraction], max_ratio: Optional[Fraction]) -> Optional[Fraction]:

@@ -26,6 +26,7 @@ from freecert import (
     three_points_check,
     validate_certificate,
 )
+from freecert.certifier import nielsen_claim, prop6_claim, prop7_claim, theorem9_claim
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +185,13 @@ def test_prop6_q_window(f2):
         prop6_certify(f2, (1, 2, 1), B, resolve_constants(f2, 0, "tree-case"), q=Fraction(2))
 
 
+def test_prop6_reads_the_overlap_before_the_ratio(f2):
+    # a^10 b a^10 (tr 21) against a (tr 1) at q = 2 fails the lower ratio
+    # bound and has an overlap the window cannot bound: D is read first.
+    with pytest.raises(CertificateRefused, match="overlap unbounded in window"):
+        prop6_certify(f2, (1,) * 10 + (2,) + (1,) * 10, A, resolve_constants(f2, 0, "tree-case"), q=Fraction(2))
+
+
 # -- prop7 / prop8 ------------------------------------------------------------------
 
 
@@ -242,6 +250,55 @@ def test_theorem14_matches_theorem9_at_delta_zero(f2):
     assert c14.criterion == "theorem14-mode"
     assert c14.details["overlap_radius_c"] == c9.details["overlap_radius_c"] == 0
     assert {k: v for k, v in c14.constants.items()} == {k: v for k, v in c9.constants.items()}
+
+
+# -- the claims on plain numbers ---------------------------------------------------------
+
+
+TREE = {name: (value, "tree-case") for name, value in [("delta", 0), ("P", 1), ("K20", 1), ("L20", 1)]}
+TREE_THRESHOLDS = {"N6": (204, "paper-formula"), "N7": (112000, "paper-formula"), "M": (116040, "paper-formula")}
+
+
+@pytest.mark.parametrize(
+    "tr_a, tr_b, D, branch, swapped",
+    [
+        (1, 1, 0, "step1-prop6", False),
+        (1200, 1, 0, "step2-nielsen", False),
+        (1, 1200, 0, "step2-nielsen", True),
+        (100000, Fraction(1, 1000), 100000, "step3-prop7", False),
+    ],
+)
+def test_theorem9_claim_replays_each_branch(tr_a, tr_b, D, branch, swapped):
+    n, m, own, details = theorem9_claim(TREE, tr_a, tr_b, D)
+    assert (n, m, own) == (116040, 116040, TREE_THRESHOLDS)
+    assert details == {
+        "branch": branch,
+        "swapped_roles": swapped,
+        "overlap_radius_c": 0,
+        "lemma5_bound": 4 * max(tr_a, tr_b),
+    }
+
+
+@pytest.mark.parametrize(
+    "claim, tr_a, tr_b, D, options, refusal",
+    [
+        (theorem9_claim, 1000, Fraction(1, 1000), 3000, (), "no branch fires"),
+        (theorem9_claim, 1, 1, 4, (), "measured D = 4 violates the commutator bound 4"),
+        (prop7_claim, 2, 1, 5, (), r"condition 2 fails: D = 5 > 2 tr\(f\)"),
+        (prop6_claim, 1, 2, 0, (Fraction(3),), "swap the roles"),
+        (prop6_claim, 3, 1, 0, (Fraction(2),), r"tr\(b\) < tr\(a\)/q"),
+    ],
+    ids=["theorem9-no-branch", "theorem9-commutator-bound", "prop7-condition-2", "prop6-swap", "prop6-q"],
+)
+def test_claims_name_the_inequality_that_fails(claim, tr_a, tr_b, D, options, refusal):
+    with pytest.raises(CertificateRefused, match=refusal):
+        claim(TREE, tr_a, tr_b, D, *options)
+
+
+def test_nielsen_claim_keeps_explicit_exponents_below_the_formula():
+    n, m, own, details = nielsen_claim(TREE, 1, 1, 0, Fraction(100), (1, 1))
+    assert (n, m, own, details["formula_satisfied"]) == (1, 1, {}, False)
+    assert nielsen_claim(TREE, 1, 1, 0, Fraction(100))[:2] == (100, 100)
 
 
 # -- certificates as documents ---------------------------------------------------------

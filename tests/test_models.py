@@ -102,6 +102,24 @@ def test_identity_is_empty_word(f2):
     assert f2.canon((1, -1)) == ()
 
 
+def test_power_squares_only_while_bits_remain():
+    # 116040 has 17 bits, 7 of them set: 16 squarings and 7 products, and
+    # no word built on the way is longer than the 348,120-letter result.
+    model = FreeGroupModel(2)
+    compose, lengths = model.compose, []
+
+    def counted(*elements):
+        out = compose(*elements)
+        lengths.append(len(out))
+        return out
+
+    model.compose = counted
+    result = model.power((1, 2, 1), 116040)
+    assert result == (1, 2, 1) * 116040
+    assert len(lengths) == 23
+    assert max(lengths) == len(result)
+
+
 # -- metric and action -------------------------------------------------------
 
 

@@ -66,6 +66,26 @@ def test_trivial_word_is_its_own_relation(f2):
     assert (report.verdict, report.depth, report.relation) == ("relation-found", 1, (1,))
 
 
+@pytest.mark.parametrize(
+    "model, a, b, n, m",
+    [
+        (FreeGroupModel(2, cap=64), (1,), (1,), 1, 1),
+        (FreeGroupModel(2, cap=64), (1, 2), (1, 2), 2, 3),
+        (FreeProductModel(cap=512), (1, 1, 2), (1, 1), 1, 1),
+        (FreeProductModel(cap=512), (1, 2), (2,), 1, 1),
+        (CycleModel(7), (1,), (1, 1), 1, 1),
+        (CycleModel(12), (1,), (1,), 3, 4),
+    ],
+    ids=["F2-equal", "F2-common-root", "ZxZ2-torsion", "ZxZ2-involution", "C7", "C12"],
+)
+def test_a_found_relation_is_reduced_and_acts_trivially(model, a, b, n, m):
+    report = freeness_to_depth(model, a, b, n, m, 6)
+    assert report.verdict == "relation-found"
+    rel = report.relation
+    assert rel and all(x != -y for x, y in zip(rel, rel[1:]))
+    assert acts_trivially(model, rel, model.power(a, n), model.power(b, m))
+
+
 def test_embedding_fit_powers(f2):
     # Base-point displacements per letter, against the predicted embedding constant 1.
     report = freeness_to_depth(f2, A, B, 100, 100, 3)
