@@ -365,9 +365,9 @@ def prop6_claim(constants: ConstantSet, tr_a, tr_b, D, q: Fraction) -> Claim:
     """
     delta, P, PKL = _delta_P_PKL(constants)
     if not tr_b <= tr_a:
-        raise CertificateRefused("ratio precondition fails: tr(b) > tr(a); swap the roles")
+        raise CertificateRefused(f"ratio precondition fails: tr(b) = {tr_b} > tr(a) = {tr_a}; swap the roles")
     if not tr_a / q <= tr_b:
-        raise CertificateRefused("ratio precondition fails: tr(b) < tr(a)/q")
+        raise CertificateRefused(f"ratio precondition fails: tr(b) = {tr_b} < tr(a)/q = {tr_a / q}")
     bound = 4 * PKL * tr_a + 100 * delta
     if not D < bound:
         raise CertificateRefused(
@@ -387,7 +387,7 @@ def prop7_claim(constants: ConstantSet, tr_f, tr_g, D) -> Claim:
     """
     delta, P, PKL = _delta_P_PKL(constants)
     if not tr_g <= tr_f:
-        raise CertificateRefused("condition 1 fails: tr(g) > tr(f)")
+        raise CertificateRefused(f"condition 1 fails: tr(g) = {tr_g} > tr(f) = {tr_f}")
     if not D <= 2 * tr_f:
         raise CertificateRefused(f"condition 2 fails: D = {D} > 2 tr(f)")
     E = D + 100 * (delta + 1) + 10 * PKL * tr_f
@@ -452,8 +452,8 @@ def theorem9_claim(constants: ConstantSet, tr_a, tr_b, D, quasi_mode: bool = Fal
         branch = "step3-prop7"
     else:
         raise CertificateRefused(
-            "no branch fires on the measured data (ratio small, overlap large, D > 2 tr(a)): "
-            "empirical constants inconsistent"
+            "no branch fires on the measured data (ratio small, overlap large, "
+            f"D = {D} > 2 tr({'b' if swapped else 'a'}) = {2 * big}): empirical constants inconsistent"
         )
 
     own = {"N6": (N6, "paper-formula"), "N7": (N7, "paper-formula"), "M": (M, "paper-formula")}

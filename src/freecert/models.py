@@ -22,8 +22,11 @@ Every word a model method returns is canonical, and the identity is
 ``compose``, ``inverse``, ``power`` and ``apply`` take canonical words;
 ``canon`` reduces and range-checks words where they come in: the CLI, and
 each library function that takes a caller's words (``classify``,
-``independence_test``, ``build_witness_chain``, and ``freeness_to_depth``,
-which reduces a and b once and forms their powers itself).
+``independence_test``, ``build_witness_chain``, and ``freeness_to_depth``
+on the ``cycle`` and ``explicit-graph`` kinds, where it reduces a and b
+once and forms their powers itself).  On the two free-product spec kinds
+the oracle reduces and multiplies words in its own arithmetic, read from
+``spec_dict()``, which shares no code with this module.
 """
 
 from __future__ import annotations
@@ -294,10 +297,7 @@ class CyclicFreeProductModel(ActionModel):
 
     def apply(self, g: Word, x: Word) -> Word:
         # g * x as one join: cancel where the two normal forms meet, then one
-        # concatenation of what is left, without compose's list.  The oracle
-        # applies every word at the base point, the identity, so that is O(1).
-        if x == IDENTITY:
-            return self._check_cap(g)
+        # concatenation of what is left, without compose's list.
         inverse, n, k = self._inverse, len(g), 0
         most = min(n, len(x))
         while k < most and g[n - 1 - k] == inverse[x[k]]:

@@ -1,18 +1,23 @@
 """Brute-force verification side: freeness to depth over reduced words,
 orbit displacement statistics, and exponent-grid sweeps.
 
-This module is deliberately independent of the certifier's formulas: it
-only ever evaluates words through the model's exact canonical forms, so it
-can confirm or refute certificates without sharing their reasoning.  It
+This module is deliberately independent of the certifier's formulas, so
+it can confirm or refute certificates without sharing their reasoning.  It
 takes a, b and the exponents of a claim about <a^n, b^m>, forms the powers
 itself, and alone decides what a run reports, ``unchecked`` included.
+
+Words are evaluated in an exact arithmetic (:func:`arithmetic`).  The spec
+kinds ``free-group`` and ``free-product`` are checked in the oracle's own
+:class:`PackedWords`, built from the factor orders and cap that the
+model's spec gives; that path shares no code with ``models.py``.  Every
+other model is checked through its own exact canonical forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word
 
@@ -71,12 +76,116 @@ def evaluate(model: ActionModel, word: Word, a: Word, b: Word) -> Word:
     return out
 
 
+class PackedWords:
+    """Normal-form words of a free product of copies of Z and Z/2, one ``str`` character a letter.
+
+    The oracle's own arithmetic for the spec kinds ``free-group`` and
+    ``free-product``.  Letter +i is chr(2i) and -i is chr(2i + 1); an
+    involution, its own inverse, is chr(2i) under either sign.  A ``str``
+    below code 256 holds a byte a character, so slicing and joining copy
+    memory, and its hash is computed once and cached, which is what the
+    search's table of values keys on.  The tables hold only the generators
+    in ``letters``, the letters of a and b, so a large rank costs nothing.
+    """
+
+    identity = ""
+
+    def __init__(self, rank: int, involutions: Iterable[int], cap: int, letters: Iterable[int]):
+        self.rank, self.cap = rank, cap
+        involutions = set(involutions)
+        self._code: dict = {}  # letter -> its character
+        self._inverse: dict = {}  # character -> the character of the inverse letter
+        for l in letters:
+            i = abs(l) if isinstance(l, int) else 0
+            if 1 <= i <= rank:
+                up = chr(2 * i)
+                down = up if i in involutions else chr(2 * i + 1)
+                self._code[i], self._code[-i] = up, down
+                self._inverse[up], self._inverse[down] = down, up
+        self._flip = str.maketrans(self._inverse)
+
+    def encode(self, word: Iterable[int]) -> str:
+        """``word``, reduced to its normal form; refuses a letter outside the rank."""
+        code, inverse = self._code, self._inverse
+        out: list = []
+        for l in word:
+            if l not in code:
+                raise ModelError(f"letter {l} out of range for rank {self.rank}")
+            c = code[l]
+            if out and out[-1] == inverse[c]:
+                out.pop()
+            else:
+                out.append(c)
+        return "".join(out)
+
+    def compose(self, x: str, y: str) -> str:
+        # Normal forms cancel only where they join (Lyndon-Schupp IV.1): drop
+        # the inverse pairs at the seam, then join what is left in one copy.
+        inverse = self._inverse
+        if not (x and y and x[-1] == inverse[y[0]]):
+            return x + y
+        n, k = len(x), 1
+        most = min(n, len(y))
+        while k < most and x[n - 1 - k] == inverse[y[k]]:
+            k += 1
+        return x[: n - k] + y[k:]
+
+    def inverse(self, x: str) -> str:
+        return x[::-1].translate(self._flip)
+
+    def power(self, g: str, n: int) -> str:
+        if n < 0:
+            g, n = self.inverse(g), -n  # invert the short base, never the power
+        result = self.identity
+        while n:
+            if n & 1:
+                result = self.compose(result, g)
+            n >>= 1
+            if n:  # square only while bits remain
+                g = self.compose(g, g)
+        return result
+
+    def displacement(self, v: str) -> int:
+        """d(1, v * 1) on the Cayley tree: the length of v, within the model's cap."""
+        if len(v) > self.cap:
+            raise CapExceeded(f"word length {len(v)} exceeds expansion cap {self.cap}")
+        return len(v)
+
+
+class _ModelArithmetic:
+    """Any other model's arithmetic: its own canonical forms, action and metric."""
+
+    identity = IDENTITY
+
+    def __init__(self, model: ActionModel):
+        self.encode, self.compose, self.power = model.canon, model.compose, model.power
+        self._model, self._base = model, model.basepoint()
+
+    def displacement(self, v: Word) -> int:
+        return self._model.distance(self._base, self._model.apply(v, self._base))
+
+
+def arithmetic(model: ActionModel, letters: Iterable[int]):
+    """The arithmetic the oracle evaluates words over ``letters`` in.
+
+    On the two free-product spec kinds it is the oracle's own
+    :class:`PackedWords`, read from the spec alone; on every other kind it
+    is the model's own canonical forms.
+    """
+    if model.kind in ("free-group", "free-product"):
+        spec = model.spec_dict()
+        rank, involutions = (spec["rank"], ()) if spec["kind"] == "free-group" else (2, (2,))
+        return PackedWords(rank, involutions, spec["cap"], letters)
+    return _ModelArithmetic(model)
+
+
 def freeness_to_depth(model: ActionModel, a: Word, b: Word, n: int, m: int, depth: int) -> OracleReport:
     """Check every reduced word in (a^n, b^m) up to ``depth`` for relations.
 
     a and b are reduced once, and the oracle forms a^n, b^m and their
-    inverses itself.  Free-to-depth means all words act nontrivially *and*
-    pairwise distinctly.  Words are visited in length-then-lex order and
+    inverses itself, each inverse as a power of the inverted short word.
+    Free-to-depth means all words act nontrivially *and* pairwise
+    distinctly.  Words are visited in length-then-lex order and
     the first failure is reported: either a trivially-acting word itself,
     or the quotient w1 * w2^-1 of the first evaluation collision (which can
     be longer than the depth at which it was detected).  Displacements of
@@ -89,24 +198,30 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, n: int, m: int, dept
     """
     if depth < 1:
         raise ModelError("depth must be >= 1")
-    an, bm = model.power(model.canon(a), n), model.power(model.canon(b), m)
+    arith = arithmetic(model, (*a, *b))
+    a, b = arith.encode(a), arith.encode(b)
+    letters = {1: arith.power(a, n), -1: arith.power(a, -n), 2: arith.power(b, m), -2: arith.power(b, -m)}
     try:
-        return _search(model, {1: an, -1: model.inverse(an), 2: bm, -2: model.inverse(bm)}, depth)
+        return _search(arith, letters, depth)
     except CapExceeded as exc:
         return OracleReport(depth, "unchecked", None, None, None, str(exc))
 
 
-def _search(model: ActionModel, letters: dict, depth: int) -> OracleReport:
-    """The oracle's level-by-level pass over words in ``letters``, keyed 1, -1, 2, -2."""
-    base = model.basepoint()
-    seen: dict[Word, Word] = {IDENTITY: ()}  # the empty word evaluates to the identity
+def _search(arith, letters: dict, depth: int) -> OracleReport:
+    """The oracle's level-by-level pass over words in ``letters``, keyed 1, -1, 2, -2.
+
+    ``arith`` gives the values: an ``identity``, ``compose(x, y)`` and the
+    base point's ``displacement(v)``, which raises CapExceeded past the cap.
+    """
+    identity, compose, displacement = arith.identity, arith.compose, arith.displacement
+    seen: dict = {identity: ()}  # the empty word evaluates to the identity
     min_ratio: Optional[Fraction] = None
     max_ratio: Optional[Fraction] = None
 
     # One pass level by level, each level the (word, value) pairs of one
     # length in lexicographic order (letters 1, -1, 2, -2), so the first
     # relation found is the lexicographically least at the minimal length.
-    level: list[tuple[Word, Word]] = [((), ())]
+    level: list = [((), identity)]
     for length in range(1, depth + 1):
         next_level = []
         lo = hi = None  # least and greatest displacement on this level so far
@@ -114,15 +229,15 @@ def _search(model: ActionModel, letters: dict, depth: int) -> OracleReport:
             for l in (1, -1, 2, -2):
                 if word and word[-1] == -l:
                     continue
-                w, v = word + (l,), model.compose(value, letters[l])
+                w, v = word + (l,), compose(value, letters[l])
                 prev = seen.setdefault(v, w)
                 if prev is not w:
                     # w acts trivially, or two distinct words evaluate to the same element.
                     # Equal last letters would make the prefixes an earlier collision, so prev w^-1 is reduced.
-                    rel = w if v == IDENTITY else prev + tuple(-x for x in reversed(w))
+                    rel = w if v == identity else prev + tuple(-x for x in reversed(w))
                     min_ratio, max_ratio = _fold(min_ratio, max_ratio, lo, hi, length)
                     return OracleReport(length, "relation-found", rel, min_ratio, _fit_L(min_ratio, max_ratio), None)
-                d = model.distance(base, model.apply(v, base))
+                d = displacement(v)
                 if lo is None:
                     lo = hi = d
                 elif d < lo:

@@ -282,13 +282,17 @@ def test_theorem9_claim_replays_each_branch(tr_a, tr_b, D, branch, swapped):
 @pytest.mark.parametrize(
     "claim, tr_a, tr_b, D, options, refusal",
     [
-        (theorem9_claim, 1000, Fraction(1, 1000), 3000, (), "no branch fires"),
+        (theorem9_claim, 1000, Fraction(1, 1000), 3000, (), r"no branch fires .* D = 3000 > 2 tr\(a\) = 2000\)"),
+        # With the roles swapped the larger element is b, and the refusal says so.
+        (theorem9_claim, Fraction(1, 1000), 1000, 3000, (), r"no branch fires .* D = 3000 > 2 tr\(b\) = 2000\)"),
         (theorem9_claim, 1, 1, 4, (), "measured D = 4 violates the commutator bound 4"),
         (prop7_claim, 2, 1, 5, (), r"condition 2 fails: D = 5 > 2 tr\(f\)"),
-        (prop6_claim, 1, 2, 0, (Fraction(3),), "swap the roles"),
-        (prop6_claim, 3, 1, 0, (Fraction(2),), r"tr\(b\) < tr\(a\)/q"),
+        (prop7_claim, 1, 2, 0, (), r"condition 1 fails: tr\(g\) = 2 > tr\(f\) = 1$"),
+        (prop6_claim, 1, 2, 0, (Fraction(3),), r"tr\(b\) = 2 > tr\(a\) = 1; swap the roles$"),
+        (prop6_claim, 3, 1, 0, (Fraction(2),), r"tr\(b\) = 1 < tr\(a\)/q = 3/2$"),
     ],
-    ids=["theorem9-no-branch", "theorem9-commutator-bound", "prop7-condition-2", "prop6-swap", "prop6-q"],
+    ids=["theorem9-no-branch", "theorem9-no-branch-swapped", "theorem9-commutator-bound", "prop7-condition-2",
+         "prop7-condition-1", "prop6-swap", "prop6-q"],
 )
 def test_claims_name_the_inequality_that_fails(claim, tr_a, tr_b, D, options, refusal):
     with pytest.raises(CertificateRefused, match=refusal):

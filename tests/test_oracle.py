@@ -1,13 +1,14 @@
 """Brute-force word oracle: triviality, freeness to depth, embeddings, sweeps."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from freecert import CycleModel, FreeGroupModel, FreeProductModel, exceptional_sweep, freeness_to_depth
 from freecert.models import IDENTITY, CapExceeded, ModelError
-from freecert.oracle import evaluate
+from freecert.oracle import PackedWords, arithmetic, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -161,23 +162,41 @@ def test_sweep_rows_sorted_by_total_exponent(f2):
     assert totals == sorted(totals)
 
 
-def _ratios_word_by_word(model, a, b, depth):
-    """(min, max) of Fraction(d(x, wx), |w|), one Fraction per word the oracle visits.
+def _report_tuple(report):
+    return (report.verdict, report.depth, report.relation, report.min_displacement_ratio, report.fitted_L,
+            report.reason)
+
+
+def _reference_report(model, a, b, n, m, depth):
+    """(verdict, depth, relation, min ratio, fitted L, reason) with every word
+    evaluated through the model's own compose, one Fraction per word.
 
     Words go in the oracle's order, length then lex over (1, -1, 2, -2), up
     to the first that repeats a value, which the oracle reports as a relation.
     """
-    base, seen, ratios = model.basepoint(), {IDENTITY}, []
-    for length in range(1, depth + 1):
-        for w in itertools.product((1, -1, 2, -2), repeat=length):
-            if any(x == -y for x, y in zip(w, w[1:])):
-                continue
-            v = evaluate(model, w, a, b)
-            if v in seen:
-                return min(ratios), max(ratios)
-            seen.add(v)
-            ratios.append(Fraction(model.distance(base, model.apply(v, base)), length))
-    return min(ratios), max(ratios)
+    an, bm = model.power(model.canon(a), n), model.power(model.canon(b), m)
+    base, seen, ratios = model.basepoint(), {IDENTITY: ()}, []
+
+    def stats():
+        if not ratios:
+            return None, None
+        lo, hi = min(ratios), max(ratios)
+        return lo, (None if lo == 0 else max(hi, 1 / lo, Fraction(1)))
+
+    try:
+        for length in range(1, depth + 1):
+            for w in itertools.product((1, -1, 2, -2), repeat=length):
+                if any(x == -y for x, y in zip(w, w[1:])):
+                    continue
+                v = evaluate(model, w, an, bm)
+                if v in seen:
+                    rel = w if v == IDENTITY else seen[v] + tuple(-x for x in reversed(w))
+                    return ("relation-found", length, rel, *stats(), None)
+                seen[v] = w
+                ratios.append(Fraction(model.distance(base, model.apply(v, base)), length))
+    except CapExceeded as exc:
+        return ("unchecked", depth, None, None, None, str(exc))
+    return ("free-to-depth", depth, None, *stats(), None)
 
 
 @pytest.mark.parametrize(
@@ -194,8 +213,92 @@ def _ratios_word_by_word(model, a, b, depth):
     ids=["F2", "C50", "ZxZ2-torsion"],
 )
 def test_ratios_folded_per_level_match_a_fraction_per_word(model, a, b, depth, verdict):
-    report = freeness_to_depth(model, a, b, 1, 1, depth)
-    lo, hi = _ratios_word_by_word(model, a, b, depth)
-    assert report.verdict == verdict
-    assert report.min_displacement_ratio == lo
-    assert report.fitted_L == max(hi, 1 / lo, Fraction(1))
+    expected = _reference_report(model, a, b, 1, 1, depth)
+    assert expected[0] == verdict
+    assert _report_tuple(freeness_to_depth(model, a, b, 1, 1, depth)) == expected
+
+
+# -- the oracle's own arithmetic on free-product specs ----------------------------------
+
+
+# Models with small caps, and the letters their random words draw from: the
+# rank-200 group has characters above 255, and -2 in Z * Z/2 is the
+# involution s written with a negative sign.
+ARITHMETIC_MODELS = [
+    (FreeGroupModel(2, cap=24), (1, -1, 2, -2)),
+    (FreeGroupModel(3, cap=24), (1, -1, 2, -2, 3, -3)),
+    (FreeGroupModel(200, cap=24), (1, -1, 150, -150, 200, -200)),
+    (FreeProductModel(cap=12), (1, -1, 2, -2)),
+]
+ARITHMETIC_IDS = ["F2", "F3", "F200", "ZxZ2"]
+
+
+def _random_word(rng, alphabet, most):
+    return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, most)))
+
+
+def _random_pair(rng, alphabet):
+    """A raw pair (a, b), b often built from a so that relations turn up."""
+    a = _random_word(rng, alphabet, 4)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return a, a * rng.randint(1, 2)
+    if kind == 1:
+        return a, tuple(-x for x in reversed(a))
+    return a, _random_word(rng, alphabet, 4)
+
+
+@pytest.mark.parametrize("model, alphabet", ARITHMETIC_MODELS, ids=ARITHMETIC_IDS)
+def test_packed_search_matches_a_search_through_the_models_compose(model, alphabet):
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(40):
+        a, b = _random_pair(rng, alphabet)
+        n, m = rng.randint(-3, 3), rng.randint(-3, 3)
+        report = freeness_to_depth(model, a, b, n, m, 4)
+        assert _report_tuple(report) == _reference_report(model, a, b, n, m, 4), (a, b, n, m)
+        verdicts.add(report.verdict)
+    assert verdicts == {"free-to-depth", "relation-found", "unchecked"}
+
+
+@pytest.mark.parametrize("model, alphabet", ARITHMETIC_MODELS, ids=ARITHMETIC_IDS)
+def test_packed_compose_and_power_match_the_model(model, alphabet):
+    rng = random.Random(5)
+    for _ in range(60):
+        x, y = _random_word(rng, alphabet, 10), _random_word(rng, alphabet, 10)
+        packed = arithmetic(model, (*x, *y))
+        assert isinstance(packed, PackedWords)
+        cx, cy = model.canon(x), model.canon(y)
+        px, py = packed.encode(x), packed.encode(y)
+        assert (px, len(px)) == (packed.encode(cx), len(cx))
+        assert packed.compose(px, py) == packed.encode(model.compose(cx, cy))
+        assert packed.inverse(px) == packed.encode(model.inverse(cx))
+        for k in range(-4, 5):
+            assert packed.power(px, k) == packed.encode(model.power(cx, k)), (x, k)
+
+
+@pytest.mark.parametrize("kind", [FreeGroupModel, FreeProductModel], ids=["free-group", "free-product"])
+def test_free_product_specs_call_no_model_method_but_spec_dict(kind):
+    calls = []
+
+    class Watched(kind):
+        def __getattribute__(self, name):
+            value = super().__getattribute__(name)
+            if callable(value) and not name.startswith("__"):
+                calls.append(name)
+            return value
+
+    watched = Watched(cap=64)
+    calls.clear()
+    report = freeness_to_depth(watched, (1, 2), (2, 2, -1), 3, -2, 4)
+    assert calls == ["spec_dict"]
+    assert report == freeness_to_depth(kind(cap=64), (1, 2), (2, 2, -1), 3, -2, 4)
+
+
+def test_packed_tables_hold_only_the_letters_of_a_and_b():
+    # A large rank costs nothing: the tables have entries for the generators used.
+    packed = PackedWords(40_000, (), 64, (39_999, -3))
+    assert len(packed._code) == 4
+    assert packed.encode((39_999, 39_999, -3, 3, -39_999)) == chr(79_998)
+    with pytest.raises(ModelError, match="letter 4 out of range for rank 40000"):
+        packed.encode((4,))
