@@ -87,15 +87,31 @@ class _GeodesicSet:
     """
 
     def __init__(self, model: ActionModel, paths):
+        self.model = model
+        self.ends = paths[0][0], paths[0][-1]
         self.paths = [EdgePath(model, path) for path in paths]
         self.points = tuple(dict.fromkeys(v for path in paths for v in path))
         self.members = frozenset.intersection(*(path.members for path in self.paths))
         self._far: dict = {}
 
     def distance(self, v) -> int:
+        """Distance from v to the farthest choice.
+
+        Every choice holds both ends, so none is farther than the nearer
+        end; the scan over choices stops at the first that reaches it.
+        """
         far = self._far.get(v)
         if far is None:
-            far = self._far[v] = max(path.distance(v) for path in self.paths)
+            x, y = self.ends
+            bound = min(self.model.distance(v, x), self.model.distance(v, y))
+            far = 0
+            for path in self.paths:
+                d = path.distance(v)
+                if d > far:
+                    far = d
+                    if far >= bound:
+                        break
+            self._far[v] = far
         return far
 
 
@@ -167,6 +183,33 @@ def _slimness(sides) -> tuple[int, object]:
     return worst, witness
 
 
+def _triples(rng: random.Random, n: int, count: int):
+    """``count`` index triples, each the one ``rng.sample(range(n), 3)`` would draw next.
+
+    For n > 21 ``Random.sample`` draws each index as
+    ``getrandbits(n.bit_length())``, drawing again on a value >= n or on an
+    index already taken; this draws the same bits without its per-call
+    setup.  Below that it shuffles a pool, so small n is left to it.
+    """
+    if n <= 21:
+        population = range(n)
+        for _ in range(count):
+            yield rng.sample(population, 3)
+        return
+    bits, draw = n.bit_length(), rng.getrandbits
+    for _ in range(count):
+        i = draw(bits)
+        while i >= n:
+            i = draw(bits)
+        j = draw(bits)
+        while j >= n or j == i:
+            j = draw(bits)
+        k = draw(bits)
+        while k >= n or k == i or k == j:
+            k = draw(bits)
+        yield i, j, k
+
+
 def check_slim(model: ActionModel, triangle, delta: int):
     """Check a geodesic triangle is delta-slim; return (ok, worst witness).
 
@@ -195,8 +238,10 @@ def compute_delta(
 
     The region is ``points``, or the ball of ``radius`` about the model's
     basepoint.  Enumerates every vertex triple when that fits in
-    ``triple_budget``, otherwise samples that many triples with a seeded
-    RNG and reports ``exhaustive=False``.  Each side is measured once: when
+    ``triple_budget``, otherwise samples that many triples and reports
+    ``exhaustive=False``: the triples ``random.Random(seed).sample(range(n),
+    3)`` would draw, in order, so a seed names the same triples on every
+    supported Python.  Each side is measured once: when
     enumerating, one table holds a side per pair of points before the
     triple loop; when sampling, each triple builds its three sides.  On a
     tree, either way, a side is built from its corners' cached branches
@@ -230,8 +275,7 @@ def compute_delta(
         table = [[side(i, j) if i < j else None for j in range(n)] for i in range(n)]
         triangles = ((table[i][j], table[j][k], table[i][k]) for i, j, k in combinations(range(n), 3))
     else:
-        rng = random.Random(seed)
-        triples = (rng.sample(range(n), 3) for _ in range(triple_budget))
+        triples = _triples(random.Random(seed), n, triple_budget)
         triangles = ((side(i, j), side(j, k), side(i, k)) for i, j, k in triples)
     delta = count = 0
     for sides in triangles:

@@ -429,6 +429,21 @@ def test_chain_case_o(f2, chain_setup):
     assert chain.u[0] == y and chain.u[-1] == f2.apply(f2.power(B, 4), y)
 
 
+def test_chain_steps_negative_b_blocks_by_q(f2, chain_setup):
+    # b^-6 is two Q-blocks of b^-3: the leading block (case II, m0 = -6) and
+    # the block after a (case I, m_1 = -6) each step through b^-3.
+    a, x, y = chain_setup
+    b3 = f2.power(B, -3)
+    chain = build_witness_chain(f2, (-2,) * 6 + (1,) + (-2,) * 6, a, B, x, y, E8, Q8, 0)
+    prefix_a = f2.compose(f2.power(B, -6), a)
+    assert chain.case == "II" and chain.failures == []
+    assert f2.apply(b3, y) in chain.u
+    assert f2.apply(f2.compose(prefix_a, b3), y) in chain.u
+    chain = build_witness_chain(f2, (1,) + (-2,) * 6, a, B, x, y, E8, Q8, 0)
+    assert chain.case == "I" and chain.failures == []
+    assert chain.u == [x, f2.apply(a, x), f2.apply(f2.compose(a, b3), y), f2.apply(f2.compose(a, f2.power(B, -6)), y)]
+
+
 # -- axis geometry against the all-pairs formulas ------------------------------------------
 
 

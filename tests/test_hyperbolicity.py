@@ -1,8 +1,10 @@
 """Thin-triangle constant and slimness checks."""
 
+import json
 import random
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -108,13 +110,18 @@ def test_check_slim_refuses_sides_that_are_not_edge_paths():
         check_slim(CycleModel(8), ([0, 2], [2, 3, 4], [0, 7, 6, 5, 4]), 1)
 
 
-def _torus(m=4, n=4):
-    vertex = lambda x, y: (x % m) * n + (y % n)
-    adjacency = [
-        [vertex(x + 1, y), vertex(x - 1, y), vertex(x, y + 1), vertex(x, y - 1)] for x in range(m) for y in range(n)
-    ]
-    shift = lambda dx, dy: [vertex(x + dx, y + dy) for x in range(m) for y in range(n)]
-    return ExplicitGraphModel(adjacency, [shift(1, 0), shift(0, 1)])
+def _torus(m=4, n=4, label_seed=None):
+    """m x n grid torus with its two translations; ``label_seed`` shuffles the vertex labels."""
+    label = list(range(m * n))
+    if label_seed is not None:
+        random.Random(label_seed).shuffle(label)
+    vertex = lambda x, y: label[(x % m) * n + (y % n)]
+    adjacency, shift_x, shift_y = ([None] * (m * n) for _ in range(3))
+    for x, y in product(range(m), range(n)):
+        v = vertex(x, y)
+        adjacency[v] = [vertex(x + 1, y), vertex(x - 1, y), vertex(x, y + 1), vertex(x, y - 1)]
+        shift_x[v], shift_y[v] = vertex(x + 1, y), vertex(x, y + 1)
+    return ExplicitGraphModel(adjacency, [shift_x, shift_y])
 
 
 def _reference_slack(model, triangle):
@@ -257,3 +264,55 @@ def test_sampled_tree_delta_builds_one_geodesic_per_region_point(monkeypatch):
     assert not report.exhaustive and report.triple_count == 500
     # One branch per distinct point drawn, against three geodesics per triple.
     assert len(calls) == len(set(calls)) <= report.region["size"] == 161
+
+
+@pytest.mark.parametrize("n", [*range(3, 81), 161, 485, 1457])
+def test_sampled_triples_are_the_ones_random_sample_draws(n):
+    # n <= 21 takes Random.sample's pool method, larger n its set method.
+    for seed in range(20):
+        reference = random.Random(seed)
+        triples = hyperbolicity._triples(random.Random(seed), n, 50)
+        assert [list(t) for t in triples] == [reference.sample(range(n), 3) for _ in range(50)], seed
+
+
+def test_sampled_reports_match_their_golden_bytes():
+    # tests/data/delta_sampled.json holds compute_delta(...).to_doc() on
+    # sampled tori with shuffled vertex labels and on cycles, recorded while
+    # each triple was still drawn by Random.sample.  The test only reads it.
+    golden = json.loads((Path(__file__).parent / "data/delta_sampled.json").read_text())
+    assert len(golden) == 56
+    for case in golden:
+        if "cycle" in case:
+            model = CycleModel(case["cycle"])
+        else:
+            model = _torus(*case["torus"], label_seed=case["seed"])
+        report = compute_delta(model, radius=case["radius"], triple_budget=case["triple_budget"], seed=case["seed"])
+        assert json.dumps(report.to_doc()) == json.dumps(case["doc"]), case
+
+
+def _geodesic_sets():
+    """(model, vertex count, set): every side of the 4x4 torus, and the truncated set between antipodes of the 6x6."""
+    torus = _torus()
+    for x, y in combinations(range(16), 2):
+        yield torus, 16, hyperbolicity._GeodesicSet(torus, all_geodesics(torus, x, y)[0])
+    torus = _torus(6, 6)
+    paths, truncated = all_geodesics(torus, 0, 21)
+    assert truncated and len(paths) == 64
+    yield torus, 36, hyperbolicity._GeodesicSet(torus, paths)
+
+
+def test_geodesic_set_distance_is_the_farthest_choice():
+    stopped = scanned = 0
+    for model, size, side in _geodesic_sets():
+        scans = []
+        for path in side.paths:
+            path.distance = lambda v, measure=path.distance: scans.append(v) or measure(v)
+        for v in range(size):
+            far = max(min(model.distance(v, p) for p in path.points) for path in side.paths)
+            scans.clear()
+            assert side.distance(v) == far
+            count = len(scans)
+            assert side.distance(v) == far and len(scans) == count  # memoised: no second scan
+            stopped += count < len(side.paths)  # a choice reached the nearer end's distance
+            scanned += count == len(side.paths) > 1
+    assert stopped > 0 and scanned > 0
