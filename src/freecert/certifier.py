@@ -153,10 +153,10 @@ def three_points_check(model: ActionModel, points: Sequence, epsilon: Fraction, 
             return ThreePointsReport(epsilon, delta, False, i, None, None, None)
 
     lam = (epsilon / 100 - delta) ** -1 * max(gaps)
-    lhs = rhs = None
+    lhs, rhs = None, gaps[0]
     for i in range(3, len(points) + 1):
         lhs = lam * Fraction(model.distance(points[0], points[i - 1]))
-        rhs = sum(gaps[: i - 1], Fraction(0))
+        rhs += gaps[i - 2]  # the sum of gaps[: i - 1]
         if lhs < rhs:
             # The verified consequence failed: report it honestly.
             return ThreePointsReport(epsilon, delta, False, i - 1, lam, lhs, rhs)
@@ -792,7 +792,9 @@ def chain_base_points(model: ActionModel, axis_a: AxisData, axis_b: AxisData, ov
         mid = seg[len(seg) // 2]
         return pa.nearest(mid), pb.nearest(mid)
     key = model.point_key
-    shared = [p for p in pa.points if p in pb.members]
+    # The shared points, found by looking each point of the shorter axis up in the longer.
+    short, long = (pa, pb) if len(pa.points) <= len(pb.points) else (pb, pa)
+    shared = [p for p in short.points if p in long.members]
     if shared:
         # Distance 0 is least, and p = q there: the least key of a shared point.
         mid = min(shared, key=key)

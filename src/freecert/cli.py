@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .acylindricity import acyl_profile
@@ -41,21 +42,44 @@ from .models import ActionModel, ModelError, Word, build_model, parse_letters
 from .oracle import exceptional_sweep, freeness_to_depth
 
 
-def _json_text(value, newline: str = "\n") -> str:
+def _json_text(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte.
 
     json's indenting encoder is pure Python, and its nested closures leave
-    reference cycles behind on every call; this recursion leaves none.
+    reference cycles behind on every call.  This one appends chunks to one
+    list, quotes strings and writes ints in C, leaves everything else to
+    ``json.dumps``, and leaves no cycle.
     """
-    if isinstance(value, dict) and value:
+    chunks: list[str] = []
+    _json_chunks(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _json_chunks(value, newline: str, emit) -> None:
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        emit(int.__repr__(value))
+    elif isinstance(value, dict) and value:
         inner = newline + "  "
-        items = [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
-                 for k, v in value.items()]
-        return "{" + ",".join(items) + newline + "}"
-    if isinstance(value, (list, tuple)) and value:
+        sep = "{" + inner
+        for k, v in value.items():
+            emit(sep)
+            emit(encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)))
+            emit(": ")
+            _json_chunks(v, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
-        return "[" + ",".join([inner + _json_text(v, inner) for v in value]) + newline + "]"
-    return json.dumps(value)
+        sep = "[" + inner
+        for v in value:
+            emit(sep)
+            _json_chunks(v, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        emit(json.dumps(value))
 
 
 def _write_doc(doc: dict, out: Optional[str]) -> None:
@@ -66,8 +90,12 @@ def _write_doc(doc: dict, out: Optional[str]) -> None:
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".freecert-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            data = memoryview(text.encode("ascii"))  # the text is ASCII: json escapes the rest
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):

@@ -207,12 +207,16 @@ def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, de
     edge_path = EdgePath(model, path)
 
     # Invariance defect, excluding a margin of one translation step at the ends.
-    # An image that is a path point is at distance 0; only the others are measured.
+    # On a geodesic axis g moves each point step places along the path, so an
+    # image is first compared with that one point; the others are measured
+    # (a path point at distance 0).
     margin = max(step, 1)
-    interior = path[margin:-margin] if len(path) > 2 * margin else path
-    members = edge_path.members
-    images = (model.apply(g, p) for p in interior)
-    defect = max((edge_path.distance(q) for q in images if q not in members), default=0)
+    lo, hi = (margin, len(path) - margin) if len(path) > 2 * margin else (0, len(path))
+    defect = 0
+    for i in range(lo, hi):
+        q = model.apply(g, path[i])
+        if i + step >= len(path) or q != path[i + step]:
+            defect = max(defect, edge_path.distance(q))
 
     is_geodesic = len(path) - 1 == model.distance(path[0], path[-1])
     if is_geodesic and defect <= 2 * delta:

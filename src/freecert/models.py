@@ -72,6 +72,30 @@ def parse_letters(text: str, names: Sequence[str]) -> Word:
     return tuple(raw)
 
 
+def common_prefix(x: Word, y: Word) -> int:
+    """Length of the longest common prefix of two words.
+
+    Compares slices, so the letters are matched at C speed: the first
+    letter, then the whole shorter word, then a bisection in which each
+    step compares only the half not yet known to match.
+    """
+    if len(x) > len(y):
+        x, y = y, x
+    n = len(x)
+    if not n or x[0] != y[0]:
+        return 0
+    if x == y[:n]:
+        return n
+    lo, hi = 1, n  # x[:lo] == y[:lo], and they differ below hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if x[lo:mid] == y[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class ActionModel:
     """A point space with exact distance and an isometric group action.
 
@@ -258,6 +282,8 @@ class CyclicFreeProductModel(ActionModel):
         self._inverse = {l: (l if l in involutions else -l) for l in self._letters.values()}
         # neighbor steps in generator order, positive letter first
         self._steps = tuple(dict.fromkeys(self._letters.values()))
+        # (g, g^-1) for the last g whose seam apply cancelled.
+        self._last_inverse: tuple[Word, Word] = (IDENTITY, IDENTITY)
 
     def _check_cap(self, w: Word) -> Word:
         if len(w) > self.cap:
@@ -278,50 +304,61 @@ class CyclicFreeProductModel(ActionModel):
         return tuple(out)
 
     def inverse(self, g: Word) -> Word:
-        return tuple(self._inverse[l] for l in reversed(g))
+        return tuple(map(self._inverse.__getitem__, reversed(g)))
+
+    def _seam(self, w: Word, x: Word) -> int:
+        """How many letters cancel where w meets x: the common prefix of w^-1
+        and x.  w^-1 is built on ever longer tails of w, so a short seam
+        costs a short inverse."""
+        most, size = min(len(w), len(x)), 8
+        while True:
+            size = min(size, most)
+            k = common_prefix(self.inverse(w[len(w) - size :]), x)
+            if k < size or size == most:
+                return k
+            size *= 8
 
     def compose(self, *elements: Word) -> Word:
         # Normal forms cancel only where they join (Lyndon-Schupp IV.1).
-        inverse = self._inverse
-        out: list[int] = []
+        out = IDENTITY
         for e in elements:
-            k = 0
-            while out and k < len(e) and out[-1] == inverse[e[k]]:
-                out.pop()
-                k += 1
-            out.extend(e[k:])
-        return tuple(out)
+            if out and e and out[-1] == self._inverse[e[0]]:
+                k = self._seam(out, e)
+                out = out[: len(out) - k] + e[k:]
+            else:
+                out += e
+        return out
 
     def generators(self) -> list[Word]:
         return [(i,) for i in range(1, self.rank + 1)]
 
     def apply(self, g: Word, x: Word) -> Word:
-        # g * x as one join: cancel where the two normal forms meet, then one
-        # concatenation of what is left, without compose's list.
-        inverse, n, k = self._inverse, len(g), 0
-        most = min(n, len(x))
-        while k < most and g[n - 1 - k] == inverse[x[k]]:
-            k += 1
-        return self._check_cap(g[: n - k] + x[k:])
+        # g * x as one join: the seam is the common prefix of g^-1 and x.  An
+        # axis applies one g to each of its points, so g^-1 is kept for the
+        # last g applied.
+        if g and x and g[-1] == self._inverse[x[0]]:
+            last = self._last_inverse
+            if last[0] is not g:
+                last = self._last_inverse = (g, self.inverse(g))
+            k = common_prefix(last[1], x)
+            w = g[: len(g) - k] + x[k:]
+        else:
+            w = g + x
+        return w if len(w) <= self.cap else self._check_cap(w)
 
     def neighbors(self, x: Word) -> list[Word]:
         back = self._inverse[x[-1]] if x else None
         return [x[:-1] if l == back else self._check_cap(x + (l,)) for l in self._steps]
 
     def distance(self, x: Word, y: Word) -> int:
-        k = 0  # the longest common prefix, inlined: distance is the hottest call
-        while k < len(x) and k < len(y) and x[k] == y[k]:
-            k += 1
-        return len(x) + len(y) - 2 * k
+        if not x or not y or x[0] != y[0]:
+            return len(x) + len(y)  # they part at the identity
+        return len(x) + len(y) - 2 * common_prefix(x, y)
 
     def geodesic(self, x: Word, y: Word) -> list[Word]:
         # Unique in a tree: back up to the longest common prefix, then descend.
-        k = 0
-        while k < len(x) and k < len(y) and x[k] == y[k]:
-            k += 1
-        path = [x[:j] for j in range(len(x), k - 1, -1)]
-        path.extend(y[:j] for j in range(k + 1, len(y) + 1))
-        return path
+        k = common_prefix(x, y)
+        return [x[:j] for j in range(len(x), k - 1, -1)] + [y[:j] for j in range(k + 1, len(y) + 1)]
 
     def basepoint(self) -> Word:
         return IDENTITY

@@ -1,6 +1,7 @@
 """Certifying criteria: three points condition, certificates, witness chains."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,14 @@ from freecert import (
     analyze_pair,
     build_witness_chain,
     chain_base_points,
+    classify,
     compute_delta,
     nielsen_certify,
+    overlap_diameter,
     prop6_certify,
     prop7_certify,
     prop8_certify,
+    quasi_axis,
     resolve_constants,
     theorem9_certify,
     theorem14_mode,
@@ -105,6 +109,53 @@ def test_three_points_lambda_formula(f2):
 def test_three_points_epsilon_precondition(f2):
     with pytest.raises(ModelError):
         three_points_check(f2, [(), (1,)], Fraction(0), 0)
+
+
+class _Table:
+    """Points 0..n-1 with distances read from a table: only what three_points_check measures."""
+
+    def __init__(self, table):
+        self.distance = lambda i, j: table[min(i, j)][max(i, j)]
+
+
+def _summed_bound(model, points, epsilon, delta):
+    """(holds, first violation, lam, lhs, rhs) with each sum of gaps taken afresh."""
+    gaps = [Fraction(model.distance(points[i], points[i + 1])) for i in range(len(points) - 1)]
+    for i in range(len(points) - 2):
+        if Fraction(model.distance(points[i], points[i + 2])) < max(gaps[i], gaps[i + 1]) + epsilon:
+            return False, i, None, None, None
+    lam = (epsilon / 100 - delta) ** -1 * max(gaps)
+    for i in range(3, len(points) + 1):
+        lhs = lam * Fraction(model.distance(points[0], points[i - 1]))
+        rhs = sum(gaps[: i - 1], Fraction(0))
+        if lhs < rhs:
+            return False, i - 1, lam, lhs, rhs
+    return True, None, lam, lhs, rhs
+
+
+def test_three_points_running_sum_matches_the_sum_taken_afresh(f2):
+    # Chains of 3-40 points: on a line (the bound holds), random points (the
+    # local condition fails), and tables whose d(p_0, p_k) collapses at one k
+    # (the summed bound fails there).
+    rng = random.Random("three-points")
+    checked = set()
+    for n in range(3, 41):
+        steps = [rng.randint(6, 9) for _ in range(n)]
+        line = [(1,) * sum(steps[:k]) for k in range(n)]
+        walk = [f2.canon(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 12))) for _ in range(n)]
+        table = [[10 * (j - i) for j in range(n)] for i in range(n)]
+        if n > 3:
+            table[0][rng.randint(3, n - 1)] = 0
+        for model, points, epsilon, delta in (
+            (f2, line, Fraction(5), 0),
+            (f2, walk, Fraction(1), 0),
+            (_Table(table), list(range(n)), Fraction(5), 0),
+        ):
+            rep = three_points_check(model, points, epsilon, delta)
+            expected = _summed_bound(model, points, epsilon, delta)
+            assert (rep.holds, rep.first_violation, rep.lam, rep.bound3_lhs, rep.bound3_rhs) == expected
+            checked.add((rep.holds, rep.lam is None))
+    assert checked == {(True, False), (False, True), (False, False)}  # each outcome was reached
 
 
 # -- nielsen ---------------------------------------------------------------------
@@ -528,6 +579,43 @@ def test_axis_geometry_matches_all_pairs_reference(f2, a, b, window, c):
     assert (x, y) == _all_pairs_base_points(f2, axis_a, axis_b, analysis.overlap)
     for word in ((1, -2), (1, -2, 1, -2, 1)):
         _assert_chain_overlaps_match(f2, build_witness_chain(f2, word, a, b, x, y, Fraction(len(a), 1000), 3, 0))
+
+
+def _scanned_base_points(model, axis_a, axis_b, overlap):
+    """chain_base_points with the shared points found by scanning a's axis."""
+    pa, pb = axis_a.edges, axis_b.edges
+    if overlap.D > 0 and overlap.witness_segment:
+        mid = overlap.witness_segment[len(overlap.witness_segment) // 2]
+        return pa.nearest(mid), pb.nearest(mid)
+    shared = [p for p in pa.points if p in pb.members]
+    if shared:
+        mid = min(shared, key=model.point_key)
+        return mid, mid
+    pairs = [(p, pb.nearest(p)) for p in pa.points]
+    pair = min(pairs, key=lambda t: (model.distance(*t), model.point_key(t[0]), model.point_key(t[1])))
+    geo = model.geodesic(*pair)
+    return geo[len(geo) // 2], geo[len(geo) // 2]
+
+
+def test_base_points_from_the_shorter_axis_match_the_scan_of_a(f2):
+    # The shared points are looked up from whichever axis is shorter; the pair
+    # is the one a scan of a's axis finds, with a longer or shorter than b.
+    rng = random.Random("base-points")
+    pairs = [((1,) * k, b) for k in (1, 5, 17, 40) for b in ((2,), (-2, -2), (2, 1, -2), (1, 2))]
+    pairs += [tuple(f2.canon(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 6))) for _ in "ab")
+              for _ in range(30)]
+    shared = 0
+    for a, b in pairs:
+        if classify(f2, a).hyperbolic != "yes" or classify(f2, b).hyperbolic != "yes":
+            continue
+        window = rng.randint(1, 6)
+        axis_a, axis_b = (quasi_axis(f2, classify(f2, g), window=window) for g in (a, b))
+        for first, second in ((axis_a, axis_b), (axis_b, axis_a)):
+            for c in (-1, 0, 1):
+                args = (f2, first, second, overlap_diameter(f2, first, second, c))
+                assert chain_base_points(*args) == _scanned_base_points(*args)
+                shared += args[3].D == 0 and not first.edges.members.isdisjoint(second.path)
+    assert shared > 0
 
 
 def test_chain_overlaps_match_all_pairs_reference_on_one_line(f2):

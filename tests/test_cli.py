@@ -15,6 +15,7 @@ from freecert.cli import _write_doc, main
 
 MODELS = {
     "f2.json": {"kind": "free-group", "rank": 2, "cap": 512},
+    "f2-8192.json": {"kind": "free-group", "rank": 2, "cap": 8192},
     "zxz2.json": {"kind": "free-product", "cap": 256},
     "c4.json": {"kind": "cycle", "n": 4},
     "c3.json": {"kind": "cycle", "n": 3},
@@ -199,6 +200,17 @@ def test_chain_subcommand(model_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["case"] == "I"
     assert doc["failures"] == []
+
+
+def test_theorem9_certifies_a_long_power_by_its_nielsen_step(model_dir, capsys):
+    # tau(b) / tau(a) = 1/570 is at most N6 / M = 204/116040 at delta = 0, so
+    # theorem9's second step certifies a real element, with M as both exponents.
+    code = run(model_dir, "certify", "--model", "@f2-8192.json", "--a", "a" * 570, "--b", "b",
+               "--criterion", "theorem9", "--window", "1", "--no-verify")
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["details"]["branch"] == "step2-nielsen"
+    assert (doc["exponents"]["n_min"], doc["exponents"]["m_min"]) == (116040, 116040)
 
 
 def test_chain_resolves_no_acylindricity_constants(model_dir, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Translation lengths, hyperbolicity verdicts, axes, overlaps, independence."""
 
+import copy
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from freecert import (
     ExplicitGraphModel,
     FreeGroupModel,
     FreeProductModel,
+    IsometryProfile,
     ModelError,
     classify,
     displacement_power,
@@ -200,6 +203,55 @@ def test_axis_refuses_a_window_below_one(f2):
         with pytest.raises(ModelError, match=f"window must be >= 1, got {window}"):
             quasi_axis(f2, profile, window=window)
     assert len(quasi_axis(f2, profile, window=1).path) == 5
+
+
+def _membership_axis(model, g, window, delta):
+    """(path, mode, defect, step) with every interior image hashed into the
+    path's point set first: the reference for the defect read by path index."""
+    pstar = model.min_displacement_point(g)
+    step = model.distance(pstar, model.apply(g, pstar))
+    orbit = [model.apply(model.power(g, -window), pstar)]
+    for _ in range(2 * window):
+        orbit.append(model.apply(g, orbit[-1]))
+    path = []
+    for u, v in zip(orbit, orbit[1:]):
+        seg = model.geodesic(u, v)
+        path.extend(seg if not path else seg[1:])
+    path = path or [pstar]
+    edge_path = EdgePath(model, path)
+    margin = max(step, 1)
+    interior = path[margin:-margin] if len(path) > 2 * margin else path
+    images = (model.apply(g, p) for p in interior)
+    defect = max((edge_path.distance(q) for q in images if q not in edge_path.members), default=0)
+    geodesic = len(path) - 1 == model.distance(path[0], path[-1])
+    return tuple(path), "geodesic-axis" if geodesic and defect <= 2 * delta else "quasi-geodesic-axis", defect, step
+
+
+def test_defect_read_by_path_index_matches_the_membership_defect():
+    # Each interior image is first compared with the point step places on.  On
+    # a tree axis it always is that point; on the cycle and tori below, given
+    # axes from every base point, g . path[i] often misses path[i + step] and
+    # is measured.  delta = 2 is past their diameters, so no axis is refused.
+    rng = random.Random("indexed-defect")
+    cases = [(FreeGroupModel(2, cap=4096), (1,) * 40, 0)]
+    for model in (FreeGroupModel(2, cap=4096), FreeProductModel(cap=4096)):
+        cases += [(model, g, 0) for g in _conjugates(model, rng, 6)]
+    for model, words in ((CycleModel(9), [(1,), (1, 1), (1,) * 4]),
+                         (_torus(), [(1,), (1, 2), (1, 1, 2), (2, -1)]),
+                         (_torus(5, 3), [(1,), (1, 2), (1, -2, -2)])):
+        for p in range(0, len(model.ball(model.basepoint(), 9)), 2):
+            view = copy.copy(model)
+            view.min_displacement_point = lambda g, p=p: p
+            cases += [(view, model.canon(w), 2) for w in words]
+    misses = 0
+    for model, g, delta in cases:
+        profile = classify(model, g) if model.is_tree else IsometryProfile(g, Fraction(1), "yes")
+        for window in (1, 2, 3, 6):
+            axis = quasi_axis(model, profile, window=window, delta=delta)
+            path, mode, defect, step = _membership_axis(model, g, window, delta)
+            assert (axis.path, axis.mode, axis.invariance_defect, axis.step) == (path, mode, defect, step)
+            misses += sum(model.apply(g, path[i]) != path[i + step] for i in range(len(path) - step))
+    assert misses > 0
 
 
 # -- overlaps -------------------------------------------------------------------

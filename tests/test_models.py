@@ -412,6 +412,86 @@ def test_tree_model_seams_cancel_involutions():
     assert dihedral.power((1, 2), 3) == (1, 2, 1, 2, 1, 2)
 
 
+def _letter_by_letter(model):
+    """distance, geodesic, apply, compose and cyclic_split, one letter per loop step."""
+    letters = [l for (i,) in model.generators() for l in (i, model.inverse((i,))[0])]
+    inv = {l: model.inverse((l,))[0] for l in letters}
+
+    def prefix(x, y):
+        k = 0
+        while k < len(x) and k < len(y) and x[k] == y[k]:
+            k += 1
+        return k
+
+    def distance(x, y):
+        return len(x) + len(y) - 2 * prefix(x, y)
+
+    def geodesic(x, y):
+        k = prefix(x, y)
+        return [x[:j] for j in range(len(x), k - 1, -1)] + [y[:j] for j in range(k + 1, len(y) + 1)]
+
+    def compose(*elements):
+        out = []
+        for e in elements:
+            k = 0
+            while out and k < len(e) and out[-1] == inv[e[k]]:
+                out.pop()
+                k += 1
+            out.extend(e[k:])
+        return tuple(out)
+
+    def apply(g, x):
+        n, k = len(g), 0
+        while k < min(n, len(x)) and g[n - 1 - k] == inv[x[k]]:
+            k += 1
+        return g[: n - k] + x[k:]
+
+    def cyclic_split(w):
+        k = 0
+        while len(w) - 2 * k >= 2 and w[k] == inv[w[-1 - k]]:
+            k += 1
+        return w[:k], w[k : len(w) - k]
+
+    return distance, geodesic, apply, compose, cyclic_split
+
+
+@pytest.mark.parametrize(
+    "model",
+    [FreeGroupModel(2, cap=10_000), FreeGroupModel(3, cap=10_000), FreeProductModel(cap=10_000)],
+    ids=["F2", "F3", "ZxZ2"],
+)
+def test_tree_model_slices_match_the_letter_by_letter_reference(model):
+    # Common prefixes are found by slice comparisons; seeded words of length
+    # 0-2,000, with equal words, prefixes of each other, and seams that
+    # cancel partly, wholly or past a whole word.
+    distance, geodesic, apply, compose, cyclic_split = _letter_by_letter(model)
+    rng = random.Random(f"slices:{model.orders}")
+    alphabet = [l for i in range(1, model.rank + 1) for l in (i, -i)]
+
+    def word(length):
+        return model.canon(rng.choice(alphabet) for _ in range(length))
+
+    for _ in range(40):
+        w = word(rng.choice((0, 1, 2, 3, rng.randint(4, 60), rng.randint(1000, 2000))))
+        w_inv, j = model.inverse(w), rng.randint(0, len(w))
+        tail = word(rng.randint(0, 40))
+        others = [w, w[:j], model.canon(w[:j] + tail), word(len(w)), IDENTITY]
+        for x in others:
+            for p, q in ((w, x), (x, w)):
+                assert model.distance(p, q) == distance(p, q)
+                assert model.geodesic(p, q) == geodesic(p, q)
+        seams = [w_inv, w_inv[:j], model.canon(w_inv[:j] + tail), model.canon(w_inv + tail), tail, IDENTITY]
+        for x in seams:
+            for p, q in ((w, x), (x, w)):
+                assert model.apply(p, q) == compose(p, q) == apply(p, q)
+                assert model.compose(p, q) == compose(p, q)
+            assert model.compose(w, x, w) == compose(w, x, w)
+            assert model.apply(tuple(list(w)), x) == apply(w, x)  # an equal g that is not the last one applied
+        u = word(rng.randint(0, 30))
+        for g in (w, model.compose(u, w, model.inverse(u)), model.compose(u, (model.rank,), model.inverse(u))):
+            assert model.cyclic_split(g) == cyclic_split(g)
+
+
 @pytest.mark.parametrize("orders", [(None, 3), (2, 4), (1,), ()])
 def test_tree_model_refuses_orders_without_a_tree(orders):
     with pytest.raises(ModelError):
