@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import ceil
 from typing import Optional, Sequence
 
@@ -31,8 +32,8 @@ from .isometry import (
     overlap_points,
     quasi_axis,
 )
-from .models import ActionModel, ModelError, Word, check_int
-from .oracle import evaluate, freeness_to_depth
+from .models import IDENTITY, ActionModel, ModelError, Word, check_int
+from .oracle import freeness_to_depth
 
 SCHEMA_VERSION = 1
 
@@ -253,7 +254,6 @@ class PairAnalysis:
     axis_a: AxisData
     axis_b: AxisData
     overlap: OverlapReport
-    independence: str
 
 
 # Bound on |p|, |q| in the search for a commuting pair [a^p, b^q] = 1.
@@ -274,7 +274,7 @@ def analyze_pair(model: ActionModel, a: Word, b: Word, delta: int, window: int =
     if c is None:
         c = 10 * delta
     overlap = overlap_diameter(model, axis_a, axis_b, c)
-    return PairAnalysis(pa, pb, axis_a, axis_b, overlap, verdict)
+    return PairAnalysis(pa, pb, axis_a, axis_b, overlap)
 
 
 # A claim: (n_min, m_min, the criterion's own constants, details).
@@ -475,7 +475,6 @@ def nielsen_certify(
     model: ActionModel, a: Word, b: Word, constants: ConstantSet,
     epsilon_mode: str = "paper-literal", epsilon: Optional[Fraction] = None,
     exponents: Optional[tuple[int, int]] = None, window: int = 8, oracle_depth: int = 8,
-    analysis: Optional[PairAnalysis] = None,
 ) -> Certificate:
     """Certify via overlap-dominating powers (:func:`nielsen_claim`).
 
@@ -492,8 +491,7 @@ def nielsen_certify(
         raise ModelError(f"unknown epsilon mode {epsilon_mode!r}")
     if exponents is not None and not sharp:
         raise CertificateRefused("explicit exponents are only allowed in sharp-experimental mode")
-    if analysis is None:
-        analysis = analyze_pair(model, a, b, delta, window)
+    analysis = analyze_pair(model, a, b, delta, window)
     claim = n, m, _, details = _claim_on(analysis, constants, nielsen_claim, epsilon, exponents)
 
     if sharp:
@@ -583,10 +581,7 @@ def word_case(syllables: list[tuple[int, int]]) -> str:
 class WitnessChain:
     word: Word
     case: str
-    p: list
-    q: list
-    r: list
-    s: list
+    blocks: list  # (p_j, q_j, r_j, s_j), one per a-syllable
     u: list  # pruned interpolated chain, start to end
     conditions: dict  # condition name -> {"holds": bool, "measured": ...}
     failures: list
@@ -617,25 +612,20 @@ def _segment_overlap(model: ActionModel, path1, path2, c: int) -> int:
     return farthest_pair(model, pts)[0] if pts else 0
 
 
-def build_witness_chain(
-    model: ActionModel,
-    word: Word,
-    a: Word,
-    b: Word,
-    x,
-    y,
-    E: Fraction,
-    Q: int,
-    delta: int,
-) -> WitnessChain:
+def build_witness_chain(model: ActionModel, word: Word, a: Word, b: Word, x, y, E: Fraction, Q: int,
+                        delta: int) -> WitnessChain:
     """Interpolated point chain witnessing that ``word`` (in a, b) moves x.
 
-    Builds the block points p_j, q_j, r_j, s_j, checks the five block
-    conditions (violations are annotated, not fatal), interpolates with the
-    a-action and Q-blocks of the b-action, prunes to the subchain u_k,
-    classifies consecutive gaps into the two admissible bands, verifies the
-    three points condition for epsilon = E on u, and checks the resulting
-    embedding bound L * |x - word(x)| >= |word|.
+    One walk over the word's syllables keeps w, the prefix read so far.
+    Each a-syllable a^n and the b-syllable b^m after it (m = 0 at the end
+    of the word) make a block p = w x, q = w a^n x, r = w a^n y,
+    s = w a^n b^m y; a leading b-syllable (cases O and II) moves y to s_0.
+    Checks the five block conditions (violations are annotated, not
+    fatal), interpolates with the a-action and Q-blocks of the b-action,
+    prunes to the subchain u_k, classifies consecutive gaps into the two
+    admissible bands, verifies the three points condition for epsilon = E
+    on u, and checks the resulting embedding bound
+    L * |x - w(a, b) x| >= |word|, w(a, b) being the walk's final prefix.
     """
     E = Fraction(E)
     if Q < 1:
@@ -644,63 +634,44 @@ def build_witness_chain(
     syl = word_syllables(word)
     case = word_case(syl)
     tr_a = Fraction(model.exact_translation_length(a))
+    if any(gen == nxt for (gen, _), (nxt, _) in zip(syl, syl[1:])):
+        raise ModelError("word is not freely reduced over the two letters")
+
+    def walk(w: Word, g: Word, n: int, stride: int) -> tuple[list, Word]:
+        """The prefixes w g^(k stride), 0 <= k <= |n| // stride, k of n's sign, one compose each; and w g^n."""
+        sign, k = (1 if n > 0 else -1), abs(n) // stride
+        step = model.power(g, sign * stride) if k else IDENTITY  # g^stride is formed only where a step reaches it
+        steps = list(accumulate(repeat(step, k), model.compose, initial=w))
+        return steps, model.compose(steps[-1], model.power(g, sign * (abs(n) - k * stride)))
+
+    # The pruned chain u keeps, of the interpolated sequence, the start y of
+    # a leading b-syllable, every a-step p_j .. q_j (q_j only when the b-syllable
+    # after it has a Q-step, o_j = |m_j| // Q > 0), the interior Q-steps of
+    # every b-syllable, and only the last s point.  A block's four points are
+    # applied before the points between them, which on a tree are never
+    # longer than both ends, so a word that outgrows the model cap is refused
+    # at the first of p, q, r, s that does.
+    u: list = []
+    blocks: list = []
+    starts: list = []  # s_{j-1}, the point before block j
+    lead = syl[0][0] == 2
+    w, s = IDENTITY, y
+    if lead:
+        b_steps, w = walk(w, b, syl[0][1], Q)
+        u += [y] + [model.apply(v, y) for v in b_steps[1:-1]]
+        s = model.apply(w, y)
+    for j in range(lead, len(syl), 2):
+        a_steps, w_a = walk(w, a, syl[j][1], 1)
+        b_steps, w = walk(w_a, b, syl[j + 1][1] if j + 1 < len(syl) else 0, Q)
+        starts.append(s)
+        p, q, r, s = model.apply(a_steps[0], x), model.apply(w_a, x), model.apply(w_a, y), model.apply(w, y)
+        blocks.append((p, q, r, s))
+        u += [p] + [model.apply(v, x) for v in a_steps[1:-1]] + ([q] if len(b_steps) > 1 else [])
+        u += [model.apply(v, y) for v in b_steps[1:-1]]
+    u.append(s)
 
     failures: list = []
     conditions: dict = {}
-
-    # Blocks: an optional leading (2, m0) syllable, then alternating
-    # (1, n_j), (2, m_j) pairs with m_i possibly absent.  In case O the
-    # leading syllable is the whole word, so there are no blocks.
-    m0 = 0
-    rest = syl
-    if case in ("O", "II"):
-        m0 = rest[0][1]
-        rest = rest[1:]
-    rest = rest + [(2, 0)] * (len(rest) % 2)  # m_i = 0 when the word ends with an a-syllable
-    blocks: list[tuple[int, int]] = []  # (n_j, m_j)
-    for (gen, n), (gen2, m) in zip(rest[::2], rest[1::2]):
-        if gen != 1 or gen2 != 2:
-            raise ModelError("word is not freely reduced over the two letters")
-        blocks.append((n, m))
-
-    # The pruned chain u keeps, of the interpolated sequence, the start y of
-    # a leading b-block, every a-step p_j .. q_j (q_j only when the b-block
-    # after it has a Q-step, o_j = |m_j| // Q > 0), the interior Q-steps of
-    # every b-block, and only the last s point.
-    u: list = []
-    p_pts: list = []
-    q_pts: list = []
-    r_pts: list = []
-    s_pts: list = []
-
-    prefix: Word = ()
-    if m0:
-        # Leading b-block based at y (cases O and II).
-        u.append(y)
-        sign = 1 if m0 >= 0 else -1
-        for k in range(1, abs(m0) // Q):
-            u.append(model.apply(model.power(b, sign * k * Q), y))
-        prefix = model.power(b, m0)
-        s_pts.append(model.apply(prefix, y))
-
-    i = len(blocks)
-    for j, (n_j, m_j) in enumerate(blocks, start=1):
-        prefix_a = model.compose(prefix, model.power(a, n_j))
-        prefix_next = model.compose(prefix_a, model.power(b, m_j))
-        p_pts.append(model.apply(prefix, x))
-        q_pts.append(model.apply(prefix_a, x))
-        r_pts.append(model.apply(prefix_a, y))
-        s_pts.append(model.apply(prefix_next, y))
-
-        o_j = abs(m_j) // Q
-        sign = 1 if n_j >= 0 else -1
-        for k in range(abs(n_j) + 1 if o_j else abs(n_j)):
-            u.append(model.apply(model.compose(prefix, model.power(a, sign * k)), x))
-        sign = 1 if m_j >= 0 else -1
-        for k in range(1, o_j):
-            u.append(model.apply(model.compose(prefix_a, model.power(b, sign * k * Q)), y))
-        prefix = prefix_next
-    u.append(s_pts[-1])
 
     # Block conditions; measured worst cases, violations annotated.
     def note(name: str, holds: bool, measured):
@@ -708,21 +679,17 @@ def build_witness_chain(
         if not holds:
             failures.append(f"condition {name} fails (measured {measured})")
 
-    if i >= 1:
-        s_prev = [y] + s_pts if not m0 else s_pts  # s_0 = y in case I
-        c1 = max(
-            max(model.distance(q_pts[j], r_pts[j]) for j in range(i)),
-            max(model.distance(p_pts[j], s_prev[j]) for j in range(i)),
-        )
+    if blocks:
+        c1 = max(max(model.distance(q, r), model.distance(p, s_prev)) for (p, q, r, _), s_prev in zip(blocks, starts))
         note("c1", c1 <= 2 * delta, c1)
-        c2 = min(model.distance(p_pts[j], q_pts[j]) for j in range(i))
+        c2 = min(model.distance(p, q) for p, q, _, _ in blocks)
         note("c2", c2 >= 1000 * E, c2)
-        geos_A = [model.geodesic(p_pts[j], q_pts[j]) for j in range(i)]
-        geos_B = [model.geodesic(r_pts[j], s_pts[-i:][j]) for j in range(i)]
-        c3 = max(_segment_overlap(model, geos_A[j], geos_B[j], 10 * delta) for j in range(i))
+        geos_A = [model.geodesic(p, q) for p, q, _, _ in blocks]
+        geos_B = [model.geodesic(r, s) for _, _, r, s in blocks]
+        c3 = max(_segment_overlap(model, A, B, 10 * delta) for A, B in zip(geos_A, geos_B))
         note("c3", c3 <= E, c3)
         # B_{j-1} precedes A_j; B_0 exists only when the word opens with a b-syllable.
-        preceding_B = ([model.geodesic(y, s_pts[0])] if m0 else [None]) + geos_B[:-1]
+        preceding_B = ([model.geodesic(y, starts[0])] if lead else [None]) + geos_B[:-1]
         c4 = max(
             (_segment_overlap(model, B, A, 10 * delta) for B, A in zip(preceding_B, geos_A) if B is not None),
             default=0,
@@ -733,7 +700,6 @@ def build_witness_chain(
 
     # Gap bands: (i) around tr(a), (ii) around tr(b^Q).
     gaps: list = []
-    ok_bands = True
     for p1, p2 in zip(u, u[1:]):
         d = model.distance(p1, p2)
         if Fraction(4, 5) * tr_a <= d <= Fraction(6, 5) * tr_a:
@@ -742,7 +708,6 @@ def build_witness_chain(
             band = "ii"
         else:
             band = None
-            ok_bands = False
             failures.append(f"gap {d} falls outside both admissible bands")
         gaps.append((d, band))
 
@@ -754,8 +719,7 @@ def build_witness_chain(
     # lambda_0 = (E/100 - delta)^-1 * 2 tr(a).
     lam0 = (E / 100 - delta) ** -1 * 2 * tr_a
     L = Q * lam0 / 500
-    w_elt = evaluate(model, word, a, b)
-    moved = model.distance(x, model.apply(w_elt, x))
+    moved = model.distance(x, model.apply(w, x))
     embedding_ok = L * moved >= len(word)
     if not embedding_ok:
         failures.append(f"embedding bound fails: L * {moved} < |word| = {len(word)}")
@@ -763,15 +727,12 @@ def build_witness_chain(
     return WitnessChain(
         word=tuple(word),
         case=case,
-        p=p_pts,
-        q=q_pts,
-        r=r_pts,
-        s=s_pts,
+        blocks=blocks,
         u=u,
         conditions=conditions,
         failures=failures,
         gaps=gaps,
-        gap_bands_ok=ok_bands,
+        gap_bands_ok=all(band for _, band in gaps),
         three_points=three,
         embedding_L=L,
         embedding_ok=embedding_ok,

@@ -24,7 +24,8 @@ from .isometry import EdgePath
 from .models import ActionModel, ModelError
 
 DEFAULT_TRIPLE_BUDGET = 200_000
-DEFAULT_GEODESIC_CAP = 64
+# Most geodesics :func:`all_geodesics` lists between two points.
+GEODESIC_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -38,17 +39,13 @@ class HyperbolicityReport:
         return asdict(self)
 
 
-def all_geodesics(model: ActionModel, x, y, cap: int = DEFAULT_GEODESIC_CAP):
-    """All distinct geodesics from x to y, or the first ``cap`` of them.
+def all_geodesics(model: ActionModel, x, y):
+    """All distinct geodesics from x to y, or the first GEODESIC_CAP of them.
 
-    Returns (paths, truncated).  Tree models have a unique geodesic.  Else
-    a depth-first walk steps to each neighbour one edge closer to y; the
-    metric is exact, so each prefix is a geodesic from x.
+    Returns (paths, truncated).  A depth-first walk steps to each neighbour
+    one edge closer to y; the metric is exact, so each prefix is a geodesic
+    from x.
     """
-    if cap < 1:
-        raise ModelError("cap must be >= 1")
-    if model.is_tree:
-        return [model.geodesic(x, y)], False
     if x == y:
         return [[x]], False
 
@@ -61,7 +58,7 @@ def all_geodesics(model: ActionModel, x, y, cap: int = DEFAULT_GEODESIC_CAP):
         p = path[-1]
         if p == y:
             paths.append(list(path))
-            if len(paths) >= cap:
+            if len(paths) >= GEODESIC_CAP:
                 truncated = True
                 return False
             return True

@@ -83,8 +83,12 @@ def classify(model: ActionModel, g: Word) -> IsometryProfile:
     return IsometryProfile(g, tr, HYPERBOLIC_YES if tr > 0 else HYPERBOLIC_NO)
 
 
-def displacement_power(model: ActionModel, g: Word, delta: int, power_cap: int = 128) -> Optional[int]:
-    """The least n <= power_cap at which some sampled p satisfies
+# Highest power of g that :func:`displacement_power` tries.
+POWER_CAP = 128
+
+
+def displacement_power(model: ActionModel, g: Word, delta: int) -> Optional[int]:
+    """The least n <= POWER_CAP at which some sampled p satisfies
     |p - g^n p| <= |g^n p - g^-n p| - 100(delta+1), or None.  The search also
     stops, with None, at a power of g that is the identity and once every
     sampled point outgrows the model cap.  g must be canonical.
@@ -92,7 +96,7 @@ def displacement_power(model: ActionModel, g: Word, delta: int, power_cap: int =
     sample = [model.basepoint()] + model.ball(model.basepoint(), 1)[1:3]
     margin = 100 * (delta + 1)
     fwd = IDENTITY
-    for n in range(1, power_cap + 1):
+    for n in range(1, POWER_CAP + 1):
         fwd = model.compose(fwd, g)
         if fwd == IDENTITY:
             return None
@@ -140,23 +144,14 @@ class EdgePath:
         return best
 
     def within(self, p, c: int) -> bool:
-        """Whether some path point lies within c of p; stops at the first hit.
+        """Whether some path point lies within c of p.
 
         Only a path point lies within 0 of the path, so c < 1 is decided by
         membership alone, without measuring a distance.
         """
-        if p in self.members:
-            return c >= 0
         if c < 1:
-            return False
-        dist, points = self.model.distance, self.points
-        i = 0
-        while i < len(points):
-            d = dist(p, points[i])
-            if d <= c:
-                return True
-            i += d - c  # the points skipped are farther than c
-        return False
+            return c >= 0 and p in self.members
+        return self.distance(p) <= c
 
     def nearest(self, p):
         """The path point nearest p; ties go to the least ``point_key``."""

@@ -123,7 +123,7 @@ def test_criterion_4_nielsen_pipeline():
         a, b = (1,), (2,)
         analysis = analyze_pair(model, a, b, 0)
         assert analysis.overlap.D == 0
-        cert = nielsen_certify(model, a, b, resolve_constants(model, 0, "tree-case"), analysis=analysis)
+        cert = nielsen_certify(model, a, b, resolve_constants(model, 0, "tree-case"))
         assert cert.exponents == {"n_min": 100, "m_min": 100}
         assert cert.details["predicted_embedding_L"] == "1"
 

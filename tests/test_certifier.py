@@ -549,8 +549,8 @@ def _all_pairs_segment_overlap(model, path1, path2, c):
 
 def _assert_chain_overlaps_match(model, chain):
     # Conditions c3-c5 at delta = 0, so the overlap radius 10*delta is 0.
-    geos_A = [model.geodesic(p, q) for p, q in zip(chain.p, chain.q)]
-    geos_B = [model.geodesic(r, s) for r, s in zip(chain.r, chain.s)]
+    geos_A = [model.geodesic(p, q) for p, q, _, _ in chain.blocks]
+    geos_B = [model.geodesic(r, s) for _, _, r, s in chain.blocks]
     segment_pairs = {
         "c3": zip(geos_A, geos_B),
         "c4": zip(geos_B, geos_A[1:]),

@@ -320,6 +320,25 @@ def test_axis_documents_match_their_golden_bytes(monkeypatch, capsys):
         assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]
 
 
+def test_chain_documents_across_the_cases_match_their_golden_bytes(monkeypatch, capsys):
+    # tests/data/chain_words.json holds the exit code, stdout and stderr of
+    # chain on words of all three cases (O, I, II) on a^40 and a^12 in F2, a
+    # delta = 1 chain whose c2 fails, the two refusals of a word (empty, not
+    # freely reduced), three Z * Z/2 chains that fail, a case II chain whose
+    # c4 fails on the segment of its leading b-syllable, and a^14 on a^40,
+    # refused where its end point q first outgrows the model cap.  Recorded
+    # while the chain still formed each point from a fresh power; the test
+    # only reads it.
+    monkeypatch.chdir(REPO)
+    golden = json.loads((REPO / "tests/data/chain_words.json").read_text())
+    assert len(golden) == 16
+    assert {json.loads(run_["stdout"])["case"] for run_ in golden if run_["stdout"]} == {"O", "I", "II"}
+    for run_ in golden:
+        code = main(run_["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]
+
+
 def _assert_profiles_match(name, monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     golden = json.loads((REPO / "tests/data" / name).read_text())

@@ -39,13 +39,6 @@ def test_c6_antipodal_two_geodesics_length_three():
     assert all(len(p) == 4 for p in paths)
 
 
-def test_geodesic_cap_truncates_with_flag():
-    # The 4-cycle as an explicit graph gives multiple geodesics; cap at 1.
-    m = CycleModel(4)
-    paths, truncated = all_geodesics(m, 0, 2, cap=1)
-    assert len(paths) == 1 and truncated
-
-
 def test_tree_delta_zero():
     m = FreeGroupModel(2, cap=64)
     report = compute_delta(m, radius=3)

@@ -85,13 +85,14 @@ def test_an_infinite_model_without_an_exact_length_is_refused():
 def test_classify_generator_criterion_power(f2):
     p = classify(f2, (1,))
     assert (p.tr, p.hyperbolic) == (1, "yes")
-    assert displacement_power(f2, (1,), 0, power_cap=128) == 100
+    assert displacement_power(f2, (1,), 0) == 100
 
 
 def test_classify_small_power_cap_still_yes(f2):
     # The verdict never depended on the power the displacement search reaches.
     assert classify(f2, (1,)).hyperbolic == "yes"
-    assert displacement_power(f2, (1,), 0, power_cap=10) is None
+    # At delta = 1 the criterion needs n >= 200, past the search's POWER_CAP of 128.
+    assert displacement_power(f2, (1,), 1) is None
 
 
 def test_classify_torsion_is_no(zz2):
@@ -105,7 +106,7 @@ def test_classify_identity_is_no(f2):
 
 
 def test_a_rotation_of_a_large_finite_model_is_not_hyperbolic():
-    # The rotation's order is beyond power_cap; on the 500-cycle the displacement
+    # The rotation's order is beyond POWER_CAP; on the 500-cycle the displacement
     # criterion even passes at delta 0 (n = 100), yet the exact length 0 says "no".
     assert displacement_power(CycleModel(500), (1,), 0) == 100
     n = 300
