@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import ceil
 from typing import Optional, Sequence
 
@@ -612,20 +612,35 @@ def _segment_overlap(model: ActionModel, path1, path2, c: int) -> int:
     return farthest_pair(model, pts)[0] if pts else 0
 
 
-def build_witness_chain(model: ActionModel, word: Word, a: Word, b: Word, x, y, E: Fraction, Q: int,
-                        delta: int) -> WitnessChain:
+def _gap_band(d: int, tr_a: Fraction) -> Optional[str]:
+    """The admissible band of a chain gap d: (i) around tr(a), (ii) around tr(b^Q), or None."""
+    if Fraction(4, 5) * tr_a <= d <= Fraction(6, 5) * tr_a:
+        return "i"
+    if tr_a / 100 <= d <= tr_a / 10:
+        return "ii"
+    return None
+
+
+def build_witness_chain(
+    model: ActionModel,
+    word: Word,
+    a: Word,
+    b: Word,
+    x,
+    y,
+    E: Fraction,
+    Q: int,
+    delta: int,
+) -> WitnessChain:
     """Interpolated point chain witnessing that ``word`` (in a, b) moves x.
 
-    One walk over the word's syllables keeps w, the prefix read so far.
-    Each a-syllable a^n and the b-syllable b^m after it (m = 0 at the end
-    of the word) make a block p = w x, q = w a^n x, r = w a^n y,
-    s = w a^n b^m y; a leading b-syllable (cases O and II) moves y to s_0.
-    Checks the five block conditions (violations are annotated, not
-    fatal), interpolates with the a-action and Q-blocks of the b-action,
-    prunes to the subchain u_k, classifies consecutive gaps into the two
-    admissible bands, verifies the three points condition for epsilon = E
-    on u, and checks the resulting embedding bound
-    L * |x - w(a, b) x| >= |word|, w(a, b) being the walk's final prefix.
+    One walk over the word's syllables keeps w, the prefix read so far:
+    each a-syllable a^n and the b-syllable b^m after it (m = 0 at the end)
+    make a block p = w x, q = w a^n x, r = w a^n y, s = w a^n b^m y, and a
+    leading b-syllable (cases O and II) moves y to s_0.  Checks the five
+    block conditions (violations are annotated, not fatal), the gap bands and
+    the three points condition for epsilon = E on the pruned chain u, and the
+    embedding bound L * |x - w x| >= |word| at the final prefix w = w(a, b).
     """
     E = Fraction(E)
     if Q < 1:
@@ -637,37 +652,41 @@ def build_witness_chain(model: ActionModel, word: Word, a: Word, b: Word, x, y, 
     if any(gen == nxt for (gen, _), (nxt, _) in zip(syl, syl[1:])):
         raise ModelError("word is not freely reduced over the two letters")
 
-    def walk(w: Word, g: Word, n: int, stride: int) -> tuple[list, Word]:
-        """The prefixes w g^(k stride), 0 <= k <= |n| // stride, k of n's sign, one compose each; and w g^n."""
-        sign, k = (1 if n > 0 else -1), abs(n) // stride
-        step = model.power(g, sign * stride) if k else IDENTITY  # g^stride is formed only where a step reaches it
-        steps = list(accumulate(repeat(step, k), model.compose, initial=w))
-        return steps, model.compose(steps[-1], model.power(g, sign * (abs(n) - k * stride)))
+    def between(w: Word, g: Word, n: int, stride: int):
+        """The prefixes w g^(k stride), 0 < k < |n| // stride, k of n's sign, each one compose past the last."""
+        k = abs(n) // stride
+        step = model.power(g, stride if n > 0 else -stride) if k > 1 else IDENTITY
+        return islice(accumulate(repeat(step, k - 1), model.compose, initial=w), 1, None)
 
-    # The pruned chain u keeps, of the interpolated sequence, the start y of
-    # a leading b-syllable, every a-step p_j .. q_j (q_j only when the b-syllable
-    # after it has a Q-step, o_j = |m_j| // Q > 0), the interior Q-steps of
-    # every b-syllable, and only the last s point.  A block's four points are
-    # applied before the points between them, which on a tree are never
-    # longer than both ends, so a word that outgrows the model cap is refused
-    # at the first of p, q, r, s that does.
+    # The pruned chain u: the start y of a leading b-syllable, every a-step
+    # p_j .. q_j (q_j only when o_j = |m_j| // Q > 0), the interior Q-steps of
+    # every b-syllable, and the last s.  A block's ends are applied before the
+    # points between them, so a syllable past the model cap is refused at once.
     u: list = []
-    blocks: list = []
-    starts: list = []  # s_{j-1}, the point before block j
+    blocks: list = []  # (p_j, q_j, r_j, s_j), one per a-syllable
     lead = syl[0][0] == 2
     w, s = IDENTITY, y
     if lead:
-        b_steps, w = walk(w, b, syl[0][1], Q)
-        u += [y] + [model.apply(v, y) for v in b_steps[1:-1]]
+        u.append(y)
+        u += [model.apply(v, y) for v in between(w, b, syl[0][1], Q)]
+        w = model.power(b, syl[0][1])
         s = model.apply(w, y)
+    s0 = s
     for j in range(lead, len(syl), 2):
-        a_steps, w_a = walk(w, a, syl[j][1], 1)
-        b_steps, w = walk(w_a, b, syl[j + 1][1] if j + 1 < len(syl) else 0, Q)
-        starts.append(s)
-        p, q, r, s = model.apply(a_steps[0], x), model.apply(w_a, x), model.apply(w_a, y), model.apply(w, y)
+        n, m = syl[j][1], syl[j + 1][1] if j + 1 < len(syl) else 0
+        w_a = model.compose(w, model.power(a, n))
+        w_next = model.compose(w_a, model.power(b, m))
+        p = model.apply(w, x)
+        q = model.apply(w_a, x)
+        r = model.apply(w_a, y)
+        s = model.apply(w_next, y)
         blocks.append((p, q, r, s))
-        u += [p] + [model.apply(v, x) for v in a_steps[1:-1]] + ([q] if len(b_steps) > 1 else [])
-        u += [model.apply(v, y) for v in b_steps[1:-1]]
+        u.append(p)
+        u += [model.apply(v, x) for v in between(w, a, n, 1)]
+        if abs(m) >= Q:
+            u.append(q)
+        u += [model.apply(v, y) for v in between(w_a, b, m, Q)]
+        w = w_next
     u.append(s)
 
     failures: list = []
@@ -680,7 +699,10 @@ def build_witness_chain(model: ActionModel, word: Word, a: Word, b: Word, x, y, 
             failures.append(f"condition {name} fails (measured {measured})")
 
     if blocks:
-        c1 = max(max(model.distance(q, r), model.distance(p, s_prev)) for (p, q, r, _), s_prev in zip(blocks, starts))
+        s_prev = [s0] + [blk[3] for blk in blocks]  # s_{j-1}, the point before block j
+        c1 = max(
+            max(model.distance(q, r), model.distance(p, s1)) for (p, q, r, _), s1 in zip(blocks, s_prev)
+        )
         note("c1", c1 <= 2 * delta, c1)
         c2 = min(model.distance(p, q) for p, q, _, _ in blocks)
         note("c2", c2 >= 1000 * E, c2)
@@ -689,7 +711,7 @@ def build_witness_chain(model: ActionModel, word: Word, a: Word, b: Word, x, y, 
         c3 = max(_segment_overlap(model, A, B, 10 * delta) for A, B in zip(geos_A, geos_B))
         note("c3", c3 <= E, c3)
         # B_{j-1} precedes A_j; B_0 exists only when the word opens with a b-syllable.
-        preceding_B = ([model.geodesic(y, starts[0])] if lead else [None]) + geos_B[:-1]
+        preceding_B = ([model.geodesic(y, s0)] if lead else [None]) + geos_B[:-1]
         c4 = max(
             (_segment_overlap(model, B, A, 10 * delta) for B, A in zip(preceding_B, geos_A) if B is not None),
             default=0,
@@ -698,18 +720,8 @@ def build_witness_chain(model: ActionModel, word: Word, a: Word, b: Word, x, y, 
         c5 = max((_segment_overlap(model, A, A2, 10 * delta) for A, A2 in zip(geos_A, geos_A[1:])), default=0)
         note("c5", c5 <= E, c5)
 
-    # Gap bands: (i) around tr(a), (ii) around tr(b^Q).
-    gaps: list = []
-    for p1, p2 in zip(u, u[1:]):
-        d = model.distance(p1, p2)
-        if Fraction(4, 5) * tr_a <= d <= Fraction(6, 5) * tr_a:
-            band = "i"
-        elif tr_a / 100 <= d <= tr_a / 10:
-            band = "ii"
-        else:
-            band = None
-            failures.append(f"gap {d} falls outside both admissible bands")
-        gaps.append((d, band))
+    gaps = [(d, _gap_band(d, tr_a)) for d in map(model.distance, u, u[1:])]
+    failures += [f"gap {d} falls outside both admissible bands" for d, band in gaps if band is None]
 
     three = three_points_check(model, u, E, delta)
     if not three.holds:

@@ -144,14 +144,23 @@ class EdgePath:
         return best
 
     def within(self, p, c: int) -> bool:
-        """Whether some path point lies within c of p.
+        """Whether some path point lies within c of p; stops at the first hit.
 
         Only a path point lies within 0 of the path, so c < 1 is decided by
         membership alone, without measuring a distance.
         """
+        if p in self.members:
+            return c >= 0
         if c < 1:
-            return c >= 0 and p in self.members
-        return self.distance(p) <= c
+            return False
+        dist, points = self.model.distance, self.points
+        i = 0
+        while i < len(points):
+            d = dist(p, points[i])
+            if d <= c:
+                return True
+            i += d - c  # the points skipped are farther than c
+        return False
 
     def nearest(self, p):
         """The path point nearest p; ties go to the least ``point_key``."""

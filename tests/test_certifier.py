@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from freecert import (
+    CapExceeded,
     CertificateRefused,
     CycleModel,
     FreeGroupModel,
@@ -493,6 +494,19 @@ def test_chain_steps_negative_b_blocks_by_q(f2, chain_setup):
     chain = build_witness_chain(f2, (1,) + (-2,) * 6, a, B, x, y, E8, Q8, 0)
     assert chain.case == "I" and chain.failures == []
     assert chain.u == [x, f2.apply(a, x), f2.apply(f2.compose(a, b3), y), f2.apply(f2.compose(a, f2.power(B, -6)), y)]
+
+
+def test_chain_refuses_a_syllable_past_the_cap_before_forming_its_steps():
+    # a^5000 on a = A^40 outgrows cap 512 at its end point q.  The chain forms
+    # a^5000 by squaring and applies q before any of the 4,999 steps between
+    # p and q, so it composes a few dozen times, not once per step.
+    model = FreeGroupModel(2, cap=512)
+    calls = []
+    compose = model.compose
+    model.compose = lambda *elements: calls.append(1) or compose(*elements)
+    with pytest.raises(CapExceeded, match="word length 200000 exceeds expansion cap 512"):
+        build_witness_chain(model, (1,) * 5000, model.power(A, 40), B, (), (), Fraction(40, 1000), 3, 0)
+    assert len(calls) < 64
 
 
 # -- axis geometry against the all-pairs formulas ------------------------------------------
