@@ -13,7 +13,7 @@ model = FreeGroupModel(2, cap=512)
 
 for word, name in [((1,), "a"), ((1, 2), "ab"), ((1, 2, -1), "aba^-1")]:
     p = classify(model, word)
-    print(f"{name}: tr = {p.tr}, hyperbolic = {p.hyperbolic}")
+    print(f"{name}: tr = {p.tr}, hyperbolic = {'yes' if p.tr > 0 else 'no'}")
 
 print("displacement criterion first fires for a at power", displacement_power(model, (1,), delta=0))
 

@@ -21,11 +21,10 @@ from .certifier import (
     prop8_certify,
     resolve_constants,
     theorem9_certify,
-    theorem14_mode,
     three_points_check,
     validate_certificate,
 )
-from .hyperbolicity import HyperbolicityReport, all_geodesics, check_slim, compute_delta
+from .hyperbolicity import HyperbolicityReport, all_geodesics, compute_delta
 from .isometry import (
     AxisData,
     EdgePath,

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from .acylindricity import acyl_profile, constant_P
 from .isometry import (
-    HYPERBOLIC_YES,
     AxisData,
     EdgePath,
     IsometryProfile,
@@ -264,7 +263,7 @@ def analyze_pair(model: ActionModel, a: Word, b: Word, delta: int, window: int =
                  c: Optional[int] = None) -> PairAnalysis:
     pa = classify(model, a)
     pb = classify(model, b)
-    if pa.hyperbolic != HYPERBOLIC_YES or pb.hyperbolic != HYPERBOLIC_YES:
+    if pa.tr <= 0 or pb.tr <= 0:
         raise CertificateRefused("both elements must be verified hyperbolic")
     verdict, witness = independence_test(model, pa.element, pb.element, INDEPENDENCE_BOUND)
     if verdict == "dependent":
@@ -543,10 +542,6 @@ def theorem9_certify(model: ActionModel, a: Word, b: Word, constants: ConstantSe
     return _emit("theorem14-mode" if quasi_mode else "theorem9", model, analysis, constants, claim)
 
 
-def theorem14_mode(model: ActionModel, a: Word, b: Word, constants: ConstantSet, **kwargs) -> Certificate:
-    return theorem9_certify(model, a, b, constants, quasi_mode=True, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Witness chains
 # ---------------------------------------------------------------------------
@@ -645,6 +640,8 @@ def build_witness_chain(
     E = Fraction(E)
     if Q < 1:
         raise ModelError("Q must be >= 1")
+    if E <= 100 * delta:
+        raise ModelError("epsilon must exceed 100 * delta")
     a, b = model.canon(a), model.canon(b)
     syl = word_syllables(word)
     case = word_case(syl)

@@ -33,7 +33,6 @@ from .certifier import (
     prop8_certify,
     resolve_constants,
     theorem9_certify,
-    theorem14_mode,
     validate_certificate,
 )
 from .hyperbolicity import DEFAULT_TRIPLE_BUDGET, compute_delta
@@ -161,7 +160,7 @@ def _cmd_profile(args) -> int:
     g = _element(model, args.a)
     profile = classify(model, g)
     doc = {"command": "profile", "delta": delta, **profile.to_doc(), "criterion1_power": None}
-    if profile.hyperbolic == "yes":
+    if profile.tr > 0:
         doc["criterion1_power"] = displacement_power(model, profile.element, delta)
         axis = quasi_axis(model, profile, window=args.window, delta=delta)
         doc["axis"] = {
@@ -214,7 +213,8 @@ CRITERIA = {
     "prop7": lambda model, a, b, constants, args: prop7_certify(model, a, b, constants, window=args.window),
     "prop8": lambda model, a, b, constants, args: prop8_certify(model, a, b, constants, window=args.window),
     "theorem9": lambda model, a, b, constants, args: theorem9_certify(model, a, b, constants, window=args.window),
-    "theorem14": lambda model, a, b, constants, args: theorem14_mode(model, a, b, constants, window=args.window),
+    "theorem14": lambda model, a, b, constants, args: theorem9_certify(
+        model, a, b, constants, window=args.window, quasi_mode=True),
 }
 
 

@@ -1,4 +1,4 @@
-"""Thin-triangle constant computation and slimness checks.
+"""Thin-triangle constant computation.
 
 The constant is quantified over *all* geodesic choices per vertex pair, not
 just the canonical one, so downstream certificates see the worst case.
@@ -205,23 +205,6 @@ def _triples(rng: random.Random, n: int, count: int):
         while k >= n or k == i or k == j:
             k = draw(bits)
         yield i, j, k
-
-
-def check_slim(model: ActionModel, triangle, delta: int):
-    """Check a geodesic triangle is delta-slim; return (ok, worst witness).
-
-    ``triangle`` is three geodesic paths sharing endpoints pairwise; each
-    must be an edge path (consecutive points at distance <= 1).
-    """
-    a, b, c = triangle
-    ends = {frozenset((p[0], p[-1])) for p in triangle if p[0] != p[-1]}
-    corners = {a[0], a[-1], b[0], b[-1], c[0], c[-1]}
-    if len(corners) > 3 or (len(corners) == 3 and len(ends) != 3):
-        raise ModelError("paths do not form a triangle")
-    if any(model.distance(p, q) > 1 for side in triangle for p, q in zip(side, side[1:])):
-        raise ModelError("triangle sides must be edge paths")
-    worst, witness = _slimness([EdgePath(model, side) for side in triangle])
-    return worst <= delta, witness
 
 
 def compute_delta(

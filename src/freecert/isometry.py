@@ -15,10 +15,6 @@ from typing import Optional
 
 from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word
 
-HYPERBOLIC_YES = "yes"
-HYPERBOLIC_NO = "no"
-
-
 @dataclass(frozen=True)
 class AxisData:
     """A window of an invariant (quasi-)axis.
@@ -42,16 +38,12 @@ class AxisData:
 class IsometryProfile:
     element: Word
     tr: Fraction
-    hyperbolic: str
 
     def to_doc(self) -> dict:
-        # The document keeps the interval keys of its schema; both ends are tr.
         return {
             "element": list(self.element),
-            "tr_lower": str(self.tr),
-            "tr_upper": str(self.tr),
-            "exact": True,
-            "hyperbolic": self.hyperbolic,
+            "tr": str(self.tr),
+            "hyperbolic": "yes" if self.tr > 0 else "no",
         }
 
 
@@ -76,11 +68,9 @@ class OverlapReport:
 
 
 def classify(model: ActionModel, g: Word) -> IsometryProfile:
-    """Translation length and hyperbolicity verdict for g: ``yes`` iff the
-    model's exact translation length is > 0."""
+    """The canonical g and its exact translation length; g is hyperbolic iff it is > 0."""
     g = model.canon(g)
-    tr = Fraction(model.exact_translation_length(g))
-    return IsometryProfile(g, tr, HYPERBOLIC_YES if tr > 0 else HYPERBOLIC_NO)
+    return IsometryProfile(g, Fraction(model.exact_translation_length(g)))
 
 
 # Highest power of g that :func:`displacement_power` tries.
@@ -190,7 +180,7 @@ def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, de
     properties on the window: bounded defect, and subpaths within 10*delta
     of the geodesics between their endpoints.  A window below 1 is refused.
     """
-    if profile.hyperbolic != HYPERBOLIC_YES:
+    if profile.tr <= 0:
         raise ModelError("quasi_axis requires a hyperbolic element")
     if window < 1:
         raise ModelError(f"window must be >= 1, got {window}")
@@ -206,8 +196,6 @@ def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, de
     for u, v in zip(orbit, orbit[1:]):
         seg = model.geodesic(u, v)
         path.extend(seg if not path else seg[1:])
-    if not path:
-        path = [pstar]
     edge_path = EdgePath(model, path)
 
     # Invariance defect, excluding a margin of one translation step at the ends.

@@ -67,15 +67,6 @@ class SweepTable:
         return {"rows": self.rows(), "exceptional_pairs": [list(p) for p in self.exceptional_pairs]}
 
 
-def evaluate(model: ActionModel, word: Word, a: Word, b: Word) -> Word:
-    """The element ``word`` (letters +-1 for a, +-2 for b) with a, b substituted."""
-    subs = {1: a, -1: model.inverse(a), 2: b, -2: model.inverse(b)}
-    out: Word = ()
-    for l in word:
-        out = model.compose(out, subs[l])
-    return out
-
-
 class PackedWords:
     """Normal-form words of a free product of copies of Z and Z/2, one ``str`` character a letter.
 

@@ -27,7 +27,6 @@ from freecert import (
     quasi_axis,
     resolve_constants,
     theorem9_certify,
-    theorem14_mode,
     three_points_check,
     validate_certificate,
 )
@@ -277,7 +276,7 @@ def test_prop8_large_g(f2):
     assert cert.constants["N"][0] == 110000  # max(110000, 1000)
 
 
-# -- theorem9_certify / theorem14_mode -----------------------------------------------------------
+# -- theorem9_certify, plain and with quasi_mode (theorem 14) -------------------------------------
 
 
 def test_theorem9_constants_and_branch(f2):
@@ -297,7 +296,7 @@ def test_theorem9_dependent_pair_refused(f2):
 
 def test_theorem14_matches_theorem9_at_delta_zero(f2):
     c9 = theorem9_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"))
-    c14 = theorem14_mode(f2, A, B, resolve_constants(f2, 0, "tree-case"))
+    c14 = theorem9_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"), quasi_mode=True)
     assert c14.exponents == c9.exponents
     assert c14.criterion == "theorem14-mode"
     assert c14.details["overlap_radius_c"] == c9.details["overlap_radius_c"] == 0
@@ -394,7 +393,7 @@ LONG = (1,) * 10 + (2,) + (1,) * 10
         pytest.param(prop7_certify, LONG, A, id="prop7"),
         pytest.param(prop8_certify, A, LONG, id="prop8"),
         pytest.param(theorem9_certify, A, LONG, id="theorem9"),
-        pytest.param(theorem14_mode, A, LONG, id="theorem14"),
+        pytest.param(lambda m, a, b, c: theorem9_certify(m, a, b, c, quasi_mode=True), A, LONG, id="theorem14"),
     ],
 )
 def test_criteria_refuse_an_overlap_unbounded_in_window(f2, certify, first, second):
@@ -509,6 +508,20 @@ def test_chain_refuses_a_syllable_past_the_cap_before_forming_its_steps():
     assert len(calls) < 64
 
 
+def test_chain_refuses_a_small_epsilon_before_walking_its_word():
+    # E = 1/25 is not above 100 delta = 100, so the chain is refused before
+    # any power, product or point of the word is formed.
+    model = FreeGroupModel(2, cap=4096)
+    a = model.power(A, 40)
+    calls = []
+    compose, apply = model.compose, model.apply
+    model.compose = lambda *elements: calls.append("compose") or compose(*elements)
+    model.apply = lambda g, p: calls.append("apply") or apply(g, p)
+    with pytest.raises(ModelError, match=r"epsilon must exceed 100 \* delta"):
+        build_witness_chain(model, (1, 2) * 8, a, B, (), (), Fraction(1, 25), 3, 1)
+    assert calls == []
+
+
 # -- axis geometry against the all-pairs formulas ------------------------------------------
 
 
@@ -620,7 +633,7 @@ def test_base_points_from_the_shorter_axis_match_the_scan_of_a(f2):
               for _ in range(30)]
     shared = 0
     for a, b in pairs:
-        if classify(f2, a).hyperbolic != "yes" or classify(f2, b).hyperbolic != "yes":
+        if classify(f2, a).tr <= 0 or classify(f2, b).tr <= 0:
             continue
         window = rng.randint(1, 6)
         axis_a, axis_b = (quasi_axis(f2, classify(f2, g), window=window) for g in (a, b))

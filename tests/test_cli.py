@@ -169,7 +169,7 @@ def test_profile_of_a_finite_rotation_is_not_hyperbolic(model_dir, capsys):
     # criterion passes; the rotation still has finite order, so: "no", and no axis.
     assert run(model_dir, "profile", "--model", "@c500.json", "--a", "r") == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["delta"], doc["exact"], doc["hyperbolic"], doc["criterion1_power"]) == (0, True, "no", None)
+    assert (doc["delta"], doc["tr"], doc["hyperbolic"], doc["criterion1_power"]) == (0, "0", "no", None)
     assert "axis" not in doc
 
 
@@ -211,6 +211,19 @@ def test_theorem9_certifies_a_long_power_by_its_nielsen_step(model_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["details"]["branch"] == "step2-nielsen"
     assert (doc["exponents"]["n_min"], doc["exponents"]["m_min"]) == (116040, 116040)
+
+
+def test_a_window_shorter_than_the_shared_axis_bounds_D_with_a_caveat(model_dir, capsys):
+    # The axes of a^50 b and a share 50 edges, but a 13-edge window sees only
+    # 13 of them: the overlap touches a window end, so D = 13 is a lower bound
+    # and the certificate says so.
+    code = run(model_dir, "certify", "--model", "@f2-8192.json", "--a", "a" * 50 + "b", "--b", "a",
+               "--criterion", "nielsen", "--window", "13", "--no-verify")
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["caveats"] == ["window-bounded-D"]
+    assert doc["constants"]["D"] == {"value": 13, "provenance": "brute-forced"}
+    assert (doc["exponents"]["n_min"], doc["exponents"]["m_min"]) == (3, 113)
 
 
 def test_chain_resolves_no_acylindricity_constants(model_dir, capsys, monkeypatch):
@@ -309,7 +322,9 @@ def test_axis_documents_match_their_golden_bytes(monkeypatch, capsys):
     # chain, overlap --c 0, overlap --c 3 and profile on a^k axes (k = 10, 27,
     # 40; windows 3 and 6) in F2 and of one Z * Z/2 pair, recorded while each
     # axis point was still a fresh power of its element and every overlap
-    # point was measured.  The test only reads it.
+    # point was measured.  Its profile documents were re-recorded when the
+    # keys tr_lower, tr_upper and exact became one tr, with nothing else
+    # changed.  The test only reads it.
     monkeypatch.chdir(REPO)
     golden = json.loads((REPO / "tests/data/demo_chain.json").read_text())
     assert len(golden) == 39
@@ -351,14 +366,16 @@ def _assert_profiles_match(name, monkeypatch, capsys):
 def test_profile_documents_match_their_golden_bytes(monkeypatch, capsys):
     # tests/data/profile_f2.json holds the stdout of profile on a, ab and aba'
     # in F2, criterion1_power included, recorded while classify still searched
-    # for that power itself.  The test only reads it.
+    # for that power itself, and re-recorded with only the keys tr_lower,
+    # tr_upper and exact replaced by tr.  The test only reads it.
     _assert_profiles_match("profile_f2.json", monkeypatch, capsys)
 
 
 def test_not_hyperbolic_profile_documents_match_their_golden_bytes(monkeypatch, capsys):
     # tests/data/profile_no.json holds the stdout of profile on s and fsf' in
     # Z * Z/2 and on r in the 4-cycle, all "no", recorded while a profile still
-    # held a translation length interval.  The test only reads it.
+    # held a translation length interval, and re-recorded with only the keys
+    # tr_lower, tr_upper and exact replaced by tr.  The test only reads it.
     _assert_profiles_match("profile_no.json", monkeypatch, capsys)
 
 

@@ -1,4 +1,4 @@
-"""Thin-triangle constant and slimness checks."""
+"""Thin-triangle constant and the slimness measure it runs on each triangle."""
 
 import json
 import random
@@ -10,12 +10,12 @@ import pytest
 
 from freecert import (
     CycleModel,
+    EdgePath,
     ExplicitGraphModel,
     FreeGroupModel,
     FreeProductModel,
     ModelError,
     all_geodesics,
-    check_slim,
     compute_delta,
     hyperbolicity,
 )
@@ -66,27 +66,11 @@ def test_delta_monotone_in_region():
     assert small.delta <= full.delta
 
 
-def test_check_slim_tree_triangle():
-    m = FreeGroupModel(2, cap=64)
-    tri = (m.geodesic((), (1, 1)), m.geodesic((1, 1), (2,)), m.geodesic((), (2,)))
-    ok, _ = check_slim(m, tri, 0)
-    assert ok
-
-
 def test_check_slim_c4_witness():
     m = CycleModel(4)
     # Sides (v0,v1), (v1,v2) and the far arc v0-v3-v2: v3 is 1 away.
     tri = ([0, 1], [1, 2], [0, 3, 2])
-    ok, witness = check_slim(m, tri, 0)
-    assert not ok and witness == 3
-    ok1, _ = check_slim(m, tri, 1)
-    assert ok1
-
-
-def test_check_slim_degenerate():
-    m = FreeGroupModel(2, cap=64)
-    ok, _ = check_slim(m, ([()], [()], [()]), 0)
-    assert ok
+    assert hyperbolicity._slimness([EdgePath(m, side) for side in tri]) == (1, 3)
 
 
 def test_sampled_mode_flags_non_exhaustive():
@@ -95,12 +79,6 @@ def test_sampled_mode_flags_non_exhaustive():
     assert not report.exhaustive
     assert report.triple_count == 50
     assert report.delta == 0
-
-
-def test_check_slim_refuses_sides_that_are_not_edge_paths():
-    # The side 0-2 of C8 skips vertex 1.
-    with pytest.raises(ModelError, match="edge paths"):
-        check_slim(CycleModel(8), ([0, 2], [2, 3, 4], [0, 7, 6, 5, 4]), 1)
 
 
 def _torus(m=4, n=4, label_seed=None):
@@ -148,14 +126,14 @@ def _random_side(model, rng, x, y):
     ids=["free-group", "cycle", "torus"],
 )
 def test_check_slim_matches_all_pairs_reference(model):
+    """The slimness measure compute_delta runs, on edge-path sides, against the all-pairs formula."""
     rng = random.Random(f"slim:{model.kind}")
     region = model.ball(model.basepoint(), 3)
     for _ in range(150):
         x, y, z = rng.sample(region, 3)
         triangle = (_random_side(model, rng, x, y), _random_side(model, rng, y, z), _random_side(model, rng, x, z))
-        worst, witness = _reference_slack(model, triangle)
-        for delta in (worst - 1, worst):
-            assert check_slim(model, triangle, delta) == (worst <= delta, witness)
+        sides = [EdgePath(model, side) for side in triangle]
+        assert hyperbolicity._slimness(sides) == _reference_slack(model, triangle)
 
 
 def test_delta_measures_each_side_once(monkeypatch):

@@ -84,25 +84,25 @@ def test_an_infinite_model_without_an_exact_length_is_refused():
 
 def test_classify_generator_criterion_power(f2):
     p = classify(f2, (1,))
-    assert (p.tr, p.hyperbolic) == (1, "yes")
+    assert p.tr == 1
     assert displacement_power(f2, (1,), 0) == 100
 
 
 def test_classify_small_power_cap_still_yes(f2):
     # The verdict never depended on the power the displacement search reaches.
-    assert classify(f2, (1,)).hyperbolic == "yes"
+    assert classify(f2, (1,)).tr > 0
     # At delta = 1 the criterion needs n >= 200, past the search's POWER_CAP of 128.
     assert displacement_power(f2, (1,), 1) is None
 
 
 def test_classify_torsion_is_no(zz2):
     p = classify(zz2, (2,))
-    assert p.hyperbolic == "no"
+    assert p.tr == 0
     assert displacement_power(zz2, (2,), 0) is None
 
 
 def test_classify_identity_is_no(f2):
-    assert classify(f2, ()).hyperbolic == "no"
+    assert classify(f2, ()).tr == 0
 
 
 def test_a_rotation_of_a_large_finite_model_is_not_hyperbolic():
@@ -113,7 +113,7 @@ def test_a_rotation_of_a_large_finite_model_is_not_hyperbolic():
     cycle = ExplicitGraphModel([[(v - 1) % n, (v + 1) % n] for v in range(n)], [[(v + 1) % n for v in range(n)]])
     for model in (CycleModel(500), cycle):
         p = classify(model, (1,))
-        assert (p.tr, p.hyperbolic) == (0, "no")
+        assert (p.tr, p.to_doc()["hyperbolic"]) == (0, "no")
 
 
 def test_exact_length_verdict_matches_the_displacement_criterion(f2, zz2):
@@ -123,7 +123,8 @@ def test_exact_length_verdict_matches_the_displacement_criterion(f2, zz2):
         assert len(words) == size
         for g in words:
             p = classify(model, g)
-            assert (p.hyperbolic == "yes") == (p.tr > 0) == (displacement_power(model, g, 0) is not None), g
+            found = displacement_power(model, g, 0) is not None
+            assert (p.to_doc()["hyperbolic"] == "yes") == (p.tr > 0) == found, g
 
 
 # -- axes ----------------------------------------------------------------------
@@ -177,7 +178,7 @@ def _conjugates(model, rng, count):
         g = model.canon(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
         u = model.canon(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
         g = model.compose(u, g, model.inverse(u))
-        if classify(model, g).hyperbolic == "yes":
+        if classify(model, g).tr > 0:
             found.append(g)
     return found
 
@@ -246,7 +247,7 @@ def test_defect_read_by_path_index_matches_the_membership_defect():
             cases += [(view, model.canon(w), 2) for w in words]
     misses = 0
     for model, g, delta in cases:
-        profile = classify(model, g) if model.is_tree else IsometryProfile(g, Fraction(1), "yes")
+        profile = classify(model, g) if model.is_tree else IsometryProfile(g, Fraction(1))
         for window in (1, 2, 3, 6):
             axis = quasi_axis(model, profile, window=window, delta=delta)
             path, mode, defect, step = _membership_axis(model, g, window, delta)

@@ -8,7 +8,8 @@ import pytest
 
 from freecert import CycleModel, FreeGroupModel, FreeProductModel, exceptional_sweep, freeness_to_depth
 from freecert.models import IDENTITY, CapExceeded, ModelError
-from freecert.oracle import PackedWords, arithmetic, evaluate
+from freecert.oracle import PackedWords, arithmetic
+from substitution import evaluate
 
 
 @pytest.fixture(scope="module")
