@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Optional
 
@@ -42,36 +42,11 @@ class HyperbolicityReport:
 def all_geodesics(model: ActionModel, x, y):
     """All distinct geodesics from x to y, or the first GEODESIC_CAP of them.
 
-    Returns (paths, truncated).  A depth-first walk steps to each neighbour
-    one edge closer to y; the metric is exact, so each prefix is a geodesic
-    from x.
+    Returns (paths, truncated): the first GEODESIC_CAP of
+    :meth:`ActionModel.geodesics`, truncated when the cap is reached.
     """
-    if x == y:
-        return [[x]], False
-
-    target = model.distance(x, y)
-    paths: list[list] = []
-    truncated = False
-
-    def walk(path: list) -> bool:
-        nonlocal truncated
-        p = path[-1]
-        if p == y:
-            paths.append(list(path))
-            if len(paths) >= GEODESIC_CAP:
-                truncated = True
-                return False
-            return True
-        for q in model.neighbors(p):
-            if model.distance(q, y) == target - len(path):
-                path.append(q)
-                if not walk(path):
-                    return False
-                path.pop()
-        return True
-
-    walk([x])
-    return paths, truncated
+    paths = list(islice(model.geodesics(x, y), GEODESIC_CAP))
+    return paths, len(paths) == GEODESIC_CAP
 
 
 class _GeodesicSet:

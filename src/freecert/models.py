@@ -31,8 +31,7 @@ the oracle reduces and multiplies words in its own arithmetic, read from
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Word = tuple[int, ...]
 IDENTITY: Word = ()
@@ -102,7 +101,8 @@ class ActionModel:
     Immutable after construction; all operations are pure.  Subclasses
     must provide canonical forms for group elements, the action, the
     vertex metric, and neighbor enumeration in a fixed total order
-    (generator index, then sign) so BFS-based geodesics are deterministic.
+    (generator index, then sign), so the geodesic walk, which tries
+    neighbours in that order, is deterministic.
     An infinite model also provides exact translation lengths and the axis
     base point of a hyperbolic element.
     """
@@ -149,28 +149,27 @@ class ActionModel:
         """All distinct group elements expressible as products of at most
         ``radius`` generators, in breadth-first canonical order."""
         gens = list(dict.fromkeys(w for g in self.generators() for w in (g, self.inverse(g))))
-        return self._bfs(IDENTITY, lambda w: [self.compose(w, s) for s in gens], radius)
+        return list(self._bfs(IDENTITY, lambda w: [self.compose(w, s) for s in gens], radius))
 
-    def _bfs(self, start, successors, radius: int) -> list:
-        """Everything within ``radius`` steps of start, in BFS order; refuses
-        to list more than BALL_BUDGET, so a huge ball fails fast instead of hanging."""
-        seen = {start}
-        order = [start]
+    def _bfs(self, start, successors, radius: int) -> dict:
+        """{point: steps from start} for everything within ``radius`` steps, in
+        BFS order; refuses to list more than BALL_BUDGET, so a huge ball fails
+        fast instead of hanging."""
+        steps = {start: 0}
         frontier = [start]
-        for _ in range(radius):
+        for r in range(1, radius + 1):
             if not frontier:
                 break  # the whole component is listed; a larger radius adds nothing
             nxt = []
             for p in frontier:
                 for q in successors(p):
-                    if q not in seen:
-                        if len(order) == self.BALL_BUDGET:
+                    if q not in steps:
+                        if len(steps) == self.BALL_BUDGET:
                             raise ModelError(f"a ball of radius {radius} holds more than {self.BALL_BUDGET} points")
-                        seen.add(q)
-                        order.append(q)
+                        steps[q] = r
                         nxt.append(q)
             frontier = nxt
-        return order
+        return steps
 
     # -- action and metric ----------------------------------------------
 
@@ -194,27 +193,40 @@ class ActionModel:
         """Points at distance <= r from center, in BFS (canonical) order."""
         if r < 0:
             raise ModelError("ball radius must be >= 0")
-        return self._bfs(center, self.neighbors, r)
+        return list(self._bfs(center, self.neighbors, r))
+
+    def geodesics(self, x, y) -> Iterator[list]:
+        """Every geodesic from x to y, in the order of ``neighbors``.
+
+        A depth-first walk steps to each neighbour one edge closer to y, as
+        the exact metric decides, so each prefix is a geodesic from x.  It
+        keeps its own stack of neighbour iterators, so a geodesic of any
+        length costs no recursion, and a neighbour is measured only when
+        the walk reaches it.
+        """
+        steps = self.distance(x, y)
+        if not steps:
+            yield [x]
+            return
+        path, stack = [x], [iter(self.neighbors(x))]
+        while stack:
+            left = steps - len(path)  # how far the next step lies from y
+            for q in stack[-1]:
+                if self.distance(q, y) == left:
+                    break
+            else:
+                stack.pop()
+                path.pop()
+                continue
+            if left:
+                path.append(q)
+                stack.append(iter(self.neighbors(q)))
+            else:
+                yield path + [q]
 
     def geodesic(self, x, y) -> list:
-        """One canonical geodesic from x to y (BFS, fixed neighbor order)."""
-        if x == y:
-            return [x]
-        parent = {x: None}
-        frontier = deque([x])
-        while frontier:
-            p = frontier.popleft()
-            for q in self.neighbors(p):
-                if q not in parent:
-                    parent[q] = p
-                    if q == y:
-                        path = [y]
-                        while parent[path[-1]] is not None:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                    frontier.append(q)
-        raise ModelError("points lie in different components")
+        """The first geodesic from x to y: at each step, the first neighbour closer to y."""
+        return next(self.geodesics(x, y))
 
     # -- isometry structure ----------------------------------------------
 
@@ -486,6 +498,11 @@ class ExplicitGraphModel(ActionModel):
             if any((p[v], p[u]) not in edges for v, u in edges):
                 raise ModelError("generator does not extend to a graph automorphism")
         self._perms = perms
+        # Each letter's permutation, in generator order, positive letter first.
+        self._letter_perms = {}
+        for i, p in enumerate(perms, start=1):
+            self._letter_perms[i] = p
+            self._letter_perms[-i] = tuple(sorted(range(n), key=p.__getitem__))
         self.generator_names = tuple(chr(ord("a") + i) for i in range(len(perms)))
         self._canon_by_perm = self._enumerate_group()
         self._perm_by_canon = {word: perm for perm, word in self._canon_by_perm.items()}
@@ -494,18 +511,13 @@ class ExplicitGraphModel(ActionModel):
 
     def _enumerate_group(self) -> dict[tuple[int, ...], Word]:
         identity = tuple(range(self.n))
-        gens: list[tuple[int, Word]] = []
-        for i, p in enumerate(self._perms, start=1):
-            inv = tuple(sorted(range(self.n), key=lambda v: p[v]))
-            gens.append((i, p))  # generator order, positive letter first
-            gens.append((-i, inv))
         table = {identity: IDENTITY}
         frontier = [identity]
         while frontier:
             nxt = []
             for perm in frontier:
                 base = table[perm]
-                for letter, g in gens:
+                for letter, g in self._letter_perms.items():
                     comp = tuple(g[perm[v]] for v in range(self.n))
                     if comp not in table:
                         if len(table) == self.BALL_BUDGET:
@@ -516,32 +528,17 @@ class ExplicitGraphModel(ActionModel):
         return table
 
     def _all_pairs_distances(self) -> list[list[int]]:
-        INF = -1
-        table = []
-        for src in range(self.n):
-            dist = [INF] * self.n
-            dist[src] = 0
-            q = deque([src])
-            while q:
-                v = q.popleft()
-                for u in self.adj[v]:
-                    if dist[u] == INF:
-                        dist[u] = dist[v] + 1
-                        q.append(u)
-            table.append(dist)
-        return table
+        """d(x, y) for every pair of vertices, -1 where they lie in different components."""
+        rows = (self._bfs(src, self.adj.__getitem__, self.n) for src in range(self.n))
+        return [[row.get(v, -1) for v in range(self.n)] for row in rows]
 
     def _perm_of(self, word: Iterable[int]) -> tuple[int, ...]:
-        perm = list(range(self.n))
+        perm = range(self.n)
         for l in word:
-            if not 1 <= abs(l) <= len(self._perms):
+            if l not in self._letter_perms:
                 raise ModelError(f"letter {l} out of range")
-            p = self._perms[abs(l) - 1]
-            if l > 0:
-                perm = [p[v] for v in perm]
-            else:
-                inv = sorted(range(self.n), key=lambda v: p[v])
-                perm = [inv[v] for v in perm]
+            p = self._letter_perms[l]
+            perm = [p[v] for v in perm]
         return tuple(perm)
 
     def canon(self, word: Iterable[int]) -> Word:

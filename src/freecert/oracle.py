@@ -142,6 +142,25 @@ class PackedWords:
             raise CapExceeded(f"word length {len(v)} exceeds expansion cap {self.cap}")
         return len(v)
 
+    def check_powers(self, a: str, n: int, b: str, m: int) -> None:
+        """Raise CapExceeded, before a^n or b^m is formed, where the search would stop at it.
+
+        The search's first words are a^n, a^-n and b^m.  Unless a^n has
+        order at most 2, when a relation comes first, a^n past the cap stops
+        it, and so does a b^m past the cap that a^n is within: it is longer
+        than a^n, so it is no a^n or a^-n.  For k != 0,
+        |g^k| = |g| + (|k| - 1)(|g^2| - |g|), as each further g adds its
+        cyclically reduced core; an involution (g^2 the identity) has odd
+        powers g and even powers the identity.
+        """
+        for g, k in ((a, n), (b, m)):
+            k, square = abs(k), self.compose(g, g)
+            if not k or not square:
+                return  # g^k is g or the identity; after such an a^n a relation comes first
+            length = len(g) + (k - 1) * (len(square) - len(g))
+            if length > self.cap:
+                raise CapExceeded(f"word length {length} exceeds expansion cap {self.cap}")
+
 
 class _ModelArithmetic:
     """Any other model's arithmetic: its own canonical forms, action and metric."""
@@ -154,6 +173,9 @@ class _ModelArithmetic:
 
     def displacement(self, v: Word) -> int:
         return self._model.distance(self._base, self._model.apply(v, self._base))
+
+    def check_powers(self, a: Word, n: int, b: Word, m: int) -> None:
+        """Nothing to refuse ahead: a model caps the points it reaches, not its words."""
 
 
 def arithmetic(model: ActionModel, letters: Iterable[int]):
@@ -185,14 +207,16 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, n: int, m: int, dept
     displacement become exact ratios once per level (a level cut short by
     a relation included), the same values as one ratio per word.  A run
     that the model cap stops is reported ``unchecked``, with the cap's
-    message as the reason.
+    message as the reason; a power the cap would stop it at is refused
+    before it is formed (see :meth:`PackedWords.check_powers`).
     """
     if depth < 1:
         raise ModelError("depth must be >= 1")
     arith = arithmetic(model, (*a, *b))
     a, b = arith.encode(a), arith.encode(b)
-    letters = {1: arith.power(a, n), -1: arith.power(a, -n), 2: arith.power(b, m), -2: arith.power(b, -m)}
     try:
+        arith.check_powers(a, n, b, m)
+        letters = {1: arith.power(a, n), -1: arith.power(a, -n), 2: arith.power(b, m), -2: arith.power(b, -m)}
         return _search(arith, letters, depth)
     except CapExceeded as exc:
         return OracleReport(depth, "unchecked", None, None, None, str(exc))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 from math import comb
 
 import networkx as nx
@@ -53,6 +54,43 @@ def test_all_geodesics_match_networkx(model, graph):
         assert not truncated
         assert len({tuple(p) for p in paths}) == len(paths)
         assert sorted(paths) == sorted(nx.all_shortest_paths(graph, x, y))
+
+
+def _bfs_geodesic(model, x, y):
+    """The BFS-parent geodesic, neighbours taken in the model's order: the reference for ``geodesic``."""
+    if x == y:
+        return [x]
+    parent = {x: None}
+    frontier = deque([x])
+    while frontier:
+        p = frontier.popleft()
+        for q in model.neighbors(p):
+            if q not in parent:
+                parent[q] = p
+                if q == y:
+                    path = [y]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                frontier.append(q)
+    raise AssertionError("points lie in different components")
+
+
+# More graphs for the first geodesic: small cycles, a torus with shuffled
+# vertex labels, and seeded irregular graphs.
+FIRST_GEODESIC_GRAPHS = [(CycleModel(n), nx.cycle_graph(n)) for n in (3, 4, 13)] + [
+    _explicit(nx.relabel_nodes(graph, dict(zip(graph, random.Random(5).sample(range(len(graph)), len(graph))))))
+    for _, graph in TORI
+] + [_explicit(nx.connected_watts_strogatz_graph(14, 4, 0.4, seed=s)) for s in range(10, 20)]
+
+
+@pytest.mark.parametrize("model, graph", GRAPHS + FIRST_GEODESIC_GRAPHS)
+def test_geodesic_is_the_bfs_parent_geodesic(model, graph):
+    for x, y in itertools.product(graph, repeat=2):
+        path = model.geodesic(x, y)
+        assert path == _bfs_geodesic(model, x, y)
+        assert len(path) - 1 == nx.shortest_path_length(graph, x, y)
 
 
 def _networkx_delta(graph, points):

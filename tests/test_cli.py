@@ -145,6 +145,17 @@ def test_capped_oracle_check_is_written_as_unchecked(model_dir, tmp_path, capsys
     assert (out["verdict"], out["reason"]) == ("unchecked", reason)
 
 
+def test_a_claimed_power_too_long_to_form_is_unchecked_at_once(tmp_path, capsys):
+    # a = ab at n = 10**12 is 2 * 10**12 letters long: refused before it is formed.
+    cert = _certificate_with(tmp_path, elements={"a": [1, 2], "b": [2]}, exponents={"n_min": 10**12, "m_min": 101})
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", "--certificate", str(cert)]) == 1
+    assert time.perf_counter() - start < 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["reason"]) == ("unchecked", "word length 2000000000000 exceeds expansion cap 512")
+
+
 def test_sweep_document_matches_expected_relation(model_dir, capsys):
     code = run(model_dir, "sweep", "--model", "@zxz2.json", "--a", "ffs", "--b", "ff",
                "--range", "1:3", "--depth", "4")

@@ -19,6 +19,7 @@ from freecert import (
     compute_delta,
     hyperbolicity,
 )
+from freecert.cli import main
 
 
 def test_tree_unique_geodesic():
@@ -37,6 +38,20 @@ def test_c6_antipodal_two_geodesics_length_three():
     paths, _ = all_geodesics(CycleModel(6), 0, 3)
     assert len(paths) == 2
     assert all(len(p) == 4 for p in paths)
+
+
+def test_a_geodesic_longer_than_the_recursion_limit_is_walked():
+    paths, truncated = all_geodesics(CycleModel(3000), 0, 1500)
+    assert not truncated
+    assert sorted(paths) == [list(range(1501)), [0] + list(range(2999, 1499, -1))]
+
+
+def test_a_long_geodesic_delta_runs_sampled(capsys, tmp_path):
+    spec = tmp_path / "c3000.json"
+    spec.write_text(json.dumps({"kind": "cycle", "n": 3000}))
+    assert main(["delta", "--model", str(spec), "--radius", "1500", "--budget", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["region"]["size"], doc["exhaustive"], doc["triple_count"]) == (3000, False, 5)
 
 
 def test_tree_delta_zero():

@@ -88,6 +88,13 @@ def test_classify_generator_criterion_power(f2):
     assert displacement_power(f2, (1,), 0) == 100
 
 
+def test_displacement_power_stops_once_every_sample_point_outgrows_the_cap():
+    # a^100 is the first power that passes at delta = 0; below cap 100 every
+    # sampled point outgrows the cap first.
+    assert displacement_power(FreeGroupModel(2, cap=99), (1,), 0) is None
+    assert displacement_power(FreeGroupModel(2, cap=100), (1,), 0) == 100
+
+
 def test_classify_small_power_cap_still_yes(f2):
     # The verdict never depended on the power the displacement search reaches.
     assert classify(f2, (1,)).tr > 0

@@ -16,6 +16,7 @@ from freecert import (
     FreeGroupModel,
     FreeProductModel,
     ModelError,
+    all_geodesics,
     build_model,
     parse_letters,
 )
@@ -515,6 +516,15 @@ def test_explicit_graph_square():
     assert m.apply((1,), 0) == 1
     assert m.canon((1, 1, 1, 1)) == IDENTITY
     assert m.canon((2, 2)) == IDENTITY
+
+
+def test_points_in_different_components_have_no_distance_and_no_geodesic():
+    m = ExplicitGraphModel([[1], [0, 2], [1], [4], [3]])
+    assert [m.distance(0, y) for y in range(3)] == [0, 1, 2] and m.distance(4, 3) == 1
+    assert m.geodesic(2, 0) == [2, 1, 0]
+    for walk in (m.distance, m.geodesic, lambda x, y: all_geodesics(m, x, y)):
+        with pytest.raises(ModelError, match="points lie in different components"):
+            walk(0, 3)
 
 
 def _torus_3x4():

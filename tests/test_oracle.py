@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,34 @@ def test_packed_compose_and_power_match_the_model(model, alphabet):
         assert packed.inverse(px) == packed.encode(model.inverse(cx))
         for k in range(-4, 5):
             assert packed.power(px, k) == packed.encode(model.power(cx, k)), (x, k)
+
+
+@pytest.mark.parametrize("model, alphabet", ARITHMETIC_MODELS, ids=ARITHMETIC_IDS)
+def test_a_power_past_the_cap_is_refused_where_the_search_would_stop(model, alphabet):
+    # Long exponents, and a often a conjugate of the last letter: on Z * Z/2
+    # the involution s, whose powers have order at most 2, so that a relation
+    # comes before a long b^m.
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(60):
+        a, b = _random_pair(rng, alphabet)
+        if rng.random() < 0.3:
+            u = _random_word(rng, alphabet, 3)
+            a = u + (alphabet[-1],) + tuple(-x for x in reversed(u))
+        n, m = rng.randint(-30, 30), rng.randint(-30, 30)
+        report = freeness_to_depth(model, a, b, n, m, 2)
+        assert _report_tuple(report) == _reference_report(model, a, b, n, m, 2), (a, b, n, m)
+        verdicts.add(report.verdict)
+    assert {"relation-found", "unchecked"} <= verdicts
+
+
+def test_a_power_too_long_to_form_is_refused_at_once():
+    start = time.perf_counter()
+    report = freeness_to_depth(FreeGroupModel(2, cap=512), (1, 2), B, 10**12, 101, 3)
+    assert (report.verdict, report.reason) == ("unchecked", "word length 2000000000000 exceeds expansion cap 512")
+    report = freeness_to_depth(FreeGroupModel(2, cap=512), A, (1, 2), 3, -(10**12), 3)
+    assert (report.verdict, report.reason) == ("unchecked", "word length 2000000000000 exceeds expansion cap 512")
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("kind", [FreeGroupModel, FreeProductModel], ids=["free-group", "free-product"])
