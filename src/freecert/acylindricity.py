@@ -74,6 +74,9 @@ def acyl_profile(
     """
     if group_ball_radius < 1:
         raise ModelError("group_ball_radius must be >= 1")
+    for R in radii:
+        if R < 0:
+            raise ModelError(f"radius R must be >= 0, got {R}")
     region = model.ball(model.basepoint(), region_radius)
     group = model.group_ball(group_ball_radius)
     moves = [[model.distance(x, model.apply(g, x)) for g in group] for x in region]

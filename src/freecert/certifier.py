@@ -477,7 +477,8 @@ def nielsen_certify(
 ) -> Certificate:
     """Certify via overlap-dominating powers (:func:`nielsen_claim`).
 
-    Paper-literal mode uses eps = 100(delta+1).  Sharp-experimental mode
+    Paper-literal mode uses eps = 100(delta+1) and refuses an explicit
+    ``epsilon`` or ``exponents``.  Sharp-experimental mode
     takes a user eps > 100*delta, may take requested exponents below the
     formula minimum, and is emitted only after the independent word oracle
     confirms freeness of the certified pair to ``oracle_depth``.
@@ -485,6 +486,8 @@ def nielsen_certify(
     delta = cval(constants, "delta")
     sharp = epsilon_mode == "sharp-experimental"
     if epsilon_mode == "paper-literal":
+        if epsilon is not None:
+            raise CertificateRefused("an explicit epsilon is only allowed in sharp-experimental mode")
         epsilon = 100 * (delta + 1)
     elif not sharp:
         raise ModelError(f"unknown epsilon mode {epsilon_mode!r}")

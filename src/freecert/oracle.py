@@ -3,8 +3,10 @@ orbit displacement statistics, and exponent-grid sweeps.
 
 This module is deliberately independent of the certifier's formulas, so
 it can confirm or refute certificates without sharing their reasoning.  It
-takes a, b and the exponents of a claim about <a^n, b^m>, forms the powers
-itself, and alone decides what a run reports, ``unchecked`` included.
+takes a, b and the exponents of a claim about <a^n, b^m>, forms each power
+itself when its search first reads it, and alone decides what a run
+reports, ``unchecked`` included: a run stops at the model cap, or before a
+level whose words could pass ``ActionModel.BALL_BUDGET``.
 
 Words are evaluated in an exact arithmetic (:func:`arithmetic`).  The spec
 kinds ``free-group`` and ``free-product`` are checked in the oracle's own
@@ -29,7 +31,7 @@ class OracleReport:
     relation: Optional[Word]
     min_displacement_ratio: Optional[Fraction]
     fitted_L: Optional[Fraction]
-    reason: Optional[str]  # why an unchecked run stopped: the model cap's message
+    reason: Optional[str]  # why an unchecked run stopped: the model cap's or the word budget's message
 
     def to_doc(self) -> dict:
         if self.verdict == "unchecked":
@@ -142,24 +144,20 @@ class PackedWords:
             raise CapExceeded(f"word length {len(v)} exceeds expansion cap {self.cap}")
         return len(v)
 
-    def check_powers(self, a: str, n: int, b: str, m: int) -> None:
-        """Raise CapExceeded, before a^n or b^m is formed, where the search would stop at it.
+    def letter(self, g: str, k: int) -> str:
+        """g^k, refused with CapExceeded before it is formed if it is longer than the cap.
 
-        The search's first words are a^n, a^-n and b^m.  Unless a^n has
-        order at most 2, when a relation comes first, a^n past the cap stops
-        it, and so does a b^m past the cap that a^n is within: it is longer
-        than a^n, so it is no a^n or a^-n.  For k != 0,
-        |g^k| = |g| + (|k| - 1)(|g^2| - |g|), as each further g adds its
-        cyclically reduced core; an involution (g^2 the identity) has odd
-        powers g and even powers the identity.
+        For k != 0, |g^k| = |g| + (|k| - 1)(|g^2| - |g|), as each further g
+        adds its cyclically reduced core; an involution (g^2 the identity)
+        has odd powers g and even powers the identity.
         """
-        for g, k in ((a, n), (b, m)):
-            k, square = abs(k), self.compose(g, g)
-            if not k or not square:
-                return  # g^k is g or the identity; after such an a^n a relation comes first
-            length = len(g) + (k - 1) * (len(square) - len(g))
-            if length > self.cap:
-                raise CapExceeded(f"word length {length} exceeds expansion cap {self.cap}")
+        k_abs, square = abs(k), self.compose(g, g)
+        if not square:
+            k_abs %= 2
+        length = len(g) + (k_abs - 1) * (len(square) - len(g)) if k_abs else 0
+        if length > self.cap:
+            raise CapExceeded(f"word length {length} exceeds expansion cap {self.cap}")
+        return self.power(g, k)
 
 
 class _ModelArithmetic:
@@ -168,14 +166,11 @@ class _ModelArithmetic:
     identity = IDENTITY
 
     def __init__(self, model: ActionModel):
-        self.encode, self.compose, self.power = model.canon, model.compose, model.power
+        self.encode, self.compose, self.letter = model.canon, model.compose, model.power
         self._model, self._base = model, model.basepoint()
 
     def displacement(self, v: Word) -> int:
         return self._model.distance(self._base, self._model.apply(v, self._base))
-
-    def check_powers(self, a: Word, n: int, b: Word, m: int) -> None:
-        """Nothing to refuse ahead: a model caps the points it reaches, not its words."""
 
 
 def arithmetic(model: ActionModel, letters: Iterable[int]):
@@ -207,29 +202,33 @@ def freeness_to_depth(model: ActionModel, a: Word, b: Word, n: int, m: int, dept
     displacement become exact ratios once per level (a level cut short by
     a relation included), the same values as one ratio per word.  A run
     that the model cap stops is reported ``unchecked``, with the cap's
-    message as the reason; a power the cap would stop it at is refused
-    before it is formed (see :meth:`PackedWords.check_powers`).
+    message as the reason, and so is a depth whose words could pass
+    ``ActionModel.BALL_BUDGET``, with the budget's.
     """
     if depth < 1:
         raise ModelError("depth must be >= 1")
     arith = arithmetic(model, (*a, *b))
     a, b = arith.encode(a), arith.encode(b)
     try:
-        arith.check_powers(a, n, b, m)
-        letters = {1: arith.power(a, n), -1: arith.power(a, -n), 2: arith.power(b, m), -2: arith.power(b, -m)}
-        return _search(arith, letters, depth)
+        return _search(arith, {1: (a, n), -1: (a, -n), 2: (b, m), -2: (b, -m)}, depth)
     except CapExceeded as exc:
         return OracleReport(depth, "unchecked", None, None, None, str(exc))
 
 
-def _search(arith, letters: dict, depth: int) -> OracleReport:
-    """The oracle's level-by-level pass over words in ``letters``, keyed 1, -1, 2, -2.
+def _search(arith, powers: dict, depth: int) -> OracleReport:
+    """The oracle's level-by-level pass over words in the letters 1, -1, 2, -2.
 
-    ``arith`` gives the values: an ``identity``, ``compose(x, y)`` and the
-    base point's ``displacement(v)``, which raises CapExceeded past the cap.
+    ``powers`` maps each letter to its (base, exponent).  ``arith`` gives
+    the values: an ``identity``, ``compose(x, y)``, ``letter(g, k)`` and the
+    base point's ``displacement(v)``; ``letter`` and ``displacement`` raise
+    CapExceeded past the cap.  Level 1 forms each letter just before it
+    visits the letter's own word, so no letter after the first relation is
+    formed; a level whose words could pass ``ActionModel.BALL_BUDGET`` is
+    not formed at all, and the run is ``unchecked``.
     """
     identity, compose, displacement = arith.identity, arith.compose, arith.displacement
     seen: dict = {identity: ()}  # the empty word evaluates to the identity
+    letters: dict = {}  # each letter's value, formed when level 1 reads it
     min_ratio: Optional[Fraction] = None
     max_ratio: Optional[Fraction] = None
 
@@ -238,12 +237,18 @@ def _search(arith, letters: dict, depth: int) -> OracleReport:
     # relation found is the lexicographically least at the minimal length.
     level: list = [((), identity)]
     for length in range(1, depth + 1):
+        # A word has at most 3 children, the empty word 4.
+        if len(seen) + (3 if length > 1 else 4) * len(level) > ActionModel.BALL_BUDGET:
+            reason = f"the words to depth {depth} could pass the word budget of {ActionModel.BALL_BUDGET}"
+            return OracleReport(depth, "unchecked", None, None, None, reason)
         next_level = []
         lo = hi = None  # least and greatest displacement on this level so far
         for word, value in level:
             for l in (1, -1, 2, -2):
                 if word and word[-1] == -l:
                     continue
+                if not word:  # level 1, whose one parent is the empty word
+                    letters[l] = arith.letter(*powers[l])
                 w, v = word + (l,), compose(value, letters[l])
                 prev = seen.setdefault(v, w)
                 if prev is not w:
@@ -294,7 +299,7 @@ def exceptional_sweep(
     """Grid sweep of (a^n, b^m) pairs, small n+m first.
 
     Each cell keeps its oracle report: the verdict, with the relation found
-    or the reason the model cap left the cell unchecked.
+    or the reason the model cap or the word budget left the cell unchecked.
     """
     if depth < 2:
         raise ModelError("depth must be >= 2")

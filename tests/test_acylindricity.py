@@ -170,3 +170,9 @@ def test_acyl_profile_measures_distances_once_for_all_radii():
         counts.append(calls[0])
     # 53 region points times 1457 group elements, plus 53 * 52 / 2 region pairs.
     assert counts == [78_599, 78_599]
+
+
+def test_acyl_profile_refuses_a_negative_radius():
+    # No displacement is at most -3, so K_hat and L_hat would mean nothing there.
+    with pytest.raises(ModelError, match="^radius R must be >= 0, got -3$"):
+        acyl_profile(CycleModel(4), [-3, 0])

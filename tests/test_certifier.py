@@ -188,6 +188,12 @@ def test_nielsen_sharp_mode_requires_epsilon(f2):
         nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"), epsilon_mode="sharp-experimental")
 
 
+def test_nielsen_paper_literal_mode_refuses_an_epsilon(f2):
+    # Paper-literal mode fixes eps = 100(delta + 1); a given epsilon is refused, not replaced.
+    with pytest.raises(CertificateRefused, match="^an explicit epsilon is only allowed in sharp-experimental mode$"):
+        nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"), epsilon=Fraction(5))
+
+
 def test_nielsen_sharp_mode_checks_the_canonical_pair():
     # The oracle back-check powers the analysed elements, not the caller's
     # words: a raw -2 or an a·a^-1 pair gives the certificate of the normal form.

@@ -175,6 +175,40 @@ def test_capped_sweep_cell_is_unchecked_with_the_reason(model_dir, capsys):
                             "reason": "word length 360 exceeds expansion cap 256"}]
 
 
+def test_a_level_1_relation_sweeps_past_any_power_of_b(model_dir, capsys):
+    # a = s has order 2: the relation comes at level 1, before b^m is read.
+    code = run(model_dir, "sweep", "--model", "@zxz2.json", "--a", "s", "--b", "f",
+               "--range", "1:1,30000000:30000000", "--depth", "2")
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exceptional_pairs"] == [[1, 30000000]]
+
+
+def test_a_sweep_deeper_than_the_word_budget_is_unchecked(model_dir, capsys):
+    start = time.perf_counter()
+    code = run(model_dir, "sweep", "--model", "@f2.json", "--a", "a", "--b", "b", "--range", "1:1", "--depth", "20")
+    assert code == 0
+    assert time.perf_counter() - start < 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"] == [{"n": 1, "m": 1, "verdict": "unchecked", "witness": None,
+                            "reason": "the words to depth 20 could pass the word budget of 100000"}]
+
+
+def test_a_paper_literal_epsilon_is_refused(model_dir, capsys):
+    code = run(model_dir, "certify", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "nielsen",
+               "--epsilon", "5", "--no-verify")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "refused: an explicit epsilon is only allowed in sharp-experimental mode\n"
+    assert captured.out == ""
+
+
+def test_a_negative_acyl_radius_is_invalid_input(model_dir, capsys):
+    assert run(model_dir, "acyl", "--model", "@c4.json", "--radii=-3,0") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: radius R must be >= 0, got -3\n" and captured.out == ""
+
+
 def test_profile_of_a_finite_rotation_is_not_hyperbolic(model_dir, capsys):
     # delta is brute-forced as 0 on an arc of the 500-cycle, where the displacement
     # criterion passes; the rotation still has finite order, so: "no", and no axis.

@@ -3,11 +3,13 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from freecert import CycleModel, FreeGroupModel, FreeProductModel, exceptional_sweep, freeness_to_depth
+from freecert import oracle
 from freecert.models import IDENTITY, CapExceeded, ModelError
 from freecert.oracle import PackedWords, arithmetic
 from substitution import evaluate
@@ -332,3 +334,73 @@ def test_packed_tables_hold_only_the_letters_of_a_and_b():
     assert packed.encode((39_999, 39_999, -3, 3, -39_999)) == chr(79_998)
     with pytest.raises(ModelError, match="letter 4 out of range for rank 40000"):
         packed.encode((4,))
+
+
+# -- letters formed when level 1 first reads them, and the word budget ----------------
+
+
+def test_a_level_1_relation_leaves_a_long_b_power_unformed():
+    # a = s has order 2, so a^-1 repeats a at level 1 and b^m is never read.
+    tracemalloc.start()
+    try:
+        report = freeness_to_depth(FreeProductModel(cap=64), (2,), (1,), 1, 3 * 10**7, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.verdict, report.depth, report.relation) == ("relation-found", 1, (1, 1))
+    assert peak < 10**6
+
+
+def test_a_level_1_relation_is_reported_at_once_past_any_b_power_and_depth():
+    # Depth 30 is past the word budget, but the relation comes at level 1, before it applies.
+    start = time.perf_counter()
+    for depth in (2, 30):
+        report = freeness_to_depth(FreeProductModel(cap=64), (2,), (1,), 1, 10**12, depth)
+        assert (report.verdict, report.depth, report.relation) == ("relation-found", 1, (1, 1))
+    assert time.perf_counter() - start < 1
+
+
+def _count_letters(monkeypatch):
+    """The (base, exponent) of every letter the oracle forms, in order."""
+    formed, real = [], oracle.arithmetic
+
+    def counting(model, letters):
+        arith = real(model, letters)
+        letter = arith.letter
+
+        def counted(g, k):
+            formed.append((g, k))
+            return letter(g, k)
+
+        arith.letter = counted
+        return arith
+
+    monkeypatch.setattr(oracle, "arithmetic", counting)
+    return formed
+
+
+def test_each_letter_is_formed_once_when_level_1_reads_it(monkeypatch):
+    formed = _count_letters(monkeypatch)
+    s = chr(4)  # the involution's character in Z * Z/2
+    assert freeness_to_depth(FreeProductModel(cap=64), (2,), (1,), 1, 5, 4).relation == (1, 1)
+    assert formed == [(s, 1), (s, -1)]
+    formed.clear()
+    # r^7 is the identity on C7: the word a is the relation, and only a^7 is formed.
+    assert freeness_to_depth(CycleModel(7), (1,), (1, 1), 7, 3, 4).relation == (1,)
+    assert formed == [((1,), 7)]
+    formed.clear()
+    assert freeness_to_depth(FreeGroupModel(2, cap=64), A, B, 2, 3, 4).verdict == "free-to-depth"
+    assert formed == [(chr(2), 2), (chr(2), -2), (chr(4), 3), (chr(4), -3)]
+
+
+def test_a_depth_whose_words_could_pass_the_budget_is_unchecked():
+    # F2's words to depth d number 2 * 3**d - 1: 39,365 at depth 9, 118,097 at 10.
+    f2 = FreeGroupModel(2, cap=8192)
+    assert freeness_to_depth(f2, A, B, 1, 1, 9).verdict == "free-to-depth"
+    report = freeness_to_depth(f2, A, B, 1, 1, 10)
+    assert report.to_doc() == {"verdict": "unchecked",
+                               "reason": "the words to depth 10 could pass the word budget of 100000"}
+    start = time.perf_counter()
+    assert freeness_to_depth(f2, A, B, 1, 1, 10**9).verdict == "unchecked"
+    assert time.perf_counter() - start < 1
+
