@@ -7,7 +7,8 @@ the worst choice is taken one side at a time: a vertex of one side is
 measured against the farthest choice of each other side, never against
 every combination of choices.  On a tree, whose geodesics are unique, a
 side is joined from its corners' branches out of the region's first
-point, each built once per call, with its vertices as integer ids.  A
+point, read off the ball's BFS parents and built once per call, with its
+vertices as integer ids.  A
 triple budget bounds the cost; exceeding it yields a clearly flagged
 sampled report, never a silently truncated "exhaustive" one.
 """
@@ -91,30 +92,48 @@ class _TreeSides:
     """Sides of tree triangles, joined from their corners' branches, on integer ids.
 
     A tree has one geodesic per pair of points, so side i-j is the branch
-    from ``points[0]`` to ``points[i]``, walked back to where the branch to
-    ``points[j]`` leaves it, then that branch onwards.  Each branch is one
-    :meth:`ActionModel.geodesic`, built on first use, its vertices interned
-    as ints scoped to this object: a side is two tuple slices, and its
+    from the root to ``points[i]``, walked back to where the branch to
+    ``points[j]`` leaves it, then that branch onwards.  The ids are places
+    in a table of vertices, each with its parent's id, the root's None: the
+    ball's own BFS parents, or for explicit ``points`` one
+    :meth:`ActionModel.geodesic` per distinct point from ``points[0]``.  A
+    branch, built on first use, is the branch of its nearest built ancestor
+    plus the ids below it: a side is two tuple slices, and its
     :class:`EdgePath` hashes ints.  This object is those paths' metric:
     ``point`` maps an id back to its point, and ``distance`` measures there.
     """
 
-    def __init__(self, model: ActionModel, points):
+    def __init__(self, model: ActionModel, points: list, parents: Optional[dict]):
         self.model = model
-        self.points = points
-        self._ids: dict = {}  # point -> id, handed out in insertion order
-        self._vertices: list = []  # id -> point, rebuilt when an id is past its end
-        self._branches: list = [None] * len(points)
+        if parents is None:
+            place = {points[0]: 0}
+            self._parents = [None]
+            for x in points:
+                if x not in place:
+                    path = model.geodesic(points[0], x)
+                    for u, v in zip(path, path[1:]):
+                        if v not in place:
+                            place[v] = len(self._parents)
+                            self._parents.append(place[u])
+            self._vertices, self._where = list(place), [place[x] for x in points]
+        else:
+            self._vertices, self._parents, self._where = points, list(parents.values()), range(len(points))
+        self._branches: list = [None] * len(self._vertices)
 
-    def _branch(self, i: int):
-        """(branch, reversed branch, vertex set) from points[0] to points[i], built and cached."""
-        ids = self._ids
-        path = tuple([ids.setdefault(v, len(ids)) for v in self.model.geodesic(self.points[0], self.points[i])])
-        branch = self._branches[i] = (path, path[::-1], frozenset(path))
+    def _branch(self, x: int):
+        """(branch, reversed branch, vertex set) from the root to id x, built and cached."""
+        branches, parents, below = self._branches, self._parents, []
+        y = x
+        while y is not None and branches[y] is None:
+            below.append(y)
+            y = parents[y]
+        path = (branches[y][0] if y is not None else ()) + tuple(reversed(below))
+        branch = branches[x] = (path, path[::-1], frozenset(path))
         return branch
 
     def side(self, i: int, j: int) -> EdgePath:
-        branches = self._branches
+        branches, where = self._branches, self._where
+        i, j = where[i], where[j]
         path_i, back_i, set_i = branches[i] or self._branch(i)
         path_j, _, set_j = branches[j] or self._branch(j)
         shared = len(set_i & set_j)  # two branches from one root share exactly a prefix
@@ -122,12 +141,11 @@ class _TreeSides:
 
     def point(self, x: int):
         """The point whose id is x."""
-        if x >= len(self._vertices):
-            self._vertices = list(self._ids)
         return self._vertices[x]
 
     def distance(self, x: int, y: int) -> int:
-        return self.model.distance(self.point(x), self.point(y))
+        vertices = self._vertices
+        return self.model.distance(vertices[x], vertices[y])
 
 
 def _slimness(sides) -> tuple[int, object]:
@@ -204,9 +222,11 @@ def compute_delta(
     """
     if triple_budget < 1:
         raise ModelError(f"triple budget must be >= 1, got {triple_budget}")
+    parents = None  # an explicit region's tree sides find their own
     if points is None:
         center = model.basepoint()
-        points = model.ball(center, radius)
+        parents = model.ball_parents(center, radius)
+        points = list(parents)
         region = {"center": repr(center), "radius": radius, "size": len(points)}
     else:
         region = {"explicit": True, "size": len(points)}
@@ -224,7 +244,7 @@ def compute_delta(
         truncated = truncated or trunc
         return EdgePath(model, paths[0]) if len(paths) == 1 else _GeodesicSet(model, paths)
 
-    side = _TreeSides(model, points).side if model.is_tree else graph_side
+    side = _TreeSides(model, points, parents).side if model.is_tree else graph_side
 
     if exhaustive:
         table = [[side(i, j) if i < j else None for j in range(n)] for i in range(n)]

@@ -152,24 +152,25 @@ class ActionModel:
         return list(self._bfs(IDENTITY, lambda w: [self.compose(w, s) for s in gens], radius))
 
     def _bfs(self, start, successors, radius: int) -> dict:
-        """{point: steps from start} for everything within ``radius`` steps, in
-        BFS order; refuses to list more than BALL_BUDGET, so a huge ball fails
-        fast instead of hanging."""
-        steps = {start: 0}
-        frontier = [start]
-        for r in range(1, radius + 1):
+        """{point: its BFS parent's place in this order} for everything within
+        ``radius`` steps, in BFS order, the start's parent None; refuses to
+        list more than BALL_BUDGET, so a huge ball fails fast instead of hanging."""
+        parents = {start: None}
+        frontier, first = [start], 0  # the frontier holds the places first, first + 1, ...
+        for _ in range(radius):
             if not frontier:
                 break  # the whole component is listed; a larger radius adds nothing
             nxt = []
-            for p in frontier:
+            for place, p in enumerate(frontier, first):
                 for q in successors(p):
-                    if q not in steps:
-                        if len(steps) == self.BALL_BUDGET:
+                    if q not in parents:
+                        if len(parents) == self.BALL_BUDGET:
                             raise ModelError(f"a ball of radius {radius} holds more than {self.BALL_BUDGET} points")
-                        steps[q] = r
+                        parents[q] = place
                         nxt.append(q)
+            first += len(frontier)
             frontier = nxt
-        return steps
+        return parents
 
     # -- action and metric ----------------------------------------------
 
@@ -191,9 +192,13 @@ class ActionModel:
 
     def ball(self, center, r: int) -> list:
         """Points at distance <= r from center, in BFS (canonical) order."""
+        return list(self.ball_parents(center, r))
+
+    def ball_parents(self, center, r: int) -> dict:
+        """:meth:`ball` as {point: the place of its BFS parent in the ball}, center's None."""
         if r < 0:
             raise ModelError("ball radius must be >= 0")
-        return list(self._bfs(center, self.neighbors, r))
+        return self._bfs(center, self.neighbors, r)
 
     def geodesics(self, x, y) -> Iterator[list]:
         """Every geodesic from x to y, in the order of ``neighbors``.
@@ -404,6 +409,8 @@ class FreeGroupModel(CyclicFreeProductModel):
     kind = "free-group"
 
     def __init__(self, rank: int = 2, cap: int = 64):
+        if 1 + 2 * rank > self.BALL_BUDGET:  # its radius-1 ball, refused before the rank-long tuples
+            raise ModelError(f"a ball of radius 1 holds more than {self.BALL_BUDGET} points")
         super().__init__((None,) * rank, tuple(chr(ord("a") + i) for i in range(rank)), cap)
 
     def spec_dict(self) -> dict:
@@ -529,8 +536,14 @@ class ExplicitGraphModel(ActionModel):
 
     def _all_pairs_distances(self) -> list[list[int]]:
         """d(x, y) for every pair of vertices, -1 where they lie in different components."""
-        rows = (self._bfs(src, self.adj.__getitem__, self.n) for src in range(self.n))
-        return [[row.get(v, -1) for v in range(self.n)] for row in rows]
+        rows = []
+        for src in range(self.n):
+            row, steps = [-1] * self.n, []  # steps: by place in the BFS, one past the parent's
+            for v, parent in self._bfs(src, self.adj.__getitem__, self.n).items():
+                steps.append(0 if parent is None else steps[parent] + 1)
+                row[v] = steps[-1]
+            rows.append(row)
+        return rows
 
     def _perm_of(self, word: Iterable[int]) -> tuple[int, ...]:
         perm = range(self.n)

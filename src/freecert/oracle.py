@@ -145,19 +145,22 @@ class PackedWords:
         return len(v)
 
     def letter(self, g: str, k: int) -> str:
-        """g^k, refused with CapExceeded before it is formed if it is longer than the cap.
-
-        For k != 0, |g^k| = |g| + (|k| - 1)(|g^2| - |g|), as each further g
-        adds its cyclically reduced core; an involution (g^2 the identity)
-        has odd powers g and even powers the identity.
-        """
-        k_abs, square = abs(k), self.compose(g, g)
-        if not square:
-            k_abs %= 2
-        length = len(g) + (k_abs - 1) * (len(square) - len(g)) if k_abs else 0
-        if length > self.cap:
-            raise CapExceeded(f"word length {length} exceeds expansion cap {self.cap}")
+        """g^k, refused with CapExceeded before it is formed if it is longer than the cap."""
+        _check_power(g, self.compose(g, g), k, self.cap)
         return self.power(g, k)
+
+
+def _check_power(g, square, k: int, cap: int) -> None:
+    """Refuses with CapExceeded a tree word g^k longer than ``cap``, given g and g^2.
+
+    For k != 0, |g^k| = |g| + (|k| - 1)(|g^2| - |g|), as each further g
+    adds its cyclically reduced core; an involution (g^2 the identity)
+    has odd powers g and even powers the identity.
+    """
+    k_abs = abs(k) if square else abs(k) % 2
+    length = len(g) + (k_abs - 1) * (len(square) - len(g)) if k_abs else 0
+    if length > cap:
+        raise CapExceeded(f"word length {length} exceeds expansion cap {cap}")
 
 
 class _ModelArithmetic:
@@ -166,8 +169,14 @@ class _ModelArithmetic:
     identity = IDENTITY
 
     def __init__(self, model: ActionModel):
-        self.encode, self.compose, self.letter = model.canon, model.compose, model.power
+        self.encode, self.compose = model.canon, model.compose
         self._model, self._base = model, model.basepoint()
+
+    def letter(self, g: Word, k: int) -> Word:
+        """g^k; on a tree model, refused as :meth:`PackedWords.letter` refuses it (other models are finite)."""
+        if self._model.is_tree:
+            _check_power(g, self.compose(g, g), k, self._model.cap)
+        return self._model.power(g, k)
 
     def displacement(self, v: Word) -> int:
         return self._model.distance(self._base, self._model.apply(v, self._base))

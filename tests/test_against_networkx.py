@@ -8,7 +8,7 @@ from math import comb
 import networkx as nx
 import pytest
 
-from freecert import CycleModel, ExplicitGraphModel, all_geodesics, compute_delta
+from freecert import CycleModel, ExplicitGraphModel, ModelError, all_geodesics, compute_delta
 
 
 def _torus(m, n):
@@ -45,6 +45,17 @@ def test_explicit_graph_distances_match_networkx():
             assert len(lengths) == len(graph)
             for y, d in lengths.items():
                 assert model.distance(x, y) == d
+    # Two components: a 5-cycle and a path of 4, each row read off its own BFS.
+    graph = nx.disjoint_union(nx.cycle_graph(5), nx.path_graph(4))
+    model, _ = _explicit(graph)
+    components = {v: i for i, part in enumerate(nx.connected_components(graph)) for v in part}
+    lengths = dict(nx.all_pairs_shortest_path_length(graph))
+    for x, y in itertools.product(graph, repeat=2):
+        if components[x] == components[y]:
+            assert model.distance(x, y) == lengths[x][y]
+        else:
+            with pytest.raises(ModelError, match="points lie in different components"):
+                model.distance(x, y)
 
 
 @pytest.mark.parametrize("model, graph", GRAPHS, ids=GRAPH_IDS)

@@ -247,9 +247,20 @@ def test_sampled_tree_delta_builds_one_geodesic_per_region_point(monkeypatch):
 
     monkeypatch.setattr(model, "geodesic", counted)
     report = compute_delta(model, radius=4, triple_budget=500, seed=7)
-    assert not report.exhaustive and report.triple_count == 500
-    # One branch per distinct point drawn, against three geodesics per triple.
-    assert len(calls) == len(set(calls)) <= report.region["size"] == 161
+    assert not report.exhaustive and report.triple_count == 500 and report.region["size"] == 161
+    assert calls == []  # a ball's branches are read off its BFS parents
+    # An explicit region takes one geodesic per distinct point, none for the
+    # first point or a point on an earlier point's geodesic.
+    points = model.ball((), 4)[::3] + [(1, 2, 1), (1, 2), (1,), (1, 2, 1)]
+    report = compute_delta(model, points=points, triple_budget=500, seed=7)
+    assert report.delta == 0 and report.triple_count == 500
+    assert len(calls) == len(set(calls)) <= len(set(points)) - 1 and (1,) not in calls
+
+
+def test_tree_delta_walks_branches_longer_than_the_recursion_limit():
+    # Z is a line, so the ball of radius 3000 is a BFS tree 3,000 levels deep.
+    report = compute_delta(FreeGroupModel(1, cap=4096), radius=3000, triple_budget=20, seed=3)
+    assert (report.delta, report.triple_count, report.region["size"]) == (0, 20, 6001)
 
 
 @pytest.mark.parametrize("n", [*range(3, 81), 161, 485, 1457])

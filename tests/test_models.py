@@ -197,6 +197,23 @@ def test_group_ball_bfs_order(f2):
     assert all(len(w) <= 2 for w in ball)
 
 
+@pytest.mark.parametrize(
+    "make, radius",
+    [(FreeGroupModel, 3), (FreeProductModel, 4), (lambda: CycleModel(7), 5), (lambda: _torus_3x4(), 9)],
+    ids=["F2", "ZxZ2", "C7", "torus3x4"],
+)
+def test_ball_parents_are_a_bfs_tree_of_the_ball(make, radius):
+    model = make()
+    center = model.basepoint()
+    parents = model.ball_parents(center, radius)
+    points = list(parents)
+    assert points == model.ball(center, radius) and parents[center] is None
+    for place, (x, parent) in enumerate(parents.items()):
+        if place:
+            assert parent < place and points[parent] in model.neighbors(x)
+            assert model.distance(center, x) == model.distance(center, points[parent]) + 1
+
+
 def test_a_ball_beyond_the_budget_is_refused(f2):
     # Radius 8 in F2 (13,121 points) is the largest ball the tests build; radius 10
     # (118,097) and radius 2 in F1000 (about four million) are refused.
@@ -557,10 +574,13 @@ def test_a_radius_past_the_diameter_stops_with_the_whole_graph(make, diameter):
 
 def test_a_free_group_whose_first_shell_outgrows_the_budget_is_refused_before_its_tables():
     # Rank k gives a radius-1 ball of 1 + 2k points: 100,001 at rank 50,000.
+    # Rank 10**8 is refused before its rank-long tuples and generator names are built.
     start = time.perf_counter()
-    for rank in (50_000, 10**6):
+    for rank in (50_000, 10**6, 10**8):
         with pytest.raises(ModelError, match="a ball of radius 1 holds more than 100000 points"):
             build_model({"kind": "free-group", "rank": rank})
+    with pytest.raises(ModelError, match="a ball of radius 1 holds more than 100000 points"):
+        FreeGroupModel(10**8)
     assert time.perf_counter() - start < 0.5
     assert build_model({"kind": "free-group", "rank": 49_999}).rank == 49_999
 

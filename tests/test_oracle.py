@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from freecert import CycleModel, FreeGroupModel, FreeProductModel, exceptional_sweep, freeness_to_depth
+from freecert import (
+    CycleModel,
+    CyclicFreeProductModel,
+    FreeGroupModel,
+    FreeProductModel,
+    exceptional_sweep,
+    freeness_to_depth,
+)
 from freecert import oracle
 from freecert.models import IDENTITY, CapExceeded, ModelError
 from freecert.oracle import PackedWords, arithmetic
@@ -307,6 +314,23 @@ def test_a_power_too_long_to_form_is_refused_at_once():
     report = freeness_to_depth(FreeGroupModel(2, cap=512), A, (1, 2), 3, -(10**12), 3)
     assert (report.verdict, report.reason) == ("unchecked", "word length 2000000000000 exceeds expansion cap 512")
     assert time.perf_counter() - start < 1
+
+
+def test_a_model_arithmetic_power_past_the_cap_is_refused_before_it_is_formed():
+    # A tree model built in code is not a spec kind, so the oracle evaluates
+    # in the model's own words; f^(10**12) is refused by its length alone.
+    model = CyclicFreeProductModel((2, None), ("s", "f"), cap=30)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        report = freeness_to_depth(model, (2,), (1, 2), 10**12, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1 and peak < 10**6
+    assert (report.verdict, report.reason) == ("unchecked", "word length 1000000000000 exceeds expansion cap 30")
+    # An involution's powers stay short: s^(10**12 + 1) is s, and is checked.
+    assert freeness_to_depth(model, (1,), (2,), 10**12 + 1, 1, 2).relation == (1, 1)
 
 
 @pytest.mark.parametrize("kind", [FreeGroupModel, FreeProductModel], ids=["free-group", "free-product"])
