@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word
+from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word, common_prefix
 
 @dataclass(frozen=True)
 class AxisData:
@@ -169,46 +169,68 @@ class EdgePath:
         return found
 
 
+def invariance_defect(model: ActionModel, g: Word, edges: EdgePath, step: int) -> int:
+    """Largest distance from g.p to the path over its interior points p: every
+    point but a margin of max(step, 1) at each end (all of a path too short
+    to leave an interior).  The path's consecutive points must be adjacent.
+
+    g.path[i] is compared with path[i + step], and measured only if it is not
+    that point.  The left action commutes with right steps,
+    g.(x.s) = (g.x).s, so after a match the next image is path[i + step + 1]
+    exactly when the two edges carry the same ``model.edge_labels`` label: a
+    run of agreeing labels is read in one slice comparison, and g is applied
+    only where a run starts or breaks.
+    """
+    path = edges.points
+    margin = max(step, 1)
+    lo, hi = (margin, len(path) - margin) if len(path) > 2 * margin else (0, len(path))
+    labels = model.edge_labels(path)
+    defect, i = 0, lo
+    while i < hi:
+        j = i + step
+        q = model.apply(g, path[i])
+        if j < len(path) and q == path[j]:
+            n = min(hi - 1 - i, len(labels) - j)  # the run ends at hi and at the last edge
+            i += common_prefix(labels[i : i + n], labels[j : j + n]) + 1
+        else:
+            defect = max(defect, edges.distance(q))
+            i += 1
+    return defect
+
+
 def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, delta: int = 0) -> AxisData:
     """Invariant (quasi-)axis of a hyperbolic element, built from the profile
     :func:`classify` returned for it, on a window.
 
-    Concatenates geodesics between consecutive orbit points of a
-    minimal-displacement base point p*; classifies the result as a genuine
-    geodesic axis when the concatenation is a geodesic with invariance
-    defect <= 2*delta, otherwise verifies the quasi-geodesic-axis
-    properties on the window: bounded defect, and subpaths within 10*delta
-    of the geodesics between their endpoints.  A window below 1 is refused.
+    Walks the orbit g^-window p* .. g^window p* of a minimal-displacement
+    base point p* one cap-checked application of g^-1 or g per point, so a
+    window too long for the model cap is refused once the walk passes the
+    cap, and concatenates geodesics between consecutive orbit points.
+    Classifies the result as a genuine geodesic axis when the concatenation
+    is a geodesic with :func:`invariance_defect` <= 2*delta, otherwise
+    verifies the quasi-geodesic-axis properties on the window: bounded
+    defect, and subpaths within 10*delta of the geodesics between their
+    endpoints.  A window below 1 is refused.
     """
     if profile.tr <= 0:
         raise ModelError("quasi_axis requires a hyperbolic element")
     if window < 1:
         raise ModelError(f"window must be >= 1, got {window}")
     g = profile.element
-    pstar = model.min_displacement_point(g)
-    step = model.distance(pstar, model.apply(g, pstar))
-
-    # g^-window p*, then g^(k+1) p* = g . g^k p*: one application per point.
-    orbit = [model.apply(model.power(g, -window), pstar)]
-    for _ in range(2 * window):
+    g_inv = model.inverse(g)
+    orbit = [model.min_displacement_point(g)]
+    for _ in range(window):
+        orbit.append(model.apply(g_inv, orbit[-1]))
+    orbit.reverse()
+    for _ in range(window):
         orbit.append(model.apply(g, orbit[-1]))
+    step = model.distance(orbit[window], orbit[window + 1])
     path: list = []
     for u, v in zip(orbit, orbit[1:]):
         seg = model.geodesic(u, v)
         path.extend(seg if not path else seg[1:])
     edge_path = EdgePath(model, path)
-
-    # Invariance defect, excluding a margin of one translation step at the ends.
-    # On a geodesic axis g moves each point step places along the path, so an
-    # image is first compared with that one point; the others are measured
-    # (a path point at distance 0).
-    margin = max(step, 1)
-    lo, hi = (margin, len(path) - margin) if len(path) > 2 * margin else (0, len(path))
-    defect = 0
-    for i in range(lo, hi):
-        q = model.apply(g, path[i])
-        if i + step >= len(path) or q != path[i + step]:
-            defect = max(defect, edge_path.distance(q))
+    defect = invariance_defect(model, g, edge_path, step)
 
     is_geodesic = len(path) - 1 == model.distance(path[0], path[-1])
     if is_geodesic and defect <= 2 * delta:
@@ -235,11 +257,18 @@ def overlap_points(near_a: EdgePath, near_b: EdgePath, c: int) -> tuple[list, li
     (an axis carries its own as ``edges``).
 
     Returns (in_a, in_b, union): the points of each path within c of the
-    other, and both lists joined in order without repeats.  With c < 1
-    :meth:`EdgePath.within` decides each point by membership alone.
+    other, and both lists joined in order without repeats.  Only a path
+    point lies within 0 of a path, and none within c < 0, so c < 1 is
+    decided by membership alone, in one comprehension per path.
     """
-    in_a = [p for p in near_a.points if near_b.within(p, c)]
-    in_b = [q for q in near_b.points if near_a.within(q, c)]
+    if c >= 1:
+        in_a = [p for p in near_a.points if near_b.within(p, c)]
+        in_b = [q for q in near_b.points if near_a.within(q, c)]
+    elif c == 0:
+        in_a = [p for p in near_a.points if p in near_b.members]
+        in_b = [q for q in near_b.points if q in near_a.members]
+    else:
+        in_a = in_b = []
     return in_a, in_b, list(dict.fromkeys(in_a + in_b))
 
 

@@ -103,8 +103,9 @@ class ActionModel:
     vertex metric, and neighbor enumeration in a fixed total order
     (generator index, then sign), so the geodesic walk, which tries
     neighbours in that order, is deterministic.
-    An infinite model also provides exact translation lengths and the axis
-    base point of a hyperbolic element.
+    An infinite model also provides what an axis of a hyperbolic element
+    needs: exact translation lengths, the axis base point, and the generator
+    labels of a path's edges, by which the axis reads its invariance.
     """
 
     kind: str = "abstract"
@@ -252,6 +253,16 @@ class ActionModel:
         """
         raise NotImplementedError(f"{type(self).__name__} has no axis base point")
 
+    def edge_labels(self, path) -> tuple:
+        """The generator s with y = x*s for each step x -> y of a path whose
+        consecutive points are adjacent.  Then g*y = (g*x)*s for every g, so
+        g carries one step onto another exactly when it carries the first
+        point and the labels agree.
+
+        Only an infinite model has hyperbolic elements, and it must give its own.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no edge labels")
+
     def spec_dict(self) -> dict:
         raise NotImplementedError
 
@@ -396,6 +407,11 @@ class CyclicFreeProductModel(ActionModel):
         if len(core) == 1 and self._inverse[core[0]] == core[0]:
             return 0  # an involution flips an edge
         return len(core)
+
+    def edge_labels(self, path) -> tuple:
+        # A step away from the identity appends its letter; one back removes x's last.
+        inverse = self._inverse
+        return tuple(y[-1] if len(y) > len(x) else inverse[x[-1]] for x, y in zip(path, path[1:]))
 
     def min_displacement_point(self, g: Word) -> Word:
         # The points g moves least (its axis, or the edge an involution flips)

@@ -1,7 +1,10 @@
 """Translation lengths, hyperbolicity verdicts, axes, overlaps, independence."""
 
 import copy
+import json
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from freecert import (
     ActionModel,
     AxisData,
+    CapExceeded,
     CycleModel,
     EdgePath,
     ExplicitGraphModel,
@@ -24,6 +28,7 @@ from freecert import (
     quasi_axis,
 )
 from freecert.cli import main
+from freecert.isometry import invariance_defect, overlap_points
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +196,9 @@ def _conjugates(model, rng, count):
 
 
 def test_stepped_orbit_gives_the_per_power_axis():
-    # The orbit steps g^(k+1) p* = g . g^k p* and measures only the images off
-    # the path; path, mode, defect and step stay those of the per-power build.
+    # The orbit walks from p* one application of g^-1 or g per point, and the
+    # defect reads edge labels; path, mode, defect and step stay those of the
+    # per-power build.
     f2 = FreeGroupModel(2, cap=4096)
     cases = [(f2, (1,) * k) for k in (1, 2, 3, 4, 7, 10, 16, 27, 33, 40)]
     rng = random.Random("stepped-orbit")
@@ -236,11 +242,20 @@ def _membership_axis(model, g, window, delta):
     return tuple(path), "geodesic-axis" if geodesic and defect <= 2 * delta else "quasi-geodesic-axis", defect, step
 
 
+def _abelian_edge_labels(model):
+    """``edge_labels`` on a finite abelian Cayley graph (the cycle, the tori):
+    the letter s whose generator carries x to y, which is y = x*s there."""
+    letters = [l for i in range(1, len(model.generator_names) + 1) for l in (i, -i)]
+    moves = [(l, model.canon((l,))) for l in letters]
+    return lambda path: tuple(next(l for l, s in moves if model.apply(s, x) == y) for x, y in zip(path, path[1:]))
+
+
 def test_defect_read_by_path_index_matches_the_membership_defect():
     # Each interior image is first compared with the point step places on.  On
     # a tree axis it always is that point; on the cycle and tori below, given
     # axes from every base point, g . path[i] often misses path[i + step] and
     # is measured.  delta = 2 is past their diameters, so no axis is refused.
+    # Their views give the base point and edge labels a hyperbolic model gives.
     rng = random.Random("indexed-defect")
     cases = [(FreeGroupModel(2, cap=4096), (1,) * 40, 0)]
     for model in (FreeGroupModel(2, cap=4096), FreeProductModel(cap=4096)):
@@ -251,6 +266,7 @@ def test_defect_read_by_path_index_matches_the_membership_defect():
         for p in range(0, len(model.ball(model.basepoint(), 9)), 2):
             view = copy.copy(model)
             view.min_displacement_point = lambda g, p=p: p
+            view.edge_labels = _abelian_edge_labels(model)
             cases += [(view, model.canon(w), 2) for w in words]
     misses = 0
     for model, g, delta in cases:
@@ -261,6 +277,106 @@ def test_defect_read_by_path_index_matches_the_membership_defect():
             assert (axis.path, axis.mode, axis.invariance_defect, axis.step) == (path, mode, defect, step)
             misses += sum(model.apply(g, path[i]) != path[i + step] for i in range(len(path) - step))
     assert misses > 0
+
+
+TREE_MODELS = (FreeGroupModel(2, cap=4096), FreeGroupModel(3, cap=4096), FreeProductModel(cap=4096))
+
+
+def _walk(model, rng, length):
+    """A random walk of adjacent points (no stays) from a random point near the identity."""
+    path = [rng.choice(model.ball(model.basepoint(), 2))]
+    for _ in range(length):
+        path.append(rng.choice(model.neighbors(path[-1])))
+    return path
+
+
+def test_edge_labels_step_each_edge_of_a_path():
+    # y = x * label on every step, back and forth, involution steps included.
+    rng = random.Random("edge-labels")
+    involution_steps = 0
+    for model in TREE_MODELS:
+        paths = [_walk(model, rng, rng.randint(0, 30)) for _ in range(40)]
+        paths += [quasi_axis(model, classify(model, g), window=3).path for g in _conjugates(model, rng, 6)]
+        for path in paths:
+            labels = model.edge_labels(path)
+            assert len(labels) == len(path) - 1
+            for x, y, label in zip(path, path[1:], labels):
+                assert model.compose(x, (label,)) == y
+                involution_steps += model.orders[abs(label) - 1] == 2
+    assert involution_steps > 0
+    with pytest.raises(NotImplementedError, match="_InfiniteLine has no edge labels"):
+        _InfiniteLine().edge_labels([(), (1,)])
+
+
+def _applied_defect(model, g, path, step):
+    """The invariance defect with g applied to every interior point, each
+    image measured against every path point."""
+    margin = max(step, 1)
+    interior = path[margin:-margin] if len(path) > 2 * margin else path
+    return max(min(model.distance(model.apply(g, p), q) for q in path) for p in interior)
+
+
+def _perturbed(model, rng, path):
+    """The path with a detour x -> n -> x off it, or with one wrong edge after
+    which the path keeps its own labels from the wrong neighbour."""
+    k = rng.randrange(1, len(path) - 1)
+    labels = model.edge_labels(path)
+    n = rng.choice([n for n in model.neighbors(path[k]) if n not in path])
+    if rng.random() < 0.5:
+        return path[: k + 1] + [n] + path[k:]
+    wrong = [path[k], n]
+    for s in labels[k + 1 :]:
+        wrong.append(model.compose(wrong[-1], (s,)))
+        if wrong[-1] in wrong[:-1]:  # the label steps back the way the path came
+            wrong.pop()
+            break
+    return path[:k] + wrong
+
+
+def test_label_defect_equals_applying_g_to_every_point():
+    # On axes every interior image is a path point; on perturbed paths the
+    # images near the detour or past the wrong edge are not, and are measured.
+    rng = random.Random("label-defect")
+    measured = 0
+    for model in TREE_MODELS:
+        for g in _conjugates(model, rng, 5):
+            profile = classify(model, g)
+            for window in range(1, 9):
+                axis = quasi_axis(model, profile, window=window, delta=0)
+                assert axis.invariance_defect == _applied_defect(model, g, axis.path, axis.step) == 0
+                for _ in range(3):
+                    path = _perturbed(model, rng, list(axis.path))
+                    defect = invariance_defect(model, g, EdgePath(model, path), axis.step)
+                    assert defect == _applied_defect(model, g, path, axis.step), (g, window, path)
+                    measured += defect > 0
+    assert measured > 0
+
+
+def _small_and_quick(call):
+    """call(), which must end within 1 s at a tracemalloc peak under 1 MB."""
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        return call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert time.perf_counter() - start < 1 and peak < 10**6
+
+
+def test_a_window_past_the_cap_is_refused_before_its_orbit_is_formed(tmp_path, capsys):
+    # g^-window p* is never formed: the orbit walk stops at the cap after 64 steps.
+    model = FreeGroupModel(2, cap=64)
+    spec = tmp_path / "f2-64.json"
+    spec.write_text(json.dumps(model.spec_dict()))
+    message = "word length 65 exceeds expansion cap 64"
+    with pytest.raises(CapExceeded, match=f"^{message}$"):
+        _small_and_quick(lambda: quasi_axis(model, classify(model, (1,)), window=10**8))
+    for argv in (["profile", "--a", "a"], ["overlap", "--a", "a", "--b", "b"],
+                 ["chain", "--a", "a", "--b", "b", "--word", "ab", "--E", "1/1000", "--Q", "3"]):
+        argv += ["--model", str(spec), "--window", str(10**8)]
+        assert _small_and_quick(lambda: main(argv)) == 2
+        assert message in capsys.readouterr().err
 
 
 # -- overlaps -------------------------------------------------------------------
@@ -294,6 +410,24 @@ def test_overlap_same_axis_unbounded(f2):
     rep = overlap_of(f2, (1,), (1, 1))
     assert rep.unbounded_in_window
     assert rep.boundary_touching
+
+
+def test_overlap_below_one_is_membership_alone(monkeypatch):
+    # At c < 1 the overlap is what EdgePath.within gives, found without calling it.
+    rng = random.Random("overlap-membership")
+    model = FreeGroupModel(2, cap=64)
+    pairs = [[EdgePath(model, _walk(model, rng, rng.randint(0, 12))) for _ in range(2)] for _ in range(30)]
+
+    def by_within(a, b, c):
+        in_a = [p for p in a.points if b.within(p, c)]
+        in_b = [q for q in b.points if a.within(q, c)]
+        return in_a, in_b, list(dict.fromkeys(in_a + in_b))
+
+    expected = {(i, c): by_within(a, b, c) for i, (a, b) in enumerate(pairs) for c in (-1, 0)}
+    monkeypatch.setattr(EdgePath, "within", lambda *args: pytest.fail("within called at c < 1"))
+    for (i, c), want in expected.items():
+        assert overlap_points(*pairs[i], c) == want
+    assert any(want[2] for (i, c), want in expected.items() if c == 0)
 
 
 def test_a_chain_builds_one_edge_path_per_axis(monkeypatch, capsys):
