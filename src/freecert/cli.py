@@ -224,6 +224,8 @@ def _claimed(exponents: dict) -> tuple[int, int]:
 
 
 def _cmd_certify(args) -> int:
+    if args.depth < 1:  # the oracle refuses it too, but only after the certificate is built
+        raise ModelError("depth must be >= 1")
     model = _load_model(args.model)
     constants = resolve_constants(model, *_resolve_delta(model, args))
     a, b = _element(model, args.a), _element(model, args.b)

@@ -5,12 +5,13 @@ just the canonical one, so downstream certificates see the worst case.
 Each side, the geodesics between one pair of points, is measured once, and
 the worst choice is taken one side at a time: a vertex of one side is
 measured against the farthest choice of each other side, never against
-every combination of choices.  On a tree, whose geodesics are unique, a
-side is joined from its corners' branches out of the region's first
-point, read off the ball's BFS parents and built once per call, with its
-vertices as integer ids.  A
-triple budget bounds the cost; exceeding it yields a clearly flagged
-sampled report, never a silently truncated "exhaustive" one.
+every combination of choices.  On a tree ball, whose geodesics are unique,
+a side is joined from its corners' branches out of the ball's center,
+read off the ball's BFS parents and built once per call, with its
+vertices as their places in the ball; an explicit region, on a tree as on
+a graph, takes its sides from the model's geodesics.  A triple budget
+bounds the cost; exceeding it yields a clearly flagged sampled report,
+never a silently truncated "exhaustive" one.
 """
 
 from __future__ import annotations
@@ -89,35 +90,21 @@ class _GeodesicSet:
 
 
 class _TreeSides:
-    """Sides of tree triangles, joined from their corners' branches, on integer ids.
+    """Sides of tree-ball triangles, joined from their corners' branches, on integer ids.
 
     A tree has one geodesic per pair of points, so side i-j is the branch
-    from the root to ``points[i]``, walked back to where the branch to
-    ``points[j]`` leaves it, then that branch onwards.  The ids are places
-    in a table of vertices, each with its parent's id, the root's None: the
-    ball's own BFS parents, or for explicit ``points`` one
-    :meth:`ActionModel.geodesic` per distinct point from ``points[0]``.  A
-    branch, built on first use, is the branch of its nearest built ancestor
-    plus the ids below it: a side is two tuple slices, and its
-    :class:`EdgePath` hashes ints.  This object is those paths' metric:
+    from the center to the ball's point i, walked back to where the branch
+    to point j leaves it, then that branch onwards.  A point's id is its
+    place in the ball, whose BFS parents, the center's None, give each
+    branch.  A branch, built on first use, is the branch of its nearest
+    built ancestor plus the ids below it: a side is two tuple slices, and
+    its :class:`EdgePath` hashes ints.  This object is those paths' metric:
     ``point`` maps an id back to its point, and ``distance`` measures there.
     """
 
-    def __init__(self, model: ActionModel, points: list, parents: Optional[dict]):
+    def __init__(self, model: ActionModel, parents: dict):
         self.model = model
-        if parents is None:
-            place = {points[0]: 0}
-            self._parents = [None]
-            for x in points:
-                if x not in place:
-                    path = model.geodesic(points[0], x)
-                    for u, v in zip(path, path[1:]):
-                        if v not in place:
-                            place[v] = len(self._parents)
-                            self._parents.append(place[u])
-            self._vertices, self._where = list(place), [place[x] for x in points]
-        else:
-            self._vertices, self._parents, self._where = points, list(parents.values()), range(len(points))
+        self._vertices, self._parents = list(parents), list(parents.values())
         self._branches: list = [None] * len(self._vertices)
 
     def _branch(self, x: int):
@@ -132,8 +119,7 @@ class _TreeSides:
         return branch
 
     def side(self, i: int, j: int) -> EdgePath:
-        branches, where = self._branches, self._where
-        i, j = where[i], where[j]
+        branches = self._branches
         path_i, back_i, set_i = branches[i] or self._branch(i)
         path_j, _, set_j = branches[j] or self._branch(j)
         shared = len(set_i & set_j)  # two branches from one root share exactly a prefix
@@ -217,12 +203,13 @@ def compute_delta(
     supported Python.  Each side is measured once: when
     enumerating, one table holds a side per pair of points before the
     triple loop; when sampling, each triple builds its three sides.  On a
-    tree, either way, a side is built from its corners' cached branches
-    (see :class:`_TreeSides`).  A ``triple_budget`` below 1 is refused.
+    tree ball, either way, a side is built from its corners' cached
+    branches (see :class:`_TreeSides`); an explicit region's sides are the
+    model's geodesics.  A ``triple_budget`` below 1 is refused.
     """
     if triple_budget < 1:
         raise ModelError(f"triple budget must be >= 1, got {triple_budget}")
-    parents = None  # an explicit region's tree sides find their own
+    parents = None
     if points is None:
         center = model.basepoint()
         parents = model.ball_parents(center, radius)
@@ -244,7 +231,7 @@ def compute_delta(
         truncated = truncated or trunc
         return EdgePath(model, paths[0]) if len(paths) == 1 else _GeodesicSet(model, paths)
 
-    side = _TreeSides(model, points, parents).side if model.is_tree else graph_side
+    side = _TreeSides(model, parents).side if model.is_tree and parents is not None else graph_side
 
     if exhaustive:
         table = [[side(i, j) if i < j else None for j in range(n)] for i in range(n)]

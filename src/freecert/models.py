@@ -388,6 +388,9 @@ class CyclicFreeProductModel(ActionModel):
         k = common_prefix(x, y)
         return [x[:j] for j in range(len(x), k - 1, -1)] + [y[:j] for j in range(k + 1, len(y) + 1)]
 
+    def geodesics(self, x: Word, y: Word) -> Iterator[list[Word]]:
+        yield self.geodesic(x, y)  # a tree has exactly one
+
     def basepoint(self) -> Word:
         return IDENTITY
 

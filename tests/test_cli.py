@@ -271,6 +271,43 @@ def test_a_window_shorter_than_the_shared_axis_bounds_D_with_a_caveat(model_dir,
     assert (doc["exponents"]["n_min"], doc["exponents"]["m_min"]) == (3, 113)
 
 
+@pytest.mark.parametrize(
+    "criterion, exponents, branch",
+    [("nielsen", (110, 110), None), ("theorem9", (26475586440, 26475586440), "step1-prop6")],
+)
+def test_brute_forced_acylindricity_constants_carry_the_empirical_acyl_caveat(capsys, criterion, exponents, branch):
+    # At --delta 1 on F2 the acylindricity constants are found by search, not
+    # by the tree formula, so the certificate says its K, L and P are empirical.
+    code = main(["certify", "--model", str(REPO / "demos/models/f2.json"), "--a", "ab", "--b", "ba",
+                 "--criterion", criterion, "--delta", "1", "--no-verify"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["caveats"] == ["empirical-acyl"]
+    assert (doc["exponents"]["n_min"], doc["exponents"]["m_min"]) == exponents
+    constants = doc["constants"]
+    assert {name: constants[name]["provenance"] for name in ("P", "K20", "L20", "K200", "L200", "delta")} == {
+        "P": "brute-forced", "K20": "brute-forced", "L20": "brute-forced",
+        "K200": "brute-forced", "L200": "brute-forced", "delta": "config-override",
+    }
+    if branch is not None:
+        assert doc["details"]["branch"] == branch
+        assert constants["D"]["value"] == 20
+
+
+@pytest.mark.parametrize("verify", [[], ["--no-verify"]])
+def test_certify_refuses_a_depth_below_one_before_any_work(capsys, monkeypatch, verify):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the depth is refused before the certificate is built")
+
+    monkeypatch.setattr(freecert.cli, "resolve_constants", forbidden)
+    monkeypatch.setattr(freecert.certifier, "analyze_pair", forbidden)
+    capsys.readouterr()
+    code = main(["certify", "--model", str(REPO / "demos/models/f2.json"), "--a", "ab", "--b", "ba",
+                 "--criterion", "prop6", "--delta", "1", "--depth", "0", *verify])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: depth must be >= 1\n")
+
+
 def test_chain_resolves_no_acylindricity_constants(model_dir, capsys, monkeypatch):
     # The chain reads only delta, so at delta >= 1 it must not pay for P, K and L.
     def refuse(*args, **kwargs):

@@ -28,6 +28,15 @@ def test_tree_unique_geodesic():
     assert len(paths) == 1 and not truncated
 
 
+def test_a_tree_geodesic_between_points_at_the_cap_is_listed_whole():
+    # The walk from (1, 1, 1, 1) would list its neighbours, one of them past
+    # cap 4; the tree yields its one geodesic without listing them.
+    m = FreeGroupModel(2, cap=4)
+    paths, truncated = all_geodesics(m, (1, 1, 1, 1), (2,))
+    assert paths == [m.geodesic((1, 1, 1, 1), (2,))] == [[(1, 1, 1, 1), (1, 1, 1), (1, 1), (1,), (), (2,)]]
+    assert not truncated
+
+
 def test_c4_antipodal_two_geodesics():
     paths, truncated = all_geodesics(CycleModel(4), 0, 2)
     assert len(paths) == 2 and not truncated
@@ -218,7 +227,11 @@ def test_tree_sides_are_the_model_geodesics_between_their_corners(monkeypatch, m
     assert report.delta == 0 and len(triangles) == report.triple_count > 0
     assert report.exhaustive == ("triple_budget" not in kwargs)
     for a, b, c in triangles:
-        sides = [[side.model.point(v) for v in side.points] for side in (a, b, c)]
+        if "points" in kwargs:  # an explicit region's sides are paths over the model's own points
+            assert all(side.model is model for side in (a, b, c))
+            sides = [list(side.points) for side in (a, b, c)]
+        else:  # a ball's sides are paths over ids, their places in the ball
+            sides = [[side.model.point(v) for v in side.points] for side in (a, b, c)]
         x, y, z = sides[0][0], sides[1][0], sides[2][-1]
         assert {x, y, z} <= set(region)
         assert sides == [model.geodesic(x, y), model.geodesic(y, z), model.geodesic(x, z)]
@@ -249,12 +262,19 @@ def test_sampled_tree_delta_builds_one_geodesic_per_region_point(monkeypatch):
     report = compute_delta(model, radius=4, triple_budget=500, seed=7)
     assert not report.exhaustive and report.triple_count == 500 and report.region["size"] == 161
     assert calls == []  # a ball's branches are read off its BFS parents
-    # An explicit region takes one geodesic per distinct point, none for the
-    # first point or a point on an earlier point's geodesic.
     points = model.ball((), 4)[::3] + [(1, 2, 1), (1, 2), (1,), (1, 2, 1)]
     report = compute_delta(model, points=points, triple_budget=500, seed=7)
     assert report.delta == 0 and report.triple_count == 500
-    assert len(calls) == len(set(calls)) <= len(set(points)) - 1 and (1,) not in calls
+
+
+@pytest.mark.parametrize("kwargs, exhaustive, count", [({}, True, 1540), ({"triple_budget": 400, "seed": 3}, False, 400)])
+def test_an_explicit_tree_region_with_points_at_the_cap_is_slim(kwargs, exhaustive, count):
+    # Sides ending at a point of cap length are the model's geodesics, built
+    # without reading a neighbour past the cap.
+    model = FreeGroupModel(2, cap=4)
+    points = model.ball((), 2) + [(1, 1, 1, 1), (2, 2, 2, 2), (-1, 2, -1, 2), (1, 2, 1), (1, 1, 1, 1)]
+    report = compute_delta(model, points=points, **kwargs)
+    assert (report.delta, report.exhaustive, report.triple_count) == (0, exhaustive, count)
 
 
 def test_tree_delta_walks_branches_longer_than_the_recursion_limit():
