@@ -619,6 +619,20 @@ def _gap_band(d: int, tr_a: Fraction) -> Optional[str]:
     return None
 
 
+def check_chain_input(word: Word, E: Fraction, Q: int, delta: int) -> tuple[list[tuple[int, int]], str]:
+    """A chain word's syllables and case, once Q >= 1, E > 100 delta, and the
+    word is nonempty, freely reduced and over two letters: checks that need no axis."""
+    if Q < 1:
+        raise ModelError("Q must be >= 1")
+    if E <= 100 * delta:
+        raise ModelError("epsilon must exceed 100 * delta")
+    syl = word_syllables(word)
+    case = word_case(syl)
+    if any(gen == nxt for (gen, _), (nxt, _) in zip(syl, syl[1:])):
+        raise ModelError("word is not freely reduced over the two letters")
+    return syl, case
+
+
 def build_witness_chain(
     model: ActionModel,
     word: Word,
@@ -641,16 +655,9 @@ def build_witness_chain(
     embedding bound L * |x - w x| >= |word| at the final prefix w = w(a, b).
     """
     E = Fraction(E)
-    if Q < 1:
-        raise ModelError("Q must be >= 1")
-    if E <= 100 * delta:
-        raise ModelError("epsilon must exceed 100 * delta")
+    syl, case = check_chain_input(word, E, Q, delta)
     a, b = model.canon(a), model.canon(b)
-    syl = word_syllables(word)
-    case = word_case(syl)
     tr_a = Fraction(model.exact_translation_length(a))
-    if any(gen == nxt for (gen, _), (nxt, _) in zip(syl, syl[1:])):
-        raise ModelError("word is not freely reduced over the two letters")
 
     def between(w: Word, g: Word, n: int, stride: int):
         """The prefixes w g^(k stride), 0 < k < |n| // stride, k of n's sign, each one compose past the last."""
@@ -754,24 +761,17 @@ def build_witness_chain(
 def chain_base_points(model: ActionModel, axis_a: AxisData, axis_b: AxisData, overlap: OverlapReport):
     """Base points (x, y) for witness chains.
 
-    D > 0: midpoint of the longest overlap segment, projected to each axis.
-    D = 0: the midpoint of a distance-realizing segment between the axes,
-    used for both (deterministic tie-breaks throughout).  Both are measured
-    on the :class:`EdgePath` each axis carries.
+    A nonempty overlap (at D = 0, one point on both axes): its witness
+    midpoint, projected to each axis.  Else the midpoint of a distance-realizing
+    segment between the axes, used for both (deterministic tie-breaks
+    throughout).  Both are measured on the :class:`EdgePath` each axis carries.
     """
     pa, pb = axis_a.edges, axis_b.edges
-    if overlap.D > 0 and overlap.witness_segment:
+    if overlap.witness_segment:
         seg = list(overlap.witness_segment)
         mid = seg[len(seg) // 2]
         return pa.nearest(mid), pb.nearest(mid)
     key = model.point_key
-    # The shared points, found by looking each point of the shorter axis up in the longer.
-    short, long = (pa, pb) if len(pa.points) <= len(pb.points) else (pb, pa)
-    shared = [p for p in short.points if p in long.members]
-    if shared:
-        # Distance 0 is least, and p = q there: the least key of a shared point.
-        mid = min(shared, key=key)
-        return mid, mid
     # The least (d(p, q), key(p), key(q)) pairs each p with its nearest q.
     pairs = [(p, pb.nearest(p)) for p in pa.points]
     pair = min(pairs, key=lambda t: (model.distance(*t), key(t[0]), key(t[1])))

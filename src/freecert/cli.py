@@ -26,6 +26,7 @@ from .certifier import (
     analyze_pair,
     build_witness_chain,
     chain_base_points,
+    check_chain_input,
     check_delta,
     nielsen_certify,
     prop6_certify,
@@ -125,8 +126,8 @@ def _resolve_delta(model: ActionModel, args) -> tuple[int, str]:
 
 def _parse_range(text: str) -> tuple[range, range]:
     parts = text.split(",")
-    if len(parts) == 1:
-        parts = [parts[0], parts[0]]
+    if len(parts) > 2:
+        raise ModelError(f"exponent range {text!r} has more than two parts")
     ranges = []
     for part in parts:
         lo, _, hi = part.partition(":")
@@ -134,7 +135,7 @@ def _parse_range(text: str) -> tuple[range, range]:
         if hi_i < lo_i:
             raise ModelError(f"empty exponent range {part!r}")
         ranges.append(range(lo_i, hi_i + 1))
-    return ranges[0], ranges[1]
+    return ranges[0], ranges[-1]  # one part serves both
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +269,11 @@ def _cmd_chain(args) -> int:
     delta, provenance = _resolve_delta(model, args)
     check_delta(model, delta, provenance)  # the chain needs only delta, not the constants
     a, b = _element(model, args.a), _element(model, args.b)
+    word, E = parse_letters(args.word, ("a", "b")), Fraction(args.E)
+    check_chain_input(word, E, args.Q, delta)  # before the axes are measured
     analysis = analyze_pair(model, a, b, delta, window=args.window)
     x, y = chain_base_points(model, analysis.axis_a, analysis.axis_b, analysis.overlap)
-    word = parse_letters(args.word, ("a", "b"))
-    chain = build_witness_chain(
-        model, word, a, b, x, y, Fraction(args.E), args.Q, delta
-    )
+    chain = build_witness_chain(model, word, a, b, x, y, E, args.Q, delta)
     _write_doc({"command": "chain", **chain.to_doc()}, args.out)
     return 0 if not chain.failures else 1
 

@@ -19,7 +19,8 @@ exact integers; there is no floating point anywhere in this module.
 
 Every word a model method returns is canonical, and the identity is
 ``IDENTITY``: test it with ``w == IDENTITY``, never by reducing w again.
-``compose``, ``inverse``, ``power`` and ``apply`` take canonical words;
+``compose(x, y)``, ``inverse``, ``power`` and ``apply`` take canonical words
+(on the tree, points are words and ``apply`` is ``compose`` under the cap);
 ``canon`` reduces and range-checks words where they come in: the CLI, and
 each library function that takes a caller's words (``classify``,
 ``independence_test``, ``build_witness_chain``, and ``freeness_to_depth``
@@ -125,11 +126,8 @@ class ActionModel:
     def inverse(self, g: Word) -> Word:
         return self.canon(-l for l in reversed(g))
 
-    def compose(self, *elements: Iterable[int]) -> Word:
-        out: list[int] = []
-        for e in elements:
-            out.extend(e)
-        return self.canon(out)
+    def compose(self, x: Iterable[int], y: Iterable[int]) -> Word:
+        return self.canon((*x, *y))
 
     def power(self, g: Word, n: int) -> Word:
         if n < 0:
@@ -310,8 +308,6 @@ class CyclicFreeProductModel(ActionModel):
         self._inverse = {l: (l if l in involutions else -l) for l in self._letters.values()}
         # neighbor steps in generator order, positive letter first
         self._steps = tuple(dict.fromkeys(self._letters.values()))
-        # (g, g^-1) for the last g whose seam apply cancelled.
-        self._last_inverse: tuple[Word, Word] = (IDENTITY, IDENTITY)
 
     def _check_cap(self, w: Word) -> Word:
         if len(w) > self.cap:
@@ -346,32 +342,18 @@ class CyclicFreeProductModel(ActionModel):
                 return k
             size *= 8
 
-    def compose(self, *elements: Word) -> Word:
+    def compose(self, x: Word, y: Word) -> Word:
         # Normal forms cancel only where they join (Lyndon-Schupp IV.1).
-        out = IDENTITY
-        for e in elements:
-            if out and e and out[-1] == self._inverse[e[0]]:
-                k = self._seam(out, e)
-                out = out[: len(out) - k] + e[k:]
-            else:
-                out += e
-        return out
+        if x and y and x[-1] == self._inverse[y[0]]:
+            k = self._seam(x, y)
+            return x[: len(x) - k] + y[k:]
+        return x + y
 
     def generators(self) -> list[Word]:
         return [(i,) for i in range(1, self.rank + 1)]
 
     def apply(self, g: Word, x: Word) -> Word:
-        # g * x as one join: the seam is the common prefix of g^-1 and x.  An
-        # axis applies one g to each of its points, so g^-1 is kept for the
-        # last g applied.
-        if g and x and g[-1] == self._inverse[x[0]]:
-            last = self._last_inverse
-            if last[0] is not g:
-                last = self._last_inverse = (g, self.inverse(g))
-            k = common_prefix(last[1], x)
-            w = g[: len(g) - k] + x[k:]
-        else:
-            w = g + x
+        w = self.compose(g, x)
         return w if len(w) <= self.cap else self._check_cap(w)
 
     def neighbors(self, x: Word) -> list[Word]:

@@ -76,7 +76,7 @@ def test_criterion_2_translation_length_laws():
         for _ in range(20):
             g = random_element(model, rng, 6)
             h = random_element(model, rng, 6)
-            conj = model.compose(h, g, model.inverse(h))
+            conj = model.compose(model.compose(h, g), model.inverse(h))
             assert tr(conj) == tr(g)
 
 

@@ -631,8 +631,10 @@ def _scanned_base_points(model, axis_a, axis_b, overlap):
 
 
 def test_base_points_from_the_shorter_axis_match_the_scan_of_a(f2):
-    # The shared points are looked up from whichever axis is shorter; the pair
-    # is the one a scan of a's axis finds, with a longer or shorter than b.
+    # A shared point is read off the overlap (at c >= 0) or found by the
+    # nearest-pair rule (at c = -1, where the overlap is empty); the pair is
+    # the one a scan of a's axis for shared points finds, with a longer or
+    # shorter than b.
     rng = random.Random("base-points")
     pairs = [((1,) * k, b) for k in (1, 5, 17, 40) for b in ((2,), (-2, -2), (2, 1, -2), (1, 2))]
     pairs += [tuple(f2.canon(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 6))) for _ in "ab")

@@ -101,13 +101,38 @@ def test_exit_code_matrix(model_dir, tmp_path, capsys):
         (["overlap", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--c", "-1"],
          "overlap radius c must be >= 0, got -1"),
         (["profile", "--model", "@f2.json", "--a", "ab", "--window", "0"], "window must be >= 1, got 0"),
+        (["sweep", "--model", "@f2.json", "--a", "a", "--b", "b", "--range", "1:1,1:1,5:9"],
+         "exponent range '1:1,1:1,5:9' has more than two parts"),
     ],
-    ids=["budget", "profile-delta", "overlap-delta", "overlap-c", "window"],
+    ids=["budget", "profile-delta", "overlap-delta", "overlap-c", "window", "range-parts"],
 )
 def test_out_of_range_number_names_its_bound(model_dir, capsys, argv, message):
     assert run(model_dir, *argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--word", "x", "unknown generator letter 'x' (model has ['a', 'b'])"),
+        ("--word", "", "chain words must be nonempty"),
+        ("--word", "aA", "word is not freely reduced over the two letters"),
+        ("--Q", "0", "Q must be >= 1"),
+        ("--E", "0", "epsilon must exceed 100 * delta"),
+    ],
+    ids=["letter", "empty", "unreduced", "Q", "E"],
+)
+def test_chain_refuses_its_inputs_before_measuring_the_axes(model_dir, capsys, monkeypatch, flag, value, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the chain's inputs are checked before its axes are measured")
+
+    monkeypatch.setattr(freecert.cli, "analyze_pair", forbidden)
+    flags = {"--word": "ab", "--E": "1/1000", "--Q": "1", flag: value}
+    argv = ["chain", "--model", "@f2.json", "--a", "a", "--b", "b"] + [t for kv in flags.items() for t in kv]
+    capsys.readouterr()
+    assert run(model_dir, *argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_certify_writes_valid_document_and_verify_reproduces(model_dir, tmp_path, capsys):

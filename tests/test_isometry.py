@@ -189,7 +189,7 @@ def _conjugates(model, rng, count):
     while len(found) < count:
         g = model.canon(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
         u = model.canon(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
-        g = model.compose(u, g, model.inverse(u))
+        g = model.compose(model.compose(u, g), model.inverse(u))
         if classify(model, g).tr > 0:
             found.append(g)
     return found

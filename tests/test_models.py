@@ -2,6 +2,7 @@
 
 import random
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -395,7 +396,7 @@ def test_tree_model_arithmetic_matches_canon_of_concatenation(model):
         words = [word()]
         for _ in range(rng.randint(0, 3)):
             words.append(word(words[-1]))
-        assert model.compose(*words) == model.canon(l for w in words for l in w)
+        assert reduce(model.compose, words, IDENTITY) == model.canon(l for w in words for l in w)
         for g, x in zip(words, words[1:]):
             product = model.canon(g + x)
             assert model.apply(g, x) == model.compose(g, x) == product
@@ -410,7 +411,21 @@ def test_tree_model_arithmetic_matches_canon_of_concatenation(model):
         assert g_inv == model.canon(-l for l in reversed(g))
         assert model.compose(g, g_inv) == model.compose(g_inv, g) == IDENTITY
         for n in range(-5, 6):
-            assert model.power(g, n) == model.compose(*[g if n > 0 else g_inv] * abs(n))
+            assert model.power(g, n) == reduce(model.compose, [g if n > 0 else g_inv] * abs(n), IDENTITY)
+
+
+def test_apply_at_a_short_seam_inverts_only_a_short_tail():
+    # apply is compose under the cap, and the seam inverts ever longer tails
+    # of g (8, 64, 512, ... letters): a new 2,000-letter g whose seam with x
+    # is 2 letters inverts no word longer than 8, never the whole of g.
+    model = FreeGroupModel(2, cap=10**5)
+    g = (1, 2) * 1000
+    x = (-2, -1, -1)  # the seam is g's last two letters, 1 2
+    lengths = []
+    inverse = model.inverse
+    model.inverse = lambda w: lengths.append(len(w)) or inverse(w)
+    assert model.apply(g, x) == model.canon(g + x) == g[:-2] + (-1,)
+    assert lengths and max(lengths) <= 8
 
 
 def test_tree_model_seams_cancel_involutions():
@@ -425,8 +440,8 @@ def test_tree_model_seams_cancel_involutions():
     assert zz2.power((1, 2), -2) == (2, -1, 2, -1)
     dihedral = CyclicFreeProductModel((2, 2), ("s", "t"))
     assert dihedral.compose((1, 2), (2, 1)) == IDENTITY
-    assert dihedral.compose((1, 2, 1), (1, 2), (2,)) == (1, 2)
-    assert dihedral.compose((1, 2, 1), (1,), (2, 1)) == IDENTITY  # a seam that swallows a whole word
+    assert dihedral.compose(dihedral.compose((1, 2, 1), (1, 2)), (2,)) == (1, 2)
+    assert dihedral.compose(dihedral.compose((1, 2, 1), (1,)), (2, 1)) == IDENTITY  # a seam that swallows a whole word
     assert dihedral.power((1, 2), 3) == (1, 2, 1, 2, 1, 2)
 
 
@@ -503,10 +518,11 @@ def test_tree_model_slices_match_the_letter_by_letter_reference(model):
             for p, q in ((w, x), (x, w)):
                 assert model.apply(p, q) == compose(p, q) == apply(p, q)
                 assert model.compose(p, q) == compose(p, q)
-            assert model.compose(w, x, w) == compose(w, x, w)
-            assert model.apply(tuple(list(w)), x) == apply(w, x)  # an equal g that is not the last one applied
+            assert model.compose(model.compose(w, x), w) == compose(w, x, w)
+            assert model.apply(tuple(list(w)), x) == apply(w, x)  # an equal g that is another object
         u = word(rng.randint(0, 30))
-        for g in (w, model.compose(u, w, model.inverse(u)), model.compose(u, (model.rank,), model.inverse(u))):
+        conjugates = [model.compose(model.compose(u, c), model.inverse(u)) for c in (w, (model.rank,))]
+        for g in (w, *conjugates):
             assert model.cyclic_split(g) == cyclic_split(g)
 
 
