@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, groupby, islice, repeat
 from math import ceil
 from typing import Optional, Sequence
 
@@ -483,6 +483,8 @@ def nielsen_certify(
     formula minimum, and is emitted only after the independent word oracle
     confirms freeness of the certified pair to ``oracle_depth``.
     """
+    if exponents is not None and [type(e) for e in exponents] != [int, int]:
+        raise ModelError(f"explicit exponents must be two integers, got {exponents!r}")
     delta = cval(constants, "delta")
     sharp = epsilon_mode == "sharp-experimental"
     if epsilon_mode == "paper-literal":
@@ -550,31 +552,6 @@ def theorem9_certify(model: ActionModel, a: Word, b: Word, constants: ConstantSe
 # ---------------------------------------------------------------------------
 
 
-def word_syllables(word: Word) -> list[tuple[int, int]]:
-    """Group a reduced word over letters {±1, ±2} into (generator, exponent)
-    syllables, e.g. (1, 1, 2, 2, -1) -> [(1, 2), (2, 2), (1, -1)]."""
-    syl: list[tuple[int, int]] = []
-    for l in word:
-        if abs(l) not in (1, 2):
-            raise ModelError("chain words use two letters: 1 and 2 (signed)")
-        s = 1 if l > 0 else -1
-        if syl and syl[-1][0] == abs(l) and (syl[-1][1] > 0) == (s > 0):
-            syl[-1] = (abs(l), syl[-1][1] + s)
-        else:
-            syl.append((abs(l), s))
-    return syl
-
-
-def word_case(syllables: list[tuple[int, int]]) -> str:
-    """O: power of the second letter alone; I: starts with the first letter;
-    II: starts with the second letter but involves the first."""
-    if not syllables:
-        raise ModelError("chain words must be nonempty")
-    if all(gen == 2 for gen, _ in syllables):
-        return "O"
-    return "I" if syllables[0][0] == 1 else "II"
-
-
 @dataclass
 class WitnessChain:
     word: Word
@@ -620,17 +597,26 @@ def _gap_band(d: int, tr_a: Fraction) -> Optional[str]:
 
 
 def check_chain_input(word: Word, E: Fraction, Q: int, delta: int) -> tuple[list[tuple[int, int]], str]:
-    """A chain word's syllables and case, once Q >= 1, E > 100 delta, and the
-    word is nonempty, freely reduced and over two letters: checks that need no axis."""
+    """A chain word's syllables and case, checked before any axis is measured.
+
+    Refuses Q < 1, E <= 100 delta, a letter outside ±1, ±2, the empty word and a run of one
+    generator that changes sign (a word not freely reduced), in that order.  Each run is a
+    syllable: (1, 1, 2, 2, -1) -> [(1, 2), (2, 2), (1, -1)].  Case O: a power of the second
+    letter alone; I: starts with the first letter; II: starts with the second but involves the first.
+    """
     if Q < 1:
         raise ModelError("Q must be >= 1")
     if E <= 100 * delta:
         raise ModelError("epsilon must exceed 100 * delta")
-    syl = word_syllables(word)
-    case = word_case(syl)
-    if any(gen == nxt for (gen, _), (nxt, _) in zip(syl, syl[1:])):
+    if not set(word) <= {1, -1, 2, -2}:
+        raise ModelError("chain words use two letters: 1 and 2 (signed)")
+    if not word:
+        raise ModelError("chain words must be nonempty")
+    runs = [(gen, list(run)) for gen, run in groupby(word, abs)]
+    if any(len(set(run)) > 1 for _, run in runs):
         raise ModelError("word is not freely reduced over the two letters")
-    return syl, case
+    syl = [(gen, sum(run) // gen) for gen, run in runs]  # sign x length
+    return syl, "I" if syl[0][0] == 1 else "II" if len(syl) > 1 else "O"
 
 
 def build_witness_chain(
@@ -646,13 +632,13 @@ def build_witness_chain(
 ) -> WitnessChain:
     """Interpolated point chain witnessing that ``word`` (in a, b) moves x.
 
-    One walk over the word's syllables keeps w, the prefix read so far:
-    each a-syllable a^n and the b-syllable b^m after it (m = 0 at the end)
-    make a block p = w x, q = w a^n x, r = w a^n y, s = w a^n b^m y, and a
-    leading b-syllable (cases O and II) moves y to s_0.  Checks the five
-    block conditions (violations are annotated, not fatal), the gap bands and
-    the three points condition for epsilon = E on the pruned chain u, and the
-    embedding bound L * |x - w x| >= |word| at the final prefix w = w(a, b).
+    :func:`check_chain_input` refuses bad input and splits the word into syllables, which
+    alternate generators.  One walk over them keeps w, the prefix read so far: each a-syllable
+    a^n and the b-syllable b^m after it (m = 0 at the end) make a block p = w x, q = w a^n x,
+    r = w a^n y, s = w a^n b^m y, and a leading b-syllable (cases O and II) moves y to s_0.
+    Checks the five block conditions (violations are annotated, not fatal), the gap bands and
+    the three points condition for epsilon = E on the pruned chain u, and the embedding bound
+    L * |x - w x| >= |word| at the final prefix w = w(a, b).
     """
     E = Fraction(E)
     syl, case = check_chain_input(word, E, Q, delta)

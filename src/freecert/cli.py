@@ -124,6 +124,19 @@ def _resolve_delta(model: ActionModel, args) -> tuple[int, str]:
     return report.delta, "brute-forced"
 
 
+def fraction(text: str) -> Fraction:
+    """A ``type=`` for fraction flags: argparse names the flag when it fails."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # argparse reports only ValueError and TypeError
+        raise ValueError(text) from None
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    """A ``type=`` for comma-separated integers, e.g. ``1,1``."""
+    return tuple(map(int, text.split(",")))
+
+
 def _parse_range(text: str) -> tuple[range, range]:
     parts = text.split(",")
     if len(parts) > 2:
@@ -131,7 +144,10 @@ def _parse_range(text: str) -> tuple[range, range]:
     ranges = []
     for part in parts:
         lo, _, hi = part.partition(":")
-        lo_i, hi_i = int(lo), int(hi or lo)
+        try:
+            lo_i, hi_i = int(lo), int(hi or lo)
+        except ValueError:
+            raise ModelError(f"exponent range {text!r} has a malformed part {part!r}") from None
         if hi_i < lo_i:
             raise ModelError(f"empty exponent range {part!r}")
         ranges.append(range(lo_i, hi_i + 1))
@@ -189,28 +205,19 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_acyl(args) -> int:
     model = _load_model(args.model)
-    radii = [int(r) for r in args.radii.split(",")]
     profile = acyl_profile(
-        model, radii, region_radius=args.region_radius, group_ball_radius=args.ball_radius
+        model, args.radii, region_radius=args.region_radius, group_ball_radius=args.ball_radius
     )
     _write_doc({"command": "acyl", **profile.to_doc()}, args.out)
     return 0
 
 
-def _nielsen(model, a, b, constants, args):
-    exps = None
-    if args.exponents:
-        n, m = args.exponents.split(",")
-        exps = (int(n), int(m))
-    epsilon = Fraction(args.epsilon) if args.epsilon else None
-    return nielsen_certify(model, a, b, constants, epsilon_mode=args.epsilon_mode, epsilon=epsilon,
-                           exponents=exps, oracle_depth=args.depth, window=args.window)
-
-
 CRITERIA = {
-    "nielsen": _nielsen,
+    "nielsen": lambda model, a, b, constants, args: nielsen_certify(
+        model, a, b, constants, epsilon_mode=args.epsilon_mode, epsilon=args.epsilon,
+        exponents=args.exponents, oracle_depth=args.depth, window=args.window),
     "prop6": lambda model, a, b, constants, args: prop6_certify(
-        model, a, b, constants, q=Fraction(args.q), window=args.window),
+        model, a, b, constants, q=args.q, window=args.window),
     "prop7": lambda model, a, b, constants, args: prop7_certify(model, a, b, constants, window=args.window),
     "prop8": lambda model, a, b, constants, args: prop8_certify(model, a, b, constants, window=args.window),
     "theorem9": lambda model, a, b, constants, args: theorem9_certify(model, a, b, constants, window=args.window),
@@ -269,11 +276,11 @@ def _cmd_chain(args) -> int:
     delta, provenance = _resolve_delta(model, args)
     check_delta(model, delta, provenance)  # the chain needs only delta, not the constants
     a, b = _element(model, args.a), _element(model, args.b)
-    word, E = parse_letters(args.word, ("a", "b")), Fraction(args.E)
-    check_chain_input(word, E, args.Q, delta)  # before the axes are measured
+    word = parse_letters(args.word, ("a", "b"))
+    check_chain_input(word, args.E, args.Q, delta)  # before the axes are measured
     analysis = analyze_pair(model, a, b, delta, window=args.window)
     x, y = chain_base_points(model, analysis.axis_a, analysis.axis_b, analysis.overlap)
-    chain = build_witness_chain(model, word, a, b, x, y, E, args.Q, delta)
+    chain = build_witness_chain(model, word, a, b, x, y, args.E, args.Q, delta)
     _write_doc({"command": "chain", **chain.to_doc()}, args.out)
     return 0 if not chain.failures else 1
 
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("acyl", help="brute-force acylindricity constants")
     common(p)
-    p.add_argument("--radii", default="0", help="comma-separated displacement radii")
+    p.add_argument("--radii", type=int_list, default="0", help="comma-separated displacement radii")
     p.add_argument("--region-radius", type=int, default=3)
     p.add_argument("--ball-radius", type=int, default=6)
     p.set_defaults(func=_cmd_acyl)
@@ -331,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, elements=True, axes=True)
     p.add_argument("--criterion", required=True, choices=sorted(CRITERIA))
     p.add_argument("--epsilon-mode", default="paper-literal", choices=["paper-literal", "sharp-experimental"])
-    p.add_argument("--epsilon", default=None, help="sharp-mode epsilon (fraction)")
-    p.add_argument("--exponents", default=None, help="sharp-mode explicit exponents, e.g. 1,1")
-    p.add_argument("--q", default="2", help="translation length ratio bound (prop6)")
+    p.add_argument("--epsilon", type=fraction, default=None, help="sharp-mode epsilon (fraction)")
+    p.add_argument("--exponents", type=int_list, default=None, help="sharp-mode explicit exponents, e.g. 1,1")
+    p.add_argument("--q", type=fraction, default="2", help="translation length ratio bound (prop6)")
     p.add_argument("--depth", type=int, default=4, help="oracle verification depth")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=_cmd_certify)
@@ -353,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain", help="build and check a witness chain")
     common(p, elements=True, axes=True)
     p.add_argument("--word", required=True, help="word over the letters a, b")
-    p.add_argument("--E", required=True, help="three-points constant (fraction)")
+    p.add_argument("--E", required=True, type=fraction, help="three-points constant (fraction)")
     p.add_argument("--Q", required=True, type=int, help="b-block size")
     p.set_defaults(func=_cmd_chain)
 

@@ -62,7 +62,7 @@ def parse_letters(text: str, names: Sequence[str]) -> Word:
         ch = text[i]
         lower = ch.lower()
         if lower not in index:
-            raise ModelError(f"unknown generator letter {ch!r} (model has {list(names)})")
+            raise ModelError(f"unknown generator letter {ch!r} (expected one of {list(names)})")
         sign = -1 if ch.isupper() else 1
         if i + 1 < len(text) and text[i + 1] == "'":
             sign = -sign

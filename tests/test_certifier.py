@@ -30,7 +30,7 @@ from freecert import (
     three_points_check,
     validate_certificate,
 )
-from freecert.certifier import nielsen_claim, prop6_claim, prop7_claim, theorem9_claim
+from freecert.certifier import check_chain_input, nielsen_claim, prop6_claim, prop7_claim, theorem9_claim
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +215,15 @@ def test_nielsen_sharp_mode_refuses_a_back_check_the_cap_stops():
                         epsilon_mode="sharp-experimental", epsilon=Fraction(1), exponents=(200, 200))
     assert str(exc.value) == ("oracle back-check could not run at exponents (200, 200): "
                               "word length 800 exceeds expansion cap 512")
+
+
+@pytest.mark.parametrize("exponents", [(5,), (1, 2, 3), (1, Fraction(1)), (True, 1)])
+def test_nielsen_refuses_explicit_exponents_that_are_not_two_integers(f2, exponents):
+    # Invalid input in either mode, before the pair is analysed.
+    for mode in ("paper-literal", "sharp-experimental"):
+        with pytest.raises(ModelError, match="^explicit exponents must be two integers, got "):
+            nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"), epsilon_mode=mode,
+                            epsilon=Fraction(1) if mode != "paper-literal" else None, exponents=exponents)
 
 
 def test_nielsen_torsion_partner_refused(zz2):
@@ -499,6 +508,40 @@ def test_chain_steps_negative_b_blocks_by_q(f2, chain_setup):
     chain = build_witness_chain(f2, (1,) + (-2,) * 6, a, B, x, y, E8, Q8, 0)
     assert chain.case == "I" and chain.failures == []
     assert chain.u == [x, f2.apply(a, x), f2.apply(f2.compose(a, b3), y), f2.apply(f2.compose(a, f2.power(B, -6)), y)]
+
+
+LETTERS = "chain words use two letters: 1 and 2 (signed)"
+UNREDUCED = "word is not freely reduced over the two letters"
+
+
+@pytest.mark.parametrize(
+    "word, E, Q, expected",
+    [
+        ((2, 2, 2), 101, 1, ([(2, 3)], "O")),
+        ((-2,), 101, 1, ([(2, -1)], "O")),
+        ((1, 1, 2, 2, -1), 101, 1, ([(1, 2), (2, 2), (1, -1)], "I")),
+        ((-2, 1, -2, -2), 101, 1, ([(2, -1), (1, 1), (2, -2)], "II")),
+        ((1, 3), 101, 1, LETTERS),
+        ((1, 1, -1), 101, 1, UNREDUCED),
+        ((), 101, 1, "chain words must be nonempty"),
+        # Several faults at once: Q, then E, then the letters, then the reduction.
+        ((1, -1, 0), 100, 0, "Q must be >= 1"),
+        ((1, -1, 0), 100, 1, "epsilon must exceed 100 * delta"),
+        ((1, -1, 0), 101, 1, LETTERS),
+        ((0, 1, -1), 101, 1, LETTERS),
+        ((1, -1), 101, 1, UNREDUCED),
+        ((), 100, 0, "Q must be >= 1"),
+        ((), 100, 1, "epsilon must exceed 100 * delta"),
+    ],
+)
+def test_check_chain_input(word, E, Q, expected):
+    # delta = 1 throughout, so E must exceed 100.
+    if isinstance(expected, str):
+        with pytest.raises(ModelError) as exc:
+            check_chain_input(word, Fraction(E), Q, 1)
+        assert str(exc.value) == expected
+    else:
+        assert check_chain_input(word, Fraction(E), Q, 1) == expected
 
 
 def test_chain_refuses_a_syllable_past_the_cap_before_forming_its_steps():

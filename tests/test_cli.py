@@ -103,8 +103,17 @@ def test_exit_code_matrix(model_dir, tmp_path, capsys):
         (["profile", "--model", "@f2.json", "--a", "ab", "--window", "0"], "window must be >= 1, got 0"),
         (["sweep", "--model", "@f2.json", "--a", "a", "--b", "b", "--range", "1:1,1:1,5:9"],
          "exponent range '1:1,1:1,5:9' has more than two parts"),
+        (["sweep", "--model", "@f2.json", "--a", "a", "--b", "b", "--range", "5:9,"],
+         "exponent range '5:9,' has a malformed part ''"),
+        (["sweep", "--model", "@f2.json", "--a", "a", "--b", "b", "--range", ":3"],
+         "exponent range ':3' has a malformed part ':3'"),
+        (["sweep", "--model", "@f2.json", "--a", "a", "--b", "b", "--range", "a:b"],
+         "exponent range 'a:b' has a malformed part 'a:b'"),
+        (["certify", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "nielsen", "--exponents", "5",
+          "--no-verify"], "explicit exponents must be two integers, got (5,)"),
     ],
-    ids=["budget", "profile-delta", "overlap-delta", "overlap-c", "window", "range-parts"],
+    ids=["budget", "profile-delta", "overlap-delta", "overlap-c", "window", "range-parts",
+         "range-trailing-comma", "range-no-low", "range-letters", "exponents-one"],
 )
 def test_out_of_range_number_names_its_bound(model_dir, capsys, argv, message):
     assert run(model_dir, *argv) == 2
@@ -113,9 +122,31 @@ def test_out_of_range_number_names_its_bound(model_dir, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--criterion", "prop6", "--q", "1/0"], "argument --q: invalid fraction value: '1/0'"),
+        (["certify", "--criterion", "nielsen", "--q", "x"], "argument --q: invalid fraction value: 'x'"),
+        (["certify", "--criterion", "nielsen", "--epsilon", ""], "argument --epsilon: invalid fraction value: ''"),
+        (["certify", "--criterion", "nielsen", "--exponents", ""],
+         "argument --exponents: invalid int_list value: ''"),
+        (["chain", "--word", "ab", "--E", "1/0", "--Q", "1"], "argument --E: invalid fraction value: '1/0'"),
+        (["acyl", "--radii", "1,x"], "argument --radii: invalid int_list value: '1,x'"),
+    ],
+    ids=["q-zero-denominator", "q-letter", "epsilon-empty", "exponents-empty", "E-zero-denominator", "radii"],
+)
+def test_a_malformed_number_is_refused_by_its_flag(model_dir, capsys, argv, message):
+    command, *flags = argv
+    elements = [] if command == "acyl" else ["--a", "a", "--b", "b"]
+    capsys.readouterr()
+    assert run(model_dir, command, "--model", "@f2.json", *elements, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--word", "x", "unknown generator letter 'x' (model has ['a', 'b'])"),
+        ("--word", "x", "unknown generator letter 'x' (expected one of ['a', 'b'])"),
         ("--word", "", "chain words must be nonempty"),
         ("--word", "aA", "word is not freely reduced over the two letters"),
         ("--Q", "0", "Q must be >= 1"),
