@@ -32,7 +32,7 @@ from .isometry import (
     quasi_axis,
 )
 from .models import IDENTITY, ActionModel, ModelError, Word, check_int
-from .oracle import freeness_to_depth
+from .oracle import OracleReport, freeness_to_depth
 
 SCHEMA_VERSION = 1
 
@@ -181,6 +181,7 @@ class Certificate:
     caveats: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
     witness: dict = field(default_factory=dict)
+    oracle_check: Optional[OracleReport] = None  # a sharp-mode back-check's report; to_doc leaves it out
 
     def to_doc(self) -> dict:
         # Field order is fixed so identical inputs give byte-identical JSON.
@@ -507,7 +508,8 @@ def nielsen_certify(
                 f"oracle back-check found a relation at exponents ({n}, {m}): {list(check.relation)}"
             )
         details["oracle_confirmed_depth"] = oracle_depth
-    return _emit("nielsen", model, analysis, constants, claim, epsilon_mode=epsilon_mode, epsilon=Fraction(epsilon))
+    return _emit("nielsen", model, analysis, constants, claim, epsilon_mode=epsilon_mode, epsilon=Fraction(epsilon),
+                 oracle_check=check if sharp else None)
 
 
 def prop6_certify(model: ActionModel, a: Word, b: Word, constants: ConstantSet, q: Fraction,
@@ -515,7 +517,7 @@ def prop6_certify(model: ActionModel, a: Word, b: Word, constants: ConstantSet, 
     """Comparable-translation-length criterion (:func:`prop6_claim`), q >= 1."""
     q = Fraction(q)
     if q < 1:
-        raise CertificateRefused("q must be >= 1")
+        raise ModelError("q must be >= 1")
     analysis = analyze_pair(model, a, b, cval(constants, "delta"), window)
     return _emit("prop6", model, analysis, constants, _claim_on(analysis, constants, prop6_claim, q))
 

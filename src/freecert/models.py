@@ -25,9 +25,9 @@ Every word a model method returns is canonical, and the identity is
 each library function that takes a caller's words (``classify``,
 ``independence_test``, ``build_witness_chain``, and ``freeness_to_depth``
 on the ``cycle`` and ``explicit-graph`` kinds, where it reduces a and b
-once and forms their powers itself).  On the two free-product spec kinds
-the oracle reduces and multiplies words in its own arithmetic, read from
-``spec_dict()``, which shares no code with this module.
+once and forms their powers itself).  On every tree model the oracle
+reduces and multiplies words in its own arithmetic, read from the model's
+factor ``orders`` and ``cap``, which shares no code with this module.
 """
 
 from __future__ import annotations

@@ -8,18 +8,18 @@ itself when its search first reads it, and alone decides what a run
 reports, ``unchecked`` included: a run stops at the model cap, or before a
 level whose words could pass ``ActionModel.BALL_BUDGET``.
 
-Words are evaluated in an exact arithmetic (:func:`arithmetic`).  The spec
-kinds ``free-group`` and ``free-product`` are checked in the oracle's own
-:class:`PackedWords`, built from the factor orders and cap that the
-model's spec gives; that path shares no code with ``models.py``.  Every
-other model is checked through its own exact canonical forms.
+Words are evaluated in an exact arithmetic (:func:`arithmetic`).  Every
+tree model is checked in the oracle's own :class:`PackedWords`, built from
+the model's factor orders and cap; that path shares no code with
+``models.py``.  A finite model is checked through its own exact canonical
+forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word
 
@@ -72,27 +72,27 @@ class SweepTable:
 class PackedWords:
     """Normal-form words of a free product of copies of Z and Z/2, one ``str`` character a letter.
 
-    The oracle's own arithmetic for the spec kinds ``free-group`` and
-    ``free-product``.  Letter +i is chr(2i) and -i is chr(2i + 1); an
-    involution, its own inverse, is chr(2i) under either sign.  A ``str``
-    below code 256 holds a byte a character, so slicing and joining copy
-    memory, and its hash is computed once and cached, which is what the
-    search's table of values keys on.  The tables hold only the generators
-    in ``letters``, the letters of a and b, so a large rank costs nothing.
+    The oracle's own arithmetic for every tree model, read from its factor
+    ``orders`` (``None`` for Z, ``2`` for Z/2) and ``cap``.  Letter +i is
+    chr(2i) and -i is chr(2i + 1); an involution, its own inverse, is
+    chr(2i) under either sign.  A ``str`` below code 256 holds a byte a
+    character, so slicing and joining copy memory, and its hash is computed
+    once and cached, which is what the search's table of values keys on.
+    The tables hold only the generators in ``letters``, the letters of a and
+    b, so a large rank costs nothing.
     """
 
     identity = ""
 
-    def __init__(self, rank: int, involutions: Iterable[int], cap: int, letters: Iterable[int]):
-        self.rank, self.cap = rank, cap
-        involutions = set(involutions)
+    def __init__(self, orders: Sequence[Optional[int]], cap: int, letters: Iterable[int]):
+        self.rank, self.cap = len(orders), cap
         self._code: dict = {}  # letter -> its character
         self._inverse: dict = {}  # character -> the character of the inverse letter
         for l in letters:
             i = abs(l) if isinstance(l, int) else 0
-            if 1 <= i <= rank:
+            if 1 <= i <= self.rank:
                 up = chr(2 * i)
-                down = up if i in involutions else chr(2 * i + 1)
+                down = up if orders[i - 1] == 2 else chr(2 * i + 1)
                 self._code[i], self._code[-i] = up, down
                 self._inverse[up], self._inverse[down] = down, up
         self._flip = str.maketrans(self._inverse)
@@ -145,38 +145,28 @@ class PackedWords:
         return len(v)
 
     def letter(self, g: str, k: int) -> str:
-        """g^k, refused with CapExceeded before it is formed if it is longer than the cap."""
-        _check_power(g, self.compose(g, g), k, self.cap)
+        """g^k, refused with CapExceeded before it is formed if it is longer than the cap.
+
+        For k != 0, |g^k| = |g| + (|k| - 1)(|g^2| - |g|), as each further g
+        adds its cyclically reduced core; an involution (g^2 the identity)
+        has odd powers g and even powers the identity.
+        """
+        square = self.compose(g, g)
+        k_abs = abs(k) if square else abs(k) % 2
+        length = len(g) + (k_abs - 1) * (len(square) - len(g)) if k_abs else 0
+        if length > self.cap:
+            raise CapExceeded(f"word length {length} exceeds expansion cap {self.cap}")
         return self.power(g, k)
 
 
-def _check_power(g, square, k: int, cap: int) -> None:
-    """Refuses with CapExceeded a tree word g^k longer than ``cap``, given g and g^2.
-
-    For k != 0, |g^k| = |g| + (|k| - 1)(|g^2| - |g|), as each further g
-    adds its cyclically reduced core; an involution (g^2 the identity)
-    has odd powers g and even powers the identity.
-    """
-    k_abs = abs(k) if square else abs(k) % 2
-    length = len(g) + (k_abs - 1) * (len(square) - len(g)) if k_abs else 0
-    if length > cap:
-        raise CapExceeded(f"word length {length} exceeds expansion cap {cap}")
-
-
 class _ModelArithmetic:
-    """Any other model's arithmetic: its own canonical forms, action and metric."""
+    """A finite model's arithmetic: its own canonical forms, action and metric."""
 
     identity = IDENTITY
 
     def __init__(self, model: ActionModel):
-        self.encode, self.compose = model.canon, model.compose
+        self.encode, self.compose, self.letter = model.canon, model.compose, model.power
         self._model, self._base = model, model.basepoint()
-
-    def letter(self, g: Word, k: int) -> Word:
-        """g^k; on a tree model, refused as :meth:`PackedWords.letter` refuses it (other models are finite)."""
-        if self._model.is_tree:
-            _check_power(g, self.compose(g, g), k, self._model.cap)
-        return self._model.power(g, k)
 
     def displacement(self, v: Word) -> int:
         return self._model.distance(self._base, self._model.apply(v, self._base))
@@ -185,14 +175,12 @@ class _ModelArithmetic:
 def arithmetic(model: ActionModel, letters: Iterable[int]):
     """The arithmetic the oracle evaluates words over ``letters`` in.
 
-    On the two free-product spec kinds it is the oracle's own
-    :class:`PackedWords`, read from the spec alone; on every other kind it
-    is the model's own canonical forms.
+    On a tree model it is the oracle's own :class:`PackedWords`, read from
+    the model's factor orders and cap alone; on a finite model it is the
+    model's own canonical forms.
     """
-    if model.kind in ("free-group", "free-product"):
-        spec = model.spec_dict()
-        rank, involutions = (spec["rank"], ()) if spec["kind"] == "free-group" else (2, (2,))
-        return PackedWords(rank, involutions, spec["cap"], letters)
+    if model.is_tree:
+        return PackedWords(model.orders, model.cap, letters)
     return _ModelArithmetic(model)
 
 

@@ -111,9 +111,11 @@ def test_exit_code_matrix(model_dir, tmp_path, capsys):
          "exponent range 'a:b' has a malformed part 'a:b'"),
         (["certify", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "nielsen", "--exponents", "5",
           "--no-verify"], "explicit exponents must be two integers, got (5,)"),
+        (["certify", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "prop6", "--q", "0",
+          "--no-verify"], "q must be >= 1"),
     ],
     ids=["budget", "profile-delta", "overlap-delta", "overlap-c", "window", "range-parts",
-         "range-trailing-comma", "range-no-low", "range-letters", "exponents-one"],
+         "range-trailing-comma", "range-no-low", "range-letters", "exponents-one", "prop6-q"],
 )
 def test_out_of_range_number_names_its_bound(model_dir, capsys, argv, message):
     assert run(model_dir, *argv) == 2
@@ -381,6 +383,36 @@ def test_chain_resolves_no_acylindricity_constants(model_dir, capsys, monkeypatc
     chain = build_witness_chain(model, (1, 2), (1,), (2,), x, y, Fraction(101), 1, 1)
     assert doc == json.loads(json.dumps({"command": "chain", **chain.to_doc()}))
     assert code == 1 and doc["three_points"]["delta"] == 1
+
+
+SHARP = ["--epsilon-mode", "sharp-experimental", "--epsilon", "1", "--exponents", "3,3"]
+
+
+@pytest.mark.parametrize(
+    "flags, verified", [(SHARP, True), ([], True), ([*SHARP, "--no-verify"], False)],
+    ids=["sharp", "paper-literal", "sharp-no-verify"],
+)
+def test_certify_runs_the_oracle_check_once(model_dir, tmp_path, monkeypatch, flags, verified):
+    # The sharp-mode back-check's report is the verification, not a second run of the same check.
+    calls = []
+    original = freecert.oracle.freeness_to_depth
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    for module in (freecert.certifier, freecert.cli):
+        monkeypatch.setattr(module, "freeness_to_depth", counted)
+    cert_path = tmp_path / "cert.json"
+    argv = ["certify", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "nielsen", *flags]
+    assert run(model_dir, *argv, "--out", cert_path) == 0
+    doc = json.loads(cert_path.read_text())
+    assert len(calls) == 1
+    assert ("verification" in doc) == verified
+    if verified:
+        report = original(build_model(doc["model"]), doc["elements"]["a"], doc["elements"]["b"],
+                          doc["exponents"]["n_min"], doc["exponents"]["m_min"], 4)
+        assert doc["verification"] == report.to_doc()
 
 
 def test_each_element_is_classified_once_per_command(model_dir, capsys, monkeypatch):

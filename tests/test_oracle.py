@@ -229,19 +229,23 @@ def test_ratios_folded_per_level_match_a_fraction_per_word(model, a, b, depth, v
     assert _report_tuple(freeness_to_depth(model, a, b, 1, 1, depth)) == expected
 
 
-# -- the oracle's own arithmetic on free-product specs ----------------------------------
+# -- the oracle's own arithmetic on tree models ------------------------------------------
 
 
 # Models with small caps, and the letters their random words draw from: the
 # rank-200 group has characters above 255, and -2 in Z * Z/2 is the
-# involution s written with a negative sign.
+# involution s written with a negative sign.  The last two are trees built
+# in code, not from a spec kind, one with its involution between two Z
+# factors and one with it first.
 ARITHMETIC_MODELS = [
     (FreeGroupModel(2, cap=24), (1, -1, 2, -2)),
     (FreeGroupModel(3, cap=24), (1, -1, 2, -2, 3, -3)),
     (FreeGroupModel(200, cap=24), (1, -1, 150, -150, 200, -200)),
     (FreeProductModel(cap=12), (1, -1, 2, -2)),
+    (CyclicFreeProductModel((None, 2, None), ("x", "s", "y"), cap=16), (1, -1, 2, -2, 3, -3)),
+    (CyclicFreeProductModel((2, None), ("s", "f"), cap=24), (1, -1, 2, -2)),
 ]
-ARITHMETIC_IDS = ["F2", "F3", "F200", "ZxZ2"]
+ARITHMETIC_IDS = ["F2", "F3", "F200", "ZxZ2", "ZxZ2xZ-code", "Z2xZ-code"]
 
 
 def _random_word(rng, alphabet, most):
@@ -316,9 +320,10 @@ def test_a_power_too_long_to_form_is_refused_at_once():
     assert time.perf_counter() - start < 1
 
 
-def test_a_model_arithmetic_power_past_the_cap_is_refused_before_it_is_formed():
-    # A tree model built in code is not a spec kind, so the oracle evaluates
-    # in the model's own words; f^(10**12) is refused by its length alone.
+def test_a_code_built_tree_power_past_the_cap_is_refused_before_it_is_formed():
+    # A tree model built in code is not a spec kind, yet the oracle evaluates
+    # in its own packed words, read from the factor orders; f^(10**12) is
+    # refused by its length alone.
     model = CyclicFreeProductModel((2, None), ("s", "f"), cap=30)
     start = time.perf_counter()
     tracemalloc.start()
@@ -333,8 +338,13 @@ def test_a_model_arithmetic_power_past_the_cap_is_refused_before_it_is_formed():
     assert freeness_to_depth(model, (1,), (2,), 10**12 + 1, 1, 2).relation == (1, 1)
 
 
-@pytest.mark.parametrize("kind", [FreeGroupModel, FreeProductModel], ids=["free-group", "free-product"])
-def test_free_product_specs_call_no_model_method_but_spec_dict(kind):
+@pytest.mark.parametrize(
+    "kind, args",
+    [(FreeGroupModel, ()), (FreeProductModel, ()), (CyclicFreeProductModel, ((2, None, None), ("s", "x", "y")))],
+    ids=["free-group", "free-product", "code-built"],
+)
+def test_tree_models_call_no_model_method(kind, args):
+    # The oracle reads a tree's factor orders and cap, data alone, and calls nothing of the model.
     calls = []
 
     class Watched(kind):
@@ -344,16 +354,16 @@ def test_free_product_specs_call_no_model_method_but_spec_dict(kind):
                 calls.append(name)
             return value
 
-    watched = Watched(cap=64)
+    watched = Watched(*args, cap=64)
     calls.clear()
     report = freeness_to_depth(watched, (1, 2), (2, 2, -1), 3, -2, 4)
-    assert calls == ["spec_dict"]
-    assert report == freeness_to_depth(kind(cap=64), (1, 2), (2, 2, -1), 3, -2, 4)
+    assert calls == []
+    assert report == freeness_to_depth(kind(*args, cap=64), (1, 2), (2, 2, -1), 3, -2, 4)
 
 
 def test_packed_tables_hold_only_the_letters_of_a_and_b():
     # A large rank costs nothing: the tables have entries for the generators used.
-    packed = PackedWords(40_000, (), 64, (39_999, -3))
+    packed = PackedWords((None,) * 40_000, 64, (39_999, -3))
     assert len(packed._code) == 4
     assert packed.encode((39_999, 39_999, -3, 3, -39_999)) == chr(79_998)
     with pytest.raises(ModelError, match="letter 4 out of range for rank 40000"):
