@@ -27,9 +27,11 @@ from .certifier import (
 from .hyperbolicity import HyperbolicityReport, all_geodesics, compute_delta
 from .isometry import (
     AxisData,
+    AxisPair,
     EdgePath,
     IsometryProfile,
     OverlapReport,
+    axis_overlap,
     classify,
     displacement_power,
     independence_test,

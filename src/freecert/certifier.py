@@ -2,11 +2,12 @@
 
 Each criterion measures, then claims.  ``*_certify`` checks its inputs and
 measures the pair once: :func:`analyze_pair`, then ``_claim_on`` reads the
-axis overlap D (refusing when the window cannot bound it).  ``*_claim`` is
-pure arithmetic on the constants, tr(a), tr(b) and D: it returns (n_min,
-m_min, its own constants, details), or raises :class:`CertificateRefused`
-naming the inequality that failed, so each defining inequality is
-re-verified at emission time.  ``_emit`` builds every certificate from a
+axis overlap D (refusing when the window cannot bound it); on a tree that
+overlap is read off the axes' rays, and no axis is built unless read.
+``*_claim`` is pure arithmetic on the constants, tr(a), tr(b) and D: it
+returns (n_min, m_min, its own constants, details), or raises
+:class:`CertificateRefused` naming the inequality that failed, so each
+defining inequality is re-verified at emission time.  ``_emit`` builds every certificate from a
 claim.  Translation lengths are the models' exact ones, as Fractions.
 """
 
@@ -21,15 +22,14 @@ from typing import Optional, Sequence
 from .acylindricity import acyl_profile, constant_P
 from .isometry import (
     AxisData,
+    AxisPair,
     EdgePath,
-    IsometryProfile,
     OverlapReport,
     classify,
     farthest_pair,
+    hyperbolic,
     independence_test,
-    overlap_diameter,
     overlap_points,
-    quasi_axis,
 )
 from .models import IDENTITY, ActionModel, ModelError, Word, check_int
 from .oracle import OracleReport, freeness_to_depth
@@ -247,41 +247,32 @@ def validate_certificate(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PairAnalysis:
-    profile_a: IsometryProfile
-    profile_b: IsometryProfile
-    axis_a: AxisData
-    axis_b: AxisData
-    overlap: OverlapReport
-
-
 # Bound on |p|, |q| in the search for a commuting pair [a^p, b^q] = 1.
 INDEPENDENCE_BOUND = 3
 
 
 def analyze_pair(model: ActionModel, a: Word, b: Word, delta: int, window: int = 8,
-                 c: Optional[int] = None) -> PairAnalysis:
+                 c: Optional[int] = None) -> AxisPair:
+    """The :class:`AxisPair` of a and b, whose c-overlap (c = 10 delta unless
+    given) :func:`axis_overlap` measures here; on a tree at c = 0 no axis is
+    built unless a caller reads it.  First refuses an element that is not
+    hyperbolic, by name, then a dependent pair.
+    """
     pa = classify(model, a)
     pb = classify(model, b)
-    if pa.tr <= 0 or pb.tr <= 0:
-        raise CertificateRefused("both elements must be verified hyperbolic")
+    hyperbolic("a", pa, CertificateRefused)
+    hyperbolic("b", pb, CertificateRefused)
     verdict, witness = independence_test(model, pa.element, pb.element, INDEPENDENCE_BOUND)
     if verdict == "dependent":
         raise CertificateRefused(f"elements are dependent: [a^{witness[0]}, b^{witness[1]}] = 1")
-    axis_a = quasi_axis(model, pa, window=window, delta=delta)
-    axis_b = quasi_axis(model, pb, window=window, delta=delta)
-    if c is None:
-        c = 10 * delta
-    overlap = overlap_diameter(model, axis_a, axis_b, c)
-    return PairAnalysis(pa, pb, axis_a, axis_b, overlap)
+    return AxisPair(model, pa, pb, window, delta, 10 * delta if c is None else c)
 
 
 # A claim: (n_min, m_min, the criterion's own constants, details).
 Claim = tuple
 
 
-def _claim_on(analysis: PairAnalysis, constants: ConstantSet, claim, *options) -> Claim:
+def _claim_on(analysis: AxisPair, constants: ConstantSet, claim, *options) -> Claim:
     """``claim`` on the analysed pair's exact translation lengths and measured overlap D.
 
     Every criterion reads D here, so each refuses first, and alike, when
@@ -296,7 +287,7 @@ def _claim_on(analysis: PairAnalysis, constants: ConstantSet, claim, *options) -
     return claim(constants, analysis.profile_a.tr, analysis.profile_b.tr, overlap.D, *options)
 
 
-def _emit(criterion: str, model: ActionModel, analysis: PairAnalysis, constants: ConstantSet, claim: Claim,
+def _emit(criterion: str, model: ActionModel, analysis: AxisPair, constants: ConstantSet, claim: Claim,
           **fields) -> Certificate:
     """The certificate for <a^n, b^m>, n >= n_min, m >= m_min, a and b as the analysis profiled them.
 

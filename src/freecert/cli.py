@@ -37,7 +37,7 @@ from .certifier import (
     validate_certificate,
 )
 from .hyperbolicity import DEFAULT_TRIPLE_BUDGET, compute_delta
-from .isometry import classify, displacement_power, overlap_diameter, quasi_axis
+from .isometry import AxisPair, classify, displacement_power, quasi_axis
 from .models import ActionModel, ModelError, Word, build_model, parse_letters
 from .oracle import exceptional_sweep, freeness_to_depth
 
@@ -196,10 +196,8 @@ def _cmd_overlap(args) -> int:
     if c < 0:
         raise ModelError(f"overlap radius c must be >= 0, got {c}")
     a, b = _element(model, args.a), _element(model, args.b)
-    axis_a = quasi_axis(model, classify(model, a), window=args.window, delta=delta)
-    axis_b = quasi_axis(model, classify(model, b), window=args.window, delta=delta)
-    report = overlap_diameter(model, axis_a, axis_b, c)
-    _write_doc({"command": "overlap", "delta": delta, **report.to_doc()}, args.out)
+    pair = AxisPair(model, classify(model, a), classify(model, b), args.window, delta, c)
+    _write_doc({"command": "overlap", "delta": delta, **pair.overlap.to_doc()}, args.out)
     return 0
 
 

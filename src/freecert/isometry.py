@@ -4,13 +4,16 @@ The translation length of g is the model's exact one (its
 ``exact_translation_length``: the cyclically reduced length on a Cayley
 tree, 0 on a finite model), a single rational number, and g is hyperbolic
 iff it is > 0.  An axis is built from the element's profile and starts at
-the model's ``min_displacement_point``.
+the model's ``min_displacement_point``.  The overlap of two axes is read
+off their rays on a tree at c = 0 (:func:`axis_overlap`), and measured on
+two built axes otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word, common_prefix
@@ -71,6 +74,13 @@ def classify(model: ActionModel, g: Word) -> IsometryProfile:
     """The canonical g and its exact translation length; g is hyperbolic iff it is > 0."""
     g = model.canon(g)
     return IsometryProfile(g, Fraction(model.exact_translation_length(g)))
+
+
+def hyperbolic(name: str, profile: IsometryProfile, refusal: type = ModelError) -> IsometryProfile:
+    """``profile`` if its element is hyperbolic, else ``refusal`` naming the element and its translation length."""
+    if profile.tr <= 0:
+        raise refusal(f"{name} is not hyperbolic: translation length {profile.tr}")
+    return profile
 
 
 # Highest power of g that :func:`displacement_power` tries.
@@ -292,7 +302,9 @@ def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: 
     which lets :func:`overlap_points` skip along each axis's own
     :class:`EdgePath` instead of scanning.  Touching a window end makes D
     only a lower bound, and touching both ends of one axis flags the
-    overlap as unbounded in the window.
+    overlap as unbounded in the window.  This is the point-list path:
+    :func:`axis_overlap` calls it wherever it cannot read the overlap off
+    the rays (c >= 1, or a model that is not a tree).
     """
     pa, pb = axis_a.path, axis_b.path
     window = min(len(pa), len(pb)) - 1
@@ -311,9 +323,87 @@ def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: 
 
     a_head, a_tail = touches(in_a, pa, axis_a.step)
     b_head, b_tail = touches(in_b, pb, axis_b.step)
-    boundary = a_head or a_tail or b_head or b_tail
-    unbounded = (a_head and a_tail) or (b_head and b_tail)
-    return OverlapReport(D, c, window, witness, boundary, unbounded)
+    return _report(D, c, window, witness, (a_head, a_tail), (b_head, b_tail))
+
+
+def _report(D: int, c: int, window: int, witness: tuple, a_ends: tuple, b_ends: tuple) -> OverlapReport:
+    """The report of an overlap that touches the (head, tail) ends of each window given."""
+    boundary = any(a_ends) or any(b_ends)
+    return OverlapReport(D, c, window, witness, boundary, all(a_ends) or all(b_ends))
+
+
+@dataclass
+class AxisPair:
+    """Hyperbolic a and b on one window, and the c-overlap of their axes,
+    measured by :func:`axis_overlap` when the pair is made.  Each axis is
+    built when first read; every refusal names a or b, a's first.
+    """
+
+    model: ActionModel
+    profile_a: IsometryProfile
+    profile_b: IsometryProfile
+    window: int
+    delta: int
+    c: int
+    overlap: OverlapReport = field(init=False)
+
+    def __post_init__(self):
+        self.overlap = axis_overlap(self)
+
+    @cached_property
+    def axis_a(self) -> AxisData:
+        return quasi_axis(self.model, hyperbolic("a", self.profile_a), self.window, self.delta)
+
+    @cached_property
+    def axis_b(self) -> AxisData:
+        return quasi_axis(self.model, hyperbolic("b", self.profile_b), self.window, self.delta)
+
+
+def axis_overlap(pair: AxisPair) -> OverlapReport:
+    """The report :func:`overlap_diameter` gives on the pair's two axes at its c.
+
+    On a tree at c = 0 (every tree's own case: c = 10 delta) it is read off
+    the rays of ``model.axis_rays``, building no axis, and refusing as
+    :func:`quasi_axis` would.  a's axis is P(t), t in [-w tau, w tau], and
+    two lines in a tree meet in one segment: a ray of a and a ray of b share
+    the points from max(|p*_a|, |p*_b|) letters up to their common prefix,
+    which the ray lengths clip to both windows.  Those run from P(t1) to
+    P(t2) on a's axis (s1 to s2 on b's), so D = t2 - t1 and the witness is
+    P(t1) .. P(t2), the pair :func:`farthest_pair` finds first.  Elsewhere
+    both axes are built and measured by :func:`overlap_diameter`.
+    """
+    model, w = pair.model, pair.window
+    if not (model.is_tree and pair.c == 0):
+        return overlap_diameter(model, pair.axis_a, pair.axis_b, pair.c)
+    sides = []
+    for name, profile in (("a", pair.profile_a), ("b", pair.profile_b)):
+        hyperbolic(name, profile)
+        if w < 1:
+            raise ModelError(f"window must be >= 1, got {w}")
+        base, *rays = model.axis_rays(profile.element, w)
+        sides.append((len(base), int(profile.tr), rays))
+    (u, tau, rays_a), (v, sigma, rays_b) = sides
+    low = max(u, v)
+    ts, ss = [], []
+    for sign_a, ray_a in zip((1, -1), rays_a):
+        for sign_b, ray_b in zip((1, -1), rays_b):
+            high = common_prefix(ray_a, ray_b)
+            if high >= low:
+                ts += (sign_a * (low - u), sign_a * (high - u))
+                ss += (sign_b * (low - v), sign_b * (high - v))
+    window = 2 * w * min(tau, sigma)
+    if not ts:
+        return OverlapReport(0, 0, window, (), False, False)
+    t1, t2, s1, s2 = min(ts), max(ts), min(ss), max(ss)
+
+    def point(t):
+        return rays_a[t < 0][: u + abs(t)]
+
+    def ends(lo, hi, step):  # the first and last step points lie past (w - 1) step from p*
+        return lo < -(w - 1) * step, hi > (w - 1) * step
+
+    witness = tuple(model.geodesic(point(t1), point(t2)))
+    return _report(t2 - t1, 0, window, witness, ends(t1, t2, tau), ends(s1, s2, sigma))
 
 
 def independence_test(model: ActionModel, a: Word, b: Word, exponent_bound: int):

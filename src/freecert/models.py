@@ -261,6 +261,12 @@ class ActionModel:
         """
         raise NotImplementedError(f"{type(self).__name__} has no edge labels")
 
+    def axis_rays(self, g: Word, n: int) -> tuple[Word, Word, Word]:
+        """(p*, forward, backward): a hyperbolic g's axis base point and the
+        two rays of its axis out of p*, each n translations long.  Only a
+        tree model reads its axis off words, and it gives its own."""
+        raise NotImplementedError(f"{type(self).__name__} has no axis rays")
+
     def spec_dict(self) -> dict:
         raise NotImplementedError
 
@@ -402,6 +408,18 @@ class CyclicFreeProductModel(ActionModel):
         # The points g moves least (its axis, or the edge an involution flips)
         # all have u as a prefix, and u is one of them: the least point_key.
         return self.cyclic_split(g)[0]
+
+    def axis_rays(self, g: Word, n: int) -> tuple[Word, Word, Word]:
+        # g = u * core * u^-1 moves u * core^k to u * core^(k+1), so the axis
+        # point t steps from u is the first |u| + |t| letters of u * core^n
+        # (t >= 0) or u * core^-n (t < 0).  The orbit point u * core^(+-k) has
+        # |u| + k tau letters: the first past the cap is refused, as ``apply``
+        # would refuse it, before a ray is formed.
+        u, core = self.cyclic_split(g)
+        if len(u) + n * len(core) > self.cap:
+            k = max(1, (self.cap - len(u)) // len(core) + 1)
+            raise CapExceeded(f"word length {len(u) + k * len(core)} exceeds expansion cap {self.cap}")
+        return u, u + core * n, u + self.inverse(core) * n
 
 
 class FreeGroupModel(CyclicFreeProductModel):

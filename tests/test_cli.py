@@ -305,6 +305,18 @@ def test_chain_subcommand(model_dir, capsys):
     assert doc["failures"] == []
 
 
+@pytest.mark.parametrize("command, code", [("overlap", 2), ("certify", 1), ("chain", 1)])
+@pytest.mark.parametrize("a, b, named", [("s", "f", "a"), ("ff", "fsF", "b"), ("fs", "s", "b")])
+def test_an_element_that_is_not_hyperbolic_is_refused_by_name(model_dir, capsys, command, code, a, b, named):
+    # s and its conjugate f s f' flip an edge: translation length 0.  overlap
+    # refuses it as invalid input (2); certify and chain refuse the pair (1).
+    extra = {"overlap": [], "certify": ["--criterion", "nielsen", "--no-verify"],
+             "chain": ["--word", "ab", "--E", "1/1000", "--Q", "1"]}[command]
+    assert run(model_dir, command, "--model", "@zxz2.json", "--a", a, "--b", b, *extra) == code
+    prefix = "error" if code == 2 else "refused"
+    assert capsys.readouterr().err == f"{prefix}: {named} is not hyperbolic: translation length 0\n"
+
+
 def test_theorem9_certifies_a_long_power_by_its_nielsen_step(model_dir, capsys):
     # tau(b) / tau(a) = 1/570 is at most N6 / M = 204/116040 at delta = 0, so
     # theorem9's second step certifies a real element, with M as both exponents.
@@ -499,6 +511,28 @@ def test_axis_documents_match_their_golden_bytes(monkeypatch, capsys):
     golden = json.loads((REPO / "tests/data/demo_chain.json").read_text())
     assert len(golden) == 39
     assert {run_["argv"][0] for run_ in golden} == {"chain", "overlap", "profile"}
+    for run_ in golden:
+        code = main(run_["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]
+
+
+def test_window_bounded_overlaps_match_their_golden_bytes(monkeypatch, capsys):
+    # tests/data/window_overlap.json holds the exit code, stdout and stderr of
+    # overlap --c 0 and certify --criterion nielsen --no-verify where the window
+    # decides the overlap: a^50 b, a on a cap-8192 F2 (tests/data/f2-8192.json)
+    # at window 13 (touching, D = 13) and 60 (D = 50); a, a^10 b a^10 both ways
+    # (unbounded in the window); a, a^2 (a shared axis); ab, aB; b a b', b (one
+    # shared point); ffs, fsfs on Z * Z/2 at windows 1 and 2; and windows past
+    # the cap, refused on a's axis and on b's.  Recorded while every overlap was
+    # measured on two point-list axes; the test only reads it.
+    monkeypatch.chdir(REPO)
+    golden = json.loads((REPO / "tests/data/window_overlap.json").read_text())
+    assert len(golden) == 24
+    docs = [json.loads(run_["stdout"]) for run_ in golden if run_["argv"][0] == "overlap" and run_["stdout"]]
+    assert any(doc["boundary_touching"] and not doc["unbounded_in_window"] for doc in docs)
+    assert any(doc["unbounded_in_window"] for doc in docs)
+    assert sum(run_["exit"] == 2 for run_ in golden) == 6
     for run_ in golden:
         code = main(run_["argv"])
         out, err = capsys.readouterr()

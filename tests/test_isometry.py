@@ -10,17 +10,21 @@ from pathlib import Path
 
 import pytest
 
+import freecert.isometry
 from freecert import (
     ActionModel,
     AxisData,
+    AxisPair,
     CapExceeded,
     CycleModel,
+    CyclicFreeProductModel,
     EdgePath,
     ExplicitGraphModel,
     FreeGroupModel,
     FreeProductModel,
     IsometryProfile,
     ModelError,
+    OverlapReport,
     classify,
     displacement_power,
     independence_test,
@@ -82,6 +86,8 @@ def test_an_infinite_model_without_an_exact_length_is_refused():
         classify(_InfiniteLine(), (1,))
     with pytest.raises(NotImplementedError, match="_InfiniteLine has no axis base point"):
         _InfiniteLine().min_displacement_point((1,))
+    with pytest.raises(NotImplementedError, match="_InfiniteLine has no axis rays"):
+        _InfiniteLine().axis_rays((1,), 1)
 
 
 # -- classification -----------------------------------------------------------
@@ -410,6 +416,101 @@ def test_overlap_same_axis_unbounded(f2):
     rep = overlap_of(f2, (1,), (1, 1))
     assert rep.unbounded_in_window
     assert rep.boundary_touching
+
+
+RAY_MODELS = (
+    FreeGroupModel(2, cap=4096),
+    FreeGroupModel(3, cap=4096),
+    FreeProductModel(cap=4096),
+    FreeGroupModel(2, cap=40),
+    FreeGroupModel(2, cap=12),
+    FreeProductModel(cap=10),
+    CyclicFreeProductModel((None, 2, None), ("x", "s", "y"), cap=16),
+)
+
+
+def _ray_corpus(model, rng, count):
+    """Hyperbolic pairs (g, h): conjugates u g u^-1 with u up to 24 letters (past the small caps),
+    g^n y against g, and pairs that share a whole axis (h a power of g)."""
+    alphabet = [l for i in range(1, model.rank + 1) for l in (i, -i)]
+
+    def word(most):
+        return model.canon(rng.choice(alphabet) for _ in range(rng.randint(0, most)))
+
+    def hyperbolic(g):
+        return classify(model, g).tr > 0
+
+    def conjugate():
+        while True:
+            u, g = word(rng.choice((0, 2, 4, min(model.cap // 2 + 1, 24)))), word(6)
+            g = model.compose(model.compose(u, g), model.inverse(u))
+            if hyperbolic(g):
+                return g
+
+    pairs = []
+    while len(pairs) < count:
+        g, h = conjugate(), conjugate()
+        kind = rng.randrange(4)
+        if kind == 1:
+            h = model.power(g, rng.choice((-3, -2, -1, 1, 2)))
+        elif kind == 2:
+            g = model.compose(model.power(h, rng.randint(1, 9)), word(2))
+        if hyperbolic(g) and hyperbolic(h):
+            pairs.append((g, h) if rng.random() < 0.5 else (h, g))
+    return pairs
+
+
+def _outcome(measure):
+    try:
+        return measure()
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+def test_the_ray_overlap_equals_the_point_list_overlap():
+    # On a tree at c = 0 AxisPair reads the overlap off the rays; the point-list
+    # path builds both axes and measures them.  They give equal reports, or the
+    # same refusal: a window below 1, or one the cap refuses on a's axis or b's.
+    rng = random.Random("ray-overlap")
+    seen = {"touching": 0, "nonempty": 0, "unbounded": 0, "refused": 0}
+    for model in RAY_MODELS:
+        for g, h in _ray_corpus(model, rng, 120):
+            pa, pb = classify(model, g), classify(model, h)
+            for window in (0, *range(1, 9)):
+                rays = _outcome(lambda: AxisPair(model, pa, pb, window, 0, 0).overlap)
+                points = _outcome(lambda: overlap_diameter(
+                    model, quasi_axis(model, pa, window), quasi_axis(model, pb, window), 0))
+                assert rays == points, (model.spec_dict(), g, h, window)
+                if isinstance(rays, OverlapReport):
+                    seen["touching"] += rays.boundary_touching and not rays.unbounded_in_window
+                    seen["nonempty"] += bool(rays.witness_segment)
+                    seen["unbounded"] += rays.unbounded_in_window
+                else:
+                    seen["refused"] += rays[0] is CapExceeded
+    assert min(seen.values()) >= 250, seen
+
+
+def test_a_ray_overlap_builds_no_axis_and_a_chain_builds_two(monkeypatch, capsys):
+    # certify and overlap on a tree read the overlap off the rays; chain builds
+    # the two axes it takes its base points from, once each.
+    built = []
+    original = freecert.isometry.quasi_axis
+
+    def counted(model, profile, *args, **kwargs):
+        built.append(profile.element)
+        return original(model, profile, *args, **kwargs)
+
+    monkeypatch.setattr(freecert.isometry, "quasi_axis", counted)
+    f2 = str(Path(__file__).resolve().parent.parent / "demos/models/f2.json")
+    for criterion in ("nielsen", "prop6", "prop7", "prop8"):
+        assert main(["certify", "--model", f2, "--a", "ab", "--b", "ba", "--criterion", criterion,
+                     "--no-verify"]) == 0
+    assert main(["overlap", "--model", f2, "--a", "ab", "--b", "ba"]) == 0
+    assert built == []
+    assert main(["chain", "--model", f2, "--a", "a" * 10, "--b", "b", "--window", "3", "--word", "ab",
+                 "--E", "10/1000", "--Q", "3"]) == 0
+    assert built == [(1,) * 10, (2,)]
+    capsys.readouterr()
 
 
 def test_overlap_below_one_is_membership_alone(monkeypatch):
