@@ -16,7 +16,7 @@ a = model.power((1,), 204)  # tr = 204
 b = (2,)
 
 analysis = analyze_pair(model, a, b, delta=0, window=3)
-x, y = chain_base_points(model, analysis.axis_a, analysis.axis_b, analysis.overlap)
+x, y = chain_base_points(analysis)
 print("base points:", x, y, " overlap D =", analysis.overlap.D)
 
 E, Q = Fraction(204, 1000), 3

@@ -2,8 +2,9 @@
 
 Each criterion measures, then claims.  ``*_certify`` checks its inputs and
 measures the pair once: :func:`analyze_pair`, then ``_claim_on`` reads the
-axis overlap D (refusing when the window cannot bound it); on a tree that
-overlap is read off the axes' rays, and no axis is built unless read.
+axis overlap D (refusing when the window cannot bound it); on a tree at
+c = 0 that overlap is read off the axes' rays, and only an overlap at
+c >= 1 builds the two axes.
 ``*_claim`` is pure arithmetic on the constants, tr(a), tr(b) and D: it
 returns (n_min, m_min, its own constants, details), or raises
 :class:`CertificateRefused` naming the inequality that failed, so each
@@ -21,17 +22,15 @@ from typing import Optional, Sequence
 
 from .acylindricity import acyl_profile, constant_P
 from .isometry import (
-    AxisData,
     AxisPair,
     EdgePath,
-    OverlapReport,
     classify,
     farthest_pair,
     hyperbolic,
     independence_test,
     overlap_points,
 )
-from .models import IDENTITY, ActionModel, ModelError, Word, check_int
+from .models import IDENTITY, ActionModel, ModelError, Word, check_int, common_prefix
 from .oracle import OracleReport, freeness_to_depth
 
 SCHEMA_VERSION = 1
@@ -255,8 +254,8 @@ def analyze_pair(model: ActionModel, a: Word, b: Word, delta: int, window: int =
                  c: Optional[int] = None) -> AxisPair:
     """The :class:`AxisPair` of a and b, whose c-overlap (c = 10 delta unless
     given) :func:`axis_overlap` measures here; on a tree at c = 0 no axis is
-    built unless a caller reads it.  First refuses an element that is not
-    hyperbolic, by name, then a dependent pair.
+    built.  First refuses an element that is not hyperbolic, by name, then a
+    dependent pair.
     """
     pa = classify(model, a)
     pb = classify(model, b)
@@ -529,13 +528,12 @@ def theorem9_certify(model: ActionModel, a: Word, b: Word, constants: ConstantSe
                      quasi_mode: bool = False) -> Certificate:
     """Uniform bound M independent of a, b (:func:`theorem9_claim`).
 
-    Without ``quasi_mode`` both axes must be geodesic; with it (theorem 14)
-    overlaps are measured at 1000 delta and quasi-geodesic axes are allowed.
+    Theorem 9 asks for geodesic axes, which every tree axis is (and only a
+    tree has hyperbolic elements); with ``quasi_mode`` (theorem 14) overlaps
+    are measured at 1000 delta, as quasi-geodesic axes need.
     """
     delta = cval(constants, "delta")
     analysis = analyze_pair(model, a, b, delta, window, c=(1000 if quasi_mode else 10) * delta)
-    if not quasi_mode and {analysis.axis_a.mode, analysis.axis_b.mode} != {"geodesic-axis"}:
-        raise CertificateRefused("theorem9 mode requires geodesic axes; use theorem14 mode")
     claim = _claim_on(analysis, constants, theorem9_claim, quasi_mode)
     return _emit("theorem14-mode" if quasi_mode else "theorem9", model, analysis, constants, claim)
 
@@ -737,23 +735,26 @@ def build_witness_chain(
     )
 
 
-def chain_base_points(model: ActionModel, axis_a: AxisData, axis_b: AxisData, overlap: OverlapReport):
-    """Base points (x, y) for witness chains.
+def _median(x: Word, y: Word, z: Word) -> Word:
+    """The median of three vertices of a Cayley tree: the longest of their pairwise common prefixes."""
+    return max(x[: common_prefix(x, y)], y[: common_prefix(y, z)], z[: common_prefix(z, x)], key=len)
 
-    A nonempty overlap (at D = 0, one point on both axes): its witness
-    midpoint, projected to each axis.  Else the midpoint of a distance-realizing
-    segment between the axes, used for both (deterministic tie-breaks
-    throughout).  Both are measured on the :class:`EdgePath` each axis carries.
+
+def chain_base_points(pair: AxisPair):
+    """Base points (x, y) for witness chains, read off the rays of the pair's window axes.
+
+    On a tree a's window is the geodesic [a-, a+] between its rays' ends, and
+    its point nearest p is median(a-, a+, p).  A nonempty overlap (at D = 0,
+    one point on both axes): its witness midpoint, projected to each window.
+    Else the windows are disjoint, and the midpoint of the bridge from
+    median(a-, a+, b-) to median(b-, b+, a-) is used for both.
     """
-    pa, pb = axis_a.edges, axis_b.edges
-    if overlap.witness_segment:
-        seg = list(overlap.witness_segment)
-        mid = seg[len(seg) // 2]
-        return pa.nearest(mid), pb.nearest(mid)
-    key = model.point_key
-    # The least (d(p, q), key(p), key(q)) pairs each p with its nearest q.
-    pairs = [(p, pb.nearest(p)) for p in pa.points]
-    pair = min(pairs, key=lambda t: (model.distance(*t), key(t[0]), key(t[1])))
-    geo = model.geodesic(pair[0], pair[1])
+    model, witness = pair.model, pair.overlap.witness_segment
+    rays = [model.axis_rays(p.element, pair.window) for p in (pair.profile_a, pair.profile_b)]
+    (_, a_end, a_start), (_, b_end, b_start) = rays  # the overlap has refused what the rays would
+    if witness:
+        mid = witness[len(witness) // 2]
+        return _median(a_start, a_end, mid), _median(b_start, b_end, mid)
+    geo = model.geodesic(_median(a_start, a_end, b_start), _median(b_start, b_end, a_start))
     mid = geo[len(geo) // 2]
     return mid, mid

@@ -37,7 +37,7 @@ from .certifier import (
     validate_certificate,
 )
 from .hyperbolicity import DEFAULT_TRIPLE_BUDGET, compute_delta
-from .isometry import AxisPair, classify, displacement_power, quasi_axis
+from .isometry import AxisPair, check_radius, classify, displacement_power, window_rays
 from .models import ActionModel, ModelError, Word, build_model, parse_letters
 from .oracle import exceptional_sweep, freeness_to_depth
 
@@ -179,12 +179,9 @@ def _cmd_profile(args) -> int:
     doc = {"command": "profile", "delta": delta, **profile.to_doc(), "criterion1_power": None}
     if profile.tr > 0:
         doc["criterion1_power"] = displacement_power(model, profile.element, delta)
-        axis = quasi_axis(model, profile, window=args.window, delta=delta)
-        doc["axis"] = {
-            "mode": axis.mode,
-            "invariance_defect": axis.invariance_defect,
-            "length": len(axis.path),
-        }
+        base, forward, _ = window_rays(model, "a", profile, args.window)
+        # A tree's window axis is geodesic, w tau edges on each side of p*.
+        doc["axis"] = {"mode": "geodesic-axis", "invariance_defect": 0, "length": 2 * (len(forward) - len(base)) + 1}
     _write_doc(doc, args.out)
     return 0
 
@@ -192,9 +189,7 @@ def _cmd_profile(args) -> int:
 def _cmd_overlap(args) -> int:
     model = _load_model(args.model)
     delta, _ = _resolve_delta(model, args)
-    c = args.c if args.c is not None else 10 * delta
-    if c < 0:
-        raise ModelError(f"overlap radius c must be >= 0, got {c}")
+    c = check_radius(args.c if args.c is not None else 10 * delta)  # before the elements are read
     a, b = _element(model, args.a), _element(model, args.b)
     pair = AxisPair(model, classify(model, a), classify(model, b), args.window, delta, c)
     _write_doc({"command": "overlap", "delta": delta, **pair.overlap.to_doc()}, args.out)
@@ -278,7 +273,7 @@ def _cmd_chain(args) -> int:
     word = parse_letters(args.word, ("a", "b"))
     check_chain_input(word, args.E, args.Q, delta)  # before the axes are measured
     analysis = analyze_pair(model, a, b, delta, window=args.window)
-    x, y = chain_base_points(model, analysis.axis_a, analysis.axis_b, analysis.overlap)
+    x, y = chain_base_points(analysis)
     chain = build_witness_chain(model, word, a, b, x, y, args.E, args.Q, delta)
     _write_doc({"command": "chain", **chain.to_doc()}, args.out)
     return 0 if not chain.failures else 1

@@ -3,10 +3,11 @@
 The translation length of g is the model's exact one (its
 ``exact_translation_length``: the cyclically reduced length on a Cayley
 tree, 0 on a finite model), a single rational number, and g is hyperbolic
-iff it is > 0.  An axis is built from the element's profile and starts at
-the model's ``min_displacement_point``.  The overlap of two axes is read
-off their rays on a tree at c = 0 (:func:`axis_overlap`), and measured on
-two built axes otherwise.
+iff it is > 0.  Only a tree model has hyperbolic elements, and there an
+axis is a line that ``model.axis_rays`` gives as two words: profiles, chain
+base points and the overlap at c = 0 (:func:`axis_overlap`) are read off
+them.  Only an overlap at c >= 1 builds two point-list axes
+(:func:`quasi_axis`) and measures them (:func:`overlap_diameter`).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ class AxisData:
     ``path`` is an edge path: consecutive points are at distance <= 1, as
     it is a concatenation of model geodesics.  The axis carries the
     :class:`EdgePath` over ``path`` that :func:`quasi_axis` built as
-    ``edges``, and overlaps and chain base points measure against it
-    instead of indexing the points again.  Two axes are equal when their
-    path, mode, defect and step are.
+    ``edges``, and overlaps measure against it instead of indexing the
+    points again.  Two axes are equal when their path, mode, defect and
+    step are.
     """
 
     path: tuple
@@ -161,22 +162,6 @@ class EdgePath:
                 return True
             i += d - c  # the points skipped are farther than c
         return False
-
-    def nearest(self, p):
-        """The path point nearest p; ties go to the least ``point_key``."""
-        if p in self.members:
-            return p
-        dist, key, points = self.model.distance, self.model.point_key, self.points
-        best = (dist(p, points[0]), key(points[0]))
-        found = points[0]
-        i = 1
-        while i < len(points):
-            q = points[i]
-            d = dist(p, q)
-            if d <= best[0] and (d, key(q)) < best:
-                best, found = (d, key(q)), q
-            i += max(1, d - best[0])  # the points skipped are farther than best
-        return found
 
 
 def invariance_defect(model: ActionModel, g: Word, edges: EdgePath, step: int) -> int:
@@ -332,11 +317,31 @@ def _report(D: int, c: int, window: int, witness: tuple, a_ends: tuple, b_ends: 
     return OverlapReport(D, c, window, witness, boundary, all(a_ends) or all(b_ends))
 
 
+def check_radius(c: int) -> int:
+    """c, if it is an overlap radius (c >= 0); else a refusal naming it."""
+    if c < 0:
+        raise ModelError(f"overlap radius c must be >= 0, got {c}")
+    return c
+
+
+def window_rays(model: ActionModel, name: str, profile: IsometryProfile, window: int) -> tuple[Word, Word, Word]:
+    """``model.axis_rays`` of a hyperbolic element on a window, refused as
+    :func:`quasi_axis` refuses it: not hyperbolic (by ``name``), a window
+    below 1 or past the model cap.  On a tree the window axis is the geodesic
+    between the rays' ends, 2 window tau edges long: a geodesic axis with
+    invariance defect 0 at every delta."""
+    hyperbolic(name, profile)
+    if window < 1:
+        raise ModelError(f"window must be >= 1, got {window}")
+    return model.axis_rays(profile.element, window)
+
+
 @dataclass
 class AxisPair:
-    """Hyperbolic a and b on one window, and the c-overlap of their axes,
-    measured by :func:`axis_overlap` when the pair is made.  Each axis is
-    built when first read; every refusal names a or b, a's first.
+    """Hyperbolic a and b on one window, and the c-overlap (c >= 0) of their
+    axes, measured by :func:`axis_overlap` when the pair is made.  Only an
+    overlap at c >= 1 reads ``axis_a`` and ``axis_b``, the point-list axes.
+    A negative c is refused first; every other refusal names a or b, a's first.
     """
 
     model: ActionModel
@@ -348,6 +353,7 @@ class AxisPair:
     overlap: OverlapReport = field(init=False)
 
     def __post_init__(self):
+        check_radius(self.c)
         self.overlap = axis_overlap(self)
 
     @cached_property
@@ -363,24 +369,22 @@ def axis_overlap(pair: AxisPair) -> OverlapReport:
     """The report :func:`overlap_diameter` gives on the pair's two axes at its c.
 
     On a tree at c = 0 (every tree's own case: c = 10 delta) it is read off
-    the rays of ``model.axis_rays``, building no axis, and refusing as
-    :func:`quasi_axis` would.  a's axis is P(t), t in [-w tau, w tau], and
-    two lines in a tree meet in one segment: a ray of a and a ray of b share
-    the points from max(|p*_a|, |p*_b|) letters up to their common prefix,
-    which the ray lengths clip to both windows.  Those run from P(t1) to
-    P(t2) on a's axis (s1 to s2 on b's), so D = t2 - t1 and the witness is
-    P(t1) .. P(t2), the pair :func:`farthest_pair` finds first.  Elsewhere
-    both axes are built and measured by :func:`overlap_diameter`.
+    the rays of :func:`window_rays`, building no axis.  a's axis is P(t),
+    t in [-w tau, w tau], and two lines in a tree meet in one segment: a ray
+    of a and a ray of b share the points from max(|p*_a|, |p*_b|) letters up
+    to their common prefix, which the ray lengths clip to both windows.
+    Those run from P(t1) to P(t2) on a's axis (s1 to s2 on b's), so
+    D = t2 - t1 and the witness is P(t1) .. P(t2), the pair
+    :func:`farthest_pair` finds first.  At c >= 1
+    both axes are built and measured by :func:`overlap_diameter` (no other
+    model has a hyperbolic element, so elsewhere the axes refuse).
     """
     model, w = pair.model, pair.window
     if not (model.is_tree and pair.c == 0):
         return overlap_diameter(model, pair.axis_a, pair.axis_b, pair.c)
     sides = []
     for name, profile in (("a", pair.profile_a), ("b", pair.profile_b)):
-        hyperbolic(name, profile)
-        if w < 1:
-            raise ModelError(f"window must be >= 1, got {w}")
-        base, *rays = model.axis_rays(profile.element, w)
+        base, *rays = window_rays(model, name, profile, w)
         sides.append((len(base), int(profile.tr), rays))
     (u, tau, rays_a), (v, sigma, rays_b) = sides
     low = max(u, v)

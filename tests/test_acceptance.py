@@ -206,7 +206,7 @@ def test_criterion_8_witness_chains():
         a = model.power((1,), 204)
         b = (2,)
         analysis = analyze_pair(model, a, b, 0, window=3)
-        x, y = chain_base_points(model, analysis.axis_a, analysis.axis_b, analysis.overlap)
+        x, y = chain_base_points(analysis)
         E, Q = Fraction(204, 1000), 3
         case_one = [w for w in model.group_ball(3) if w and abs(w[0]) == 1][:10]
         assert len(case_one) == 10

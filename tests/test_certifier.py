@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from freecert import (
+    AxisPair,
     CapExceeded,
     CertificateRefused,
     CycleModel,
@@ -20,11 +21,9 @@ from freecert import (
     classify,
     compute_delta,
     nielsen_certify,
-    overlap_diameter,
     prop6_certify,
     prop7_certify,
     prop8_certify,
-    quasi_axis,
     resolve_constants,
     theorem9_certify,
     three_points_check,
@@ -428,7 +427,7 @@ def test_criteria_refuse_an_overlap_unbounded_in_window(f2, certify, first, seco
 def chain_setup(f2):
     a = f2.power(A, 204)
     analysis = analyze_pair(f2, a, B, 0, window=3)
-    x, y = chain_base_points(f2, analysis.axis_a, analysis.axis_b, analysis.overlap)
+    x, y = chain_base_points(analysis)
     return a, x, y
 
 
@@ -643,41 +642,70 @@ def _assert_chain_overlaps_match(model, chain):
         ((1,) * 40, (-2, -2), 6, 0),  # long-axis shape: axes cross at one point
         ((1,) * 5, (2, 1, 1, -2), 4, 0),  # disjoint axes: D = 0, no shared point
         ((1, 2), (1,), 3, 0),  # shared edge: D > 0
-        ((1, 2), (1,), 3, -1),  # shared edge, empty overlap: least shared point
+        ((1, 2), (1,), 3, -1),  # a negative overlap radius is refused
         ((1,) * 12, (2, 1, -2), 4, 2),  # disjoint axes inside the 2-overlap
     ],
 )
 def test_axis_geometry_matches_all_pairs_reference(f2, a, b, window, c):
+    if c < 0:
+        with pytest.raises(ModelError, match=f"overlap radius c must be >= 0, got {c}"):
+            analyze_pair(f2, a, b, 0, window=window, c=c)
+        return
     analysis = analyze_pair(f2, a, b, 0, window=window, c=c)
     axis_a, axis_b = analysis.axis_a, analysis.axis_b
     assert analysis.overlap == _all_pairs_overlap(f2, axis_a, axis_b, c)
-    x, y = chain_base_points(f2, axis_a, axis_b, analysis.overlap)
+    x, y = chain_base_points(analysis)
     assert (x, y) == _all_pairs_base_points(f2, axis_a, axis_b, analysis.overlap)
     for word in ((1, -2), (1, -2, 1, -2, 1)):
         _assert_chain_overlaps_match(f2, build_witness_chain(f2, word, a, b, x, y, Fraction(len(a), 1000), 3, 0))
 
 
-def _scanned_base_points(model, axis_a, axis_b, overlap):
-    """chain_base_points with the shared points found by scanning a's axis."""
+def _nearest(model, edges, p):
+    """The point of an edge path nearest p, ties to the least ``point_key``; the
+    scan skips the points that cannot beat the best distance found."""
+    if p in edges.members:
+        return p
+    dist, key, points = model.distance, model.point_key, edges.points
+    best, found = (dist(p, points[0]), key(points[0])), points[0]
+    i = 1
+    while i < len(points):
+        q = points[i]
+        d = dist(p, q)
+        if d <= best[0] and (d, key(q)) < best:
+            best, found = (d, key(q)), q
+        i += max(1, d - best[0])
+    return found
+
+
+def _point_list_base_points(model, axis_a, axis_b, overlap):
+    """The base points measured on two point-list axes, the rule chain_base_points
+    followed before it read the rays: the witness midpoint projected to each
+    axis, or else the midpoint of the least (d(p, q), key(p), key(q)) pair."""
     pa, pb = axis_a.edges, axis_b.edges
-    if overlap.D > 0 and overlap.witness_segment:
-        mid = overlap.witness_segment[len(overlap.witness_segment) // 2]
-        return pa.nearest(mid), pb.nearest(mid)
-    shared = [p for p in pa.points if p in pb.members]
-    if shared:
-        mid = min(shared, key=model.point_key)
-        return mid, mid
-    pairs = [(p, pb.nearest(p)) for p in pa.points]
-    pair = min(pairs, key=lambda t: (model.distance(*t), model.point_key(t[0]), model.point_key(t[1])))
+    if overlap.witness_segment:
+        seg = overlap.witness_segment
+        mid = seg[len(seg) // 2]
+        return _nearest(model, pa, mid), _nearest(model, pb, mid)
+    key = model.point_key
+    pairs = [(p, _nearest(model, pb, p)) for p in pa.points]
+    pair = min(pairs, key=lambda t: (model.distance(*t), key(t[0]), key(t[1])))
     geo = model.geodesic(*pair)
     return geo[len(geo) // 2], geo[len(geo) // 2]
 
 
+def _scanned_base_points(model, axis_a, axis_b, overlap):
+    """The base points with a lone shared point found by scanning a's axis."""
+    shared = [p for p in axis_a.path if p in axis_b.edges.members]
+    if overlap.D == 0 and shared:
+        mid = min(shared, key=model.point_key)
+        return mid, mid
+    return _point_list_base_points(model, axis_a, axis_b, overlap)
+
+
 def test_base_points_from_the_shorter_axis_match_the_scan_of_a(f2):
-    # A shared point is read off the overlap (at c >= 0) or found by the
-    # nearest-pair rule (at c = -1, where the overlap is empty); the pair is
-    # the one a scan of a's axis for shared points finds, with a longer or
-    # shorter than b.
+    # A shared point is read off the overlap; the pair is the one a scan of a's
+    # axis for shared points finds, with a longer or shorter than b.  A
+    # negative overlap radius is refused before anything is measured.
     rng = random.Random("base-points")
     pairs = [((1,) * k, b) for k in (1, 5, 17, 40) for b in ((2,), (-2, -2), (2, 1, -2), (1, 2))]
     pairs += [tuple(f2.canon(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 6))) for _ in "ab")
@@ -687,13 +715,59 @@ def test_base_points_from_the_shorter_axis_match_the_scan_of_a(f2):
         if classify(f2, a).tr <= 0 or classify(f2, b).tr <= 0:
             continue
         window = rng.randint(1, 6)
-        axis_a, axis_b = (quasi_axis(f2, classify(f2, g), window=window) for g in (a, b))
-        for first, second in ((axis_a, axis_b), (axis_b, axis_a)):
-            for c in (-1, 0, 1):
-                args = (f2, first, second, overlap_diameter(f2, first, second, c))
-                assert chain_base_points(*args) == _scanned_base_points(*args)
-                shared += args[3].D == 0 and not first.edges.members.isdisjoint(second.path)
+        for first, second in ((a, b), (b, a)):
+            pa, pb = classify(f2, first), classify(f2, second)
+            with pytest.raises(ModelError, match="overlap radius c must be >= 0, got -1"):
+                AxisPair(f2, pa, pb, window, 0, -1)
+            for c in (0, 1):
+                pair = AxisPair(f2, pa, pb, window, 0, c)
+                assert chain_base_points(pair) == _scanned_base_points(f2, pair.axis_a, pair.axis_b, pair.overlap)
+                shared += pair.overlap.D == 0 and not pair.axis_a.edges.members.isdisjoint(pair.axis_b.path)
     assert shared > 0
+
+
+def _hyperbolic_pairs(model, rng, count):
+    """Hyperbolic (g, h) with both axes moved off the identity by conjugators of up
+    to 10 letters: independent conjugates, h a power of g, and g = h^k y."""
+    alphabet = [l for i in range(1, model.rank + 1) for l in (i, -i)]
+
+    def word(most):
+        return model.canon(rng.choice(alphabet) for _ in range(rng.randint(0, most)))
+
+    def conjugate():
+        while True:
+            u = word(10)
+            g = model.compose(model.compose(u, word(6)), model.inverse(u))
+            if classify(model, g).tr > 0:
+                return g
+
+    pairs = []
+    while len(pairs) < count:
+        g, h = conjugate(), conjugate()
+        kind = rng.randrange(4)
+        if kind == 1:
+            h = model.power(g, rng.choice((-2, -1, 2)))
+        elif kind == 2:
+            g = model.compose(model.power(h, rng.randint(1, 4)), word(3))
+        if classify(model, g).tr > 0 and classify(model, h).tr > 0:
+            pairs.append((g, h))
+    return pairs
+
+
+def test_ray_base_points_equal_the_point_list_rule():
+    # chain_base_points reads the base points off the rays; the point-list rule
+    # measures them on both built axes.  Windows 1-8 and c = 0-3: both a
+    # witness and a bridge between disjoint windows, at c = 0 and at c >= 1.
+    rng = random.Random("ray-base-points")
+    seen = {(c_zero, bridge): 0 for c_zero in (True, False) for bridge in (True, False)}
+    for model in (FreeGroupModel(2, cap=4096), FreeGroupModel(3, cap=4096), FreeProductModel(cap=4096)):
+        for g, h in _hyperbolic_pairs(model, rng, 700):
+            window, c = rng.randint(1, 8), rng.randint(0, 3)
+            pair = AxisPair(model, classify(model, g), classify(model, h), window, 0, c)
+            expected = _point_list_base_points(model, pair.axis_a, pair.axis_b, pair.overlap)
+            assert chain_base_points(pair) == expected, (model.spec_dict(), g, h, window, c)
+            seen[c == 0, not pair.overlap.witness_segment] += 1
+    assert sum(seen.values()) >= 2000 and min(seen.values()) >= 20, seen
 
 
 def test_chain_overlaps_match_all_pairs_reference_on_one_line(f2):

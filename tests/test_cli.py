@@ -391,7 +391,7 @@ def test_chain_resolves_no_acylindricity_constants(model_dir, capsys, monkeypatc
 
     model = build_model(MODELS["f2.json"])
     analysis = analyze_pair(model, (1,), (2,), 1)
-    x, y = chain_base_points(model, analysis.axis_a, analysis.axis_b, analysis.overlap)
+    x, y = chain_base_points(analysis)
     chain = build_witness_chain(model, (1, 2), (1,), (2,), x, y, Fraction(101), 1, 1)
     assert doc == json.loads(json.dumps({"command": "chain", **chain.to_doc()}))
     assert code == 1 and doc["three_points"]["delta"] == 1
@@ -552,6 +552,27 @@ def test_chain_documents_across_the_cases_match_their_golden_bytes(monkeypatch, 
     golden = json.loads((REPO / "tests/data/chain_words.json").read_text())
     assert len(golden) == 16
     assert {json.loads(run_["stdout"])["case"] for run_ in golden if run_["stdout"]} == {"O", "I", "II"}
+    for run_ in golden:
+        code = main(run_["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (run_["exit"], run_["stdout"], run_["stderr"]), run_["argv"]
+
+
+def test_tree_axis_documents_match_their_golden_bytes(monkeypatch, capsys):
+    # tests/data/tree_axes.json holds the exit code, stdout and stderr of chain
+    # where the axes do not cross at the identity: disjoint axes (a^5, b a^2 b'
+    # at window 4 in F2; ffs, f'f'sf and f, sfs in Z * Z/2), axes that meet
+    # outside the window (a^5, a^8 b a^-8 at window 1), shared segments (aab,
+    # aaab; ab, a), and chains at delta 1, with and without a 10-overlap.  It
+    # also holds profile at delta 0 and 1 (with a window of 0 and windows past
+    # the cap), theorem9 and theorem14 on ab, ba, theorem9 on a^570, b at window
+    # 1 (certified on a cap-8192 F2, refused at cap 512), overlap --c -1 and
+    # overlap --c 3.  Recorded while every base point and profile axis was read
+    # off two point-list axes; the test only reads it.
+    monkeypatch.chdir(REPO)
+    golden = json.loads((REPO / "tests/data/tree_axes.json").read_text())
+    assert len(golden) == 35
+    assert {run_["argv"][0] for run_ in golden} == {"chain", "profile", "certify", "overlap"}
     for run_ in golden:
         code = main(run_["argv"])
         out, err = capsys.readouterr()

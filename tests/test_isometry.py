@@ -32,7 +32,7 @@ from freecert import (
     quasi_axis,
 )
 from freecert.cli import main
-from freecert.isometry import invariance_defect, overlap_points
+from freecert.isometry import invariance_defect, overlap_points, window_rays
 
 
 @pytest.fixture(scope="module")
@@ -490,27 +490,57 @@ def test_the_ray_overlap_equals_the_point_list_overlap():
     assert min(seen.values()) >= 250, seen
 
 
-def test_a_ray_overlap_builds_no_axis_and_a_chain_builds_two(monkeypatch, capsys):
-    # certify and overlap on a tree read the overlap off the rays; chain builds
-    # the two axes it takes its base points from, once each.
-    built = []
-    original = freecert.isometry.quasi_axis
+def test_every_tree_axis_is_the_geodesic_between_its_rays():
+    # On a tree quasi_axis measures what window_rays reads: the axis is the
+    # geodesic between the rays' ends, a geodesic axis with defect 0 and
+    # 2 w tau + 1 points at delta 0 and 1, or both refuse a window past the cap.
+    rng = random.Random("tree-axes")
+    seen = {"geodesic": 0, "refused": 0}
+    for model in RAY_MODELS:
+        for g in sorted({g for pair in _ray_corpus(model, rng, 20) for g in pair}):
+            profile = classify(model, g)
+            for window in range(1, 9):
+                rays = _outcome(lambda: window_rays(model, "a", profile, window))
+                for delta in (0, 1):
+                    axis = _outcome(lambda: quasi_axis(model, profile, window, delta))
+                    if isinstance(rays, tuple) and isinstance(rays[0], type):
+                        assert axis == rays, (model.spec_dict(), g, window)
+                        seen["refused"] += 1
+                        continue
+                    _, forward, backward = rays
+                    assert (axis.mode, axis.invariance_defect) == ("geodesic-axis", 0), (model.spec_dict(), g)
+                    assert len(axis.path) == 2 * window * profile.tr + 1
+                    assert list(axis.path) == model.geodesic(backward, forward)
+                    seen["geodesic"] += 1
+    assert seen["geodesic"] >= 2000 and seen["refused"] >= 100, seen
 
-    def counted(model, profile, *args, **kwargs):
-        built.append(profile.element)
-        return original(model, profile, *args, **kwargs)
 
-    monkeypatch.setattr(freecert.isometry, "quasi_axis", counted)
+class AxisBuilt(Exception):
+    pass
+
+
+def test_tree_commands_below_c_one_build_no_axis(monkeypatch, capsys):
+    # certify, overlap, chain and profile on a tree read their axes off the
+    # rays; only an overlap at c >= 1 (chain --delta 1, overlap --c 3) builds
+    # the point-list axes.
+    def refuse(model, profile, *args, **kwargs):
+        raise AxisBuilt(profile.element)
+
+    monkeypatch.setattr(freecert.isometry, "quasi_axis", refuse)
     f2 = str(Path(__file__).resolve().parent.parent / "demos/models/f2.json")
-    for criterion in ("nielsen", "prop6", "prop7", "prop8"):
+    for criterion in ("nielsen", "prop6", "prop7", "prop8", "theorem9"):
         assert main(["certify", "--model", f2, "--a", "ab", "--b", "ba", "--criterion", criterion,
                      "--no-verify"]) == 0
     assert main(["overlap", "--model", f2, "--a", "ab", "--b", "ba"]) == 0
-    assert built == []
-    assert main(["chain", "--model", f2, "--a", "a" * 10, "--b", "b", "--window", "3", "--word", "ab",
-                 "--E", "10/1000", "--Q", "3"]) == 0
-    assert built == [(1,) * 10, (2,)]
+    chain = ["chain", "--model", f2, "--a", "a" * 10, "--b", "b", "--window", "3", "--word", "ab", "--Q", "3"]
+    assert main([*chain, "--E", "10/1000"]) == 0
+    for delta in ("0", "1"):
+        assert main(["profile", "--model", f2, "--a", "aba'", "--delta", delta]) == 0
     capsys.readouterr()
+    with pytest.raises(AxisBuilt):
+        main([*chain, "--E", "101", "--delta", "1"])
+    with pytest.raises(AxisBuilt):
+        main(["overlap", "--model", f2, "--a", "ab", "--b", "ba", "--c", "3"])
 
 
 def test_overlap_below_one_is_membership_alone(monkeypatch):
@@ -531,8 +561,9 @@ def test_overlap_below_one_is_membership_alone(monkeypatch):
     assert any(want[2] for (i, c), want in expected.items() if c == 0)
 
 
-def test_a_chain_builds_one_edge_path_per_axis(monkeypatch, capsys):
-    # The axis carries its EdgePath; the overlap and the chain base points reuse it.
+def test_a_chain_builds_no_edge_path_on_its_axes(monkeypatch, capsys):
+    # The base points and the overlap at c = 0 are read off the rays, so no
+    # EdgePath is built on either axis; the chain's segments still build theirs.
     model = FreeGroupModel(2, cap=512)
     axes = [quasi_axis(model, classify(model, g), window=6, delta=0).path for g in ((1,) * 40, (2,))]
     built = []
@@ -548,7 +579,7 @@ def test_a_chain_builds_one_edge_path_per_axis(monkeypatch, capsys):
             "--word", "ab", "--E", "40/1000", "--Q", "3"]
     assert main(argv) == 0
     assert '"failures": []' in capsys.readouterr().out
-    assert [built.count(path) for path in axes] == [1, 1]
+    assert [built.count(path) for path in axes] == [0, 0] and built
 
 
 # -- independence ----------------------------------------------------------------
@@ -652,7 +683,6 @@ def test_edge_path_matches_brute_force(model):
             assert edge_path.distance(p) == exact
             for c in range(-1, 4):
                 assert edge_path.within(p, c) == (exact <= c)
-            assert edge_path.nearest(p) == min(path, key=lambda q: (model.distance(p, q), model.point_key(q)))
 
 
 @EDGE_PATH_MODELS
