@@ -145,21 +145,26 @@ def three_points_check(model: ActionModel, points: Sequence, epsilon: Fraction, 
     if len(points) < 3:
         return ThreePointsReport(epsilon, delta, True, None, None, None, None)
 
-    gaps = [Fraction(model.distance(points[i], points[i + 1])) for i in range(len(points) - 1)]
-    for i in range(len(points) - 2):
-        skip = Fraction(model.distance(points[i], points[i + 2]))
-        if skip < max(gaps[i], gaps[i + 1]) + epsilon:
+    # Distances are integers: epsilon = e/k and lambda = lam_n/lam_d are
+    # cross-multiplied, and Fractions are built only for the values reported.
+    e, k = epsilon.numerator, epsilon.denominator
+    dist = model.distance
+    gaps = list(map(dist, points, points[1:]))
+    for i, skip in enumerate(map(dist, points, points[2:])):
+        if (skip - max(gaps[i], gaps[i + 1])) * k < e:
             return ThreePointsReport(epsilon, delta, False, i, None, None, None)
 
-    lam = (epsilon / 100 - delta) ** -1 * max(gaps)
-    lhs, rhs = None, gaps[0]
+    # lambda = (epsilon/100 - delta)^-1 * max gap = 100 k max gap / (e - 100 delta k), and e > 100 delta k.
+    lam_n, lam_d = 100 * k * max(gaps), e - 100 * delta * k
+    lam = Fraction(lam_n, lam_d)
+    far, rhs = 0, gaps[0]
     for i in range(3, len(points) + 1):
-        lhs = lam * Fraction(model.distance(points[0], points[i - 1]))
+        far = dist(points[0], points[i - 1])
         rhs += gaps[i - 2]  # the sum of gaps[: i - 1]
-        if lhs < rhs:
+        if lam_n * far < rhs * lam_d:
             # The verified consequence failed: report it honestly.
-            return ThreePointsReport(epsilon, delta, False, i - 1, lam, lhs, rhs)
-    return ThreePointsReport(epsilon, delta, True, None, lam, lhs, rhs)
+            return ThreePointsReport(epsilon, delta, False, i - 1, lam, lam * far, Fraction(rhs))
+    return ThreePointsReport(epsilon, delta, True, None, lam, lam * far, Fraction(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +481,8 @@ def nielsen_certify(
     """
     if exponents is not None and [type(e) for e in exponents] != [int, int]:
         raise ModelError(f"explicit exponents must be two integers, got {exponents!r}")
+    if exponents is not None and min(exponents) < 1:
+        raise ModelError(f"explicit exponents must be >= 1, got {tuple(exponents)}")
     delta = cval(constants, "delta")
     sharp = epsilon_mode == "sharp-experimental"
     if epsilon_mode == "paper-literal":
@@ -572,17 +579,30 @@ class WitnessChain:
         }
 
 
-def _segment_overlap(model: ActionModel, path1, path2, c: int) -> int:
-    """Diameter of the c-overlap of two geodesic segments (0 when empty)."""
-    pts = overlap_points(EdgePath(model, path1), EdgePath(model, path2), c)[2]
+def _segment_overlap(model: ActionModel, seg1: tuple, seg2: tuple, c: int) -> int:
+    """Diameter of the c-overlap of two geodesic segments, each given by its ends (0 when empty).
+
+    On a tree at c = 0 it is [p, q] ∩ [r, s], which runs from median(p, q, r)
+    to median(p, q, s) (both are one point when the segments are disjoint);
+    otherwise the two geodesics are built and their c-overlap is measured.
+    """
+    (p, q), (r, s) = seg1, seg2
+    if c == 0 and model.is_tree:
+        return model.distance(_median(p, q, r), _median(p, q, s))
+    pts = overlap_points(EdgePath(model, model.geodesic(p, q)), EdgePath(model, model.geodesic(r, s)), c)[2]
     return farthest_pair(model, pts)[0] if pts else 0
 
 
 def _gap_band(d: int, tr_a: Fraction) -> Optional[str]:
-    """The admissible band of a chain gap d: (i) around tr(a), (ii) around tr(b^Q), or None."""
-    if Fraction(4, 5) * tr_a <= d <= Fraction(6, 5) * tr_a:
+    """The admissible band of a chain gap d: (i) around tr(a), (ii) around tr(b^Q), or None.
+
+    With tau = tr(a): band (i) is 4 tau <= 5d <= 6 tau, band (ii) is tau <= 100d and 10d <= tau,
+    compared in integers.
+    """
+    n, dk = tr_a.numerator, d * tr_a.denominator
+    if 4 * n <= 5 * dk <= 6 * n:
         return "i"
-    if tr_a / 100 <= d <= tr_a / 10:
+    if n <= 100 * dk and 10 * dk <= n:
         return "ii"
     return None
 
@@ -690,18 +710,19 @@ def build_witness_chain(
         note("c1", c1 <= 2 * delta, c1)
         c2 = min(model.distance(p, q) for p, q, _, _ in blocks)
         note("c2", c2 >= 1000 * E, c2)
-        geos_A = [model.geodesic(p, q) for p, q, _, _ in blocks]
-        geos_B = [model.geodesic(r, s) for _, _, r, s in blocks]
-        c3 = max(_segment_overlap(model, A, B, 10 * delta) for A, B in zip(geos_A, geos_B))
+        # The segments A_j = [p_j, q_j] and B_j = [r_j, s_j], by their ends.
+        segs_A = [(p, q) for p, q, _, _ in blocks]
+        segs_B = [(r, s) for _, _, r, s in blocks]
+        c3 = max(_segment_overlap(model, A, B, 10 * delta) for A, B in zip(segs_A, segs_B))
         note("c3", c3 <= E, c3)
         # B_{j-1} precedes A_j; B_0 exists only when the word opens with a b-syllable.
-        preceding_B = ([model.geodesic(y, s0)] if lead else [None]) + geos_B[:-1]
+        preceding_B = ([(y, s0)] if lead else [None]) + segs_B[:-1]
         c4 = max(
-            (_segment_overlap(model, B, A, 10 * delta) for B, A in zip(preceding_B, geos_A) if B is not None),
+            (_segment_overlap(model, B, A, 10 * delta) for B, A in zip(preceding_B, segs_A) if B is not None),
             default=0,
         )
         note("c4", c4 <= E, c4)
-        c5 = max((_segment_overlap(model, A, A2, 10 * delta) for A, A2 in zip(geos_A, geos_A[1:])), default=0)
+        c5 = max((_segment_overlap(model, A, A2, 10 * delta) for A, A2 in zip(segs_A, segs_A[1:])), default=0)
         note("c5", c5 <= E, c5)
 
     gaps = [(d, _gap_band(d, tr_a)) for d in map(model.distance, u, u[1:])]

@@ -47,8 +47,9 @@ def _json_text(value) -> str:
 
     json's indenting encoder is pure Python, and its nested closures leave
     reference cycles behind on every call.  This one appends chunks to one
-    list, quotes strings and writes ints in C, leaves everything else to
-    ``json.dumps``, and leaves no cycle.
+    list, quotes strings and writes ints in C, writes ``null``, ``true``
+    and ``false`` itself, leaves everything else (floats, empty containers)
+    to ``json.dumps``, and leaves no cycle.
     """
     chunks: list[str] = []
     _json_chunks(value, "\n", chunks.append)
@@ -58,7 +59,13 @@ def _json_text(value) -> str:
 def _json_chunks(value, newline: str, emit) -> None:
     if isinstance(value, str):
         emit(encode_basestring_ascii(value))
-    elif isinstance(value, int) and not isinstance(value, bool):
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):  # bools were written above
         emit(int.__repr__(value))
     elif isinstance(value, dict) and value:
         inner = newline + "  "
@@ -72,6 +79,9 @@ def _json_chunks(value, newline: str, emit) -> None:
         emit(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
+        if all(type(v) is int for v in value):  # a list of plain ints is written in one join
+            emit("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
         sep = "[" + inner
         for v in value:
             emit(sep)
@@ -284,10 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``freecert`` parser, built on first use and shared by every ``main`` call.
 
     Reuse carries no state: ``parse_args`` returns a fresh namespace each
-    call and every default is immutable.
+    call and every default is immutable.  ``parser.commands`` maps each
+    command's name to its own parser, which ``main`` dispatches to.
     """
     parser = argparse.ArgumentParser(prog="freecert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p, elements=False, region=False, axes=False):
         # --seed and --radius pick the region that delta is measured on;
@@ -363,8 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:  # no command, -h or an unknown one: the top-level parser says so
+            args = parser.parse_args(argv)
+        else:
+            # What the top-level parser does with a command, without its own pass over argv.
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -53,9 +53,19 @@ def parse_letters(text: str, names: Sequence[str]) -> Word:
     """Parse a human-typed element word.
 
     Lowercase letters are generators, uppercase or a trailing apostrophe
-    marks an inverse: ``"abA"`` and ``"aba'"`` both mean a·b·a^-1.
+    marks an inverse: ``"abA"`` and ``"aba'"`` both mean a·b·a^-1.  A word
+    with no apostrophe is read through one table of the names and their
+    upper case, each entry made by the loop's own rule; anything else
+    (an apostrophe, a letter outside the table) goes through the loop.
     """
     index = {name: i + 1 for i, name in enumerate(names)}
+    if "'" not in text:
+        table = {ch: (-1 if ch.isupper() else 1) * index[ch.lower()]
+                 for name in names for ch in (name, name.upper()) if ch.lower() in index}
+        try:
+            return tuple([table[ch] for ch in text])
+        except KeyError:
+            pass
     raw: list[int] = []
     i = 0
     while i < len(text):

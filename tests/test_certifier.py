@@ -2,9 +2,14 @@
 
 import json
 import random
+import re
 from fractions import Fraction
+from math import ceil
+from pathlib import Path
 
 import pytest
+
+import freecert
 
 from freecert import (
     AxisPair,
@@ -29,7 +34,16 @@ from freecert import (
     three_points_check,
     validate_certificate,
 )
-from freecert.certifier import check_chain_input, nielsen_claim, prop6_claim, prop7_claim, theorem9_claim
+from freecert.certifier import (
+    _gap_band,
+    _segment_overlap,
+    check_chain_input,
+    nielsen_claim,
+    prop6_claim,
+    prop7_claim,
+    theorem9_claim,
+)
+from freecert.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -132,10 +146,24 @@ def _summed_bound(model, points, epsilon, delta):
     return True, None, lam, lhs, rhs
 
 
+def _boundary_table(n, gap, skip, far):
+    """Distances of n points: gaps of ``gap``, every skip of two ``skip``, and d(p_0, p_(n-1)) = ``far``."""
+    table = [[gap * (j - i) for j in range(n)] for i in range(n)]
+    for i in range(n - 2):
+        table[i][i + 2] = skip
+    table[0][n - 1] = far
+    return table
+
+
 def test_three_points_running_sum_matches_the_sum_taken_afresh(f2):
     # Chains of 3-40 points: on a line (the bound holds), random points (the
     # local condition fails), and tables whose d(p_0, p_k) collapses at one k
-    # (the summed bound fails there).
+    # (the summed bound fails there).  Tables near a line with gaps of about
+    # epsilon, at fractional epsilon and delta 0-2, reach each outcome at
+    # delta > 0 too.  The integer check equals the reference in Fractions, at
+    # the boundaries as well: a skip of exactly max gap + epsilon holds and
+    # one less fails; lambda |p_1 - p_i| equal to the sum of gaps holds and
+    # one less fails.
     rng = random.Random("three-points")
     checked = set()
     for n in range(3, 41):
@@ -145,16 +173,40 @@ def test_three_points_running_sum_matches_the_sum_taken_afresh(f2):
         table = [[10 * (j - i) for j in range(n)] for i in range(n)]
         if n > 3:
             table[0][rng.randint(3, n - 1)] = 0
-        for model, points, epsilon, delta in (
+        cases = [
             (f2, line, Fraction(5), 0),
             (f2, walk, Fraction(1), 0),
             (_Table(table), list(range(n)), Fraction(5), 0),
-        ):
+        ]
+        for delta in (0, 1, 2):
+            epsilon = 100 * delta + Fraction(rng.randint(1, 40), rng.randint(1, 7))
+            gaps = [ceil(epsilon) + rng.randint(0, 30) for _ in range(n - 1)]
+            near = [[sum(gaps[i:j]) - min(j - i - 1, rng.randint(0, 2)) for j in range(n)] for i in range(n)]
+            if rng.random() < 0.3:
+                near[0][rng.randint(2, n - 1)] = rng.randint(0, 3)
+            cases.append((_Table(near), list(range(n)), epsilon, delta))
+        for model, points, epsilon, delta in cases:
             rep = three_points_check(model, points, epsilon, delta)
             expected = _summed_bound(model, points, epsilon, delta)
             assert (rep.holds, rep.first_violation, rep.lam, rep.bound3_lhs, rep.bound3_rhs) == expected
-            checked.add((rep.holds, rep.lam is None))
-    assert checked == {(True, False), (False, True), (False, False)}  # each outcome was reached
+            assert all(v is None or type(v) is Fraction for v in (rep.lam, rep.bound3_lhs, rep.bound3_rhs))
+            checked.add((rep.holds, rep.lam is None, delta > 0))
+    outcomes = ((True, False), (False, True), (False, False))
+    assert checked == {(*outcome, curved) for outcome in outcomes for curved in (False, True)}  # each was reached
+
+    boundaries = [
+        (_boundary_table(4, 1, 101, 3), Fraction(100), 0, (True, None)),  # skip 1 + 100; lambda = 1, 1 * 3 = 3
+        (_boundary_table(4, 1, 100, 3), Fraction(100), 0, (False, 0)),
+        (_boundary_table(4, 1, 101, 2), Fraction(100), 0, (False, 3)),
+        (_boundary_table(5, 2, 307, 8), Fraction(305), 3, (True, None)),  # lambda = 100 * 2 / (305 - 300) = 40
+        (_boundary_table(5, 2, 307, 8), Fraction(1831, 6), 3, (False, 0)),  # 305 1/6 > 307 - 2
+    ]
+    for table, epsilon, delta, (holds, first_violation) in boundaries:
+        model, points = _Table(table), list(range(len(table)))
+        rep = three_points_check(model, points, epsilon, delta)
+        assert (rep.holds, rep.first_violation) == (holds, first_violation)
+        assert (rep.holds, rep.first_violation, rep.lam, rep.bound3_lhs, rep.bound3_rhs) == _summed_bound(
+            model, points, epsilon, delta)
 
 
 # -- nielsen ---------------------------------------------------------------------
@@ -216,11 +268,18 @@ def test_nielsen_sharp_mode_refuses_a_back_check_the_cap_stops():
                               "word length 800 exceeds expansion cap 512")
 
 
-@pytest.mark.parametrize("exponents", [(5,), (1, 2, 3), (1, Fraction(1)), (True, 1)])
+@pytest.mark.parametrize(
+    "exponents", [(5,), (1, 2, 3), (1, Fraction(1)), (True, 1), (0, 0), (-2, -2), (0, 5), (5, -1), [1, 0]]
+)
 def test_nielsen_refuses_explicit_exponents_that_are_not_two_integers(f2, exponents):
-    # Invalid input in either mode, before the pair is analysed.
+    # Invalid input in either mode, before the pair is analysed: anything but
+    # two integers, and two integers of which one is below 1.
+    if [type(e) for e in exponents] == [int, int]:
+        message = re.escape(f"explicit exponents must be >= 1, got {tuple(exponents)}") + "$"
+    else:
+        message = "^explicit exponents must be two integers, got "
     for mode in ("paper-literal", "sharp-experimental"):
-        with pytest.raises(ModelError, match="^explicit exponents must be two integers, got "):
+        with pytest.raises(ModelError, match=message):
             nielsen_certify(f2, A, B, resolve_constants(f2, 0, "tree-case"), epsilon_mode=mode,
                             epsilon=Fraction(1) if mode != "paper-literal" else None, exponents=exponents)
 
@@ -620,6 +679,97 @@ def _all_pairs_segment_overlap(model, path1, path2, c):
     pts = [p for p in path1 if min(model.distance(p, q) for q in path2) <= c]
     pts += [q for q in path2 if min(model.distance(q, p) for p in path1) <= c]
     return max((model.distance(p, q) for p in pts for q in pts), default=0)
+
+
+def _segment_pairs(model, rng, count):
+    """Seeded segment pairs (p, q), (r, s) in a tree: random ends, r and s on
+    [p, q] (nested), r on [p, q] with s anywhere, r = s, and p = q."""
+    alphabet = [l for i in range(1, model.rank + 1) for l in (i, -i)]
+
+    def word():
+        return model.canon(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+
+    pairs = []
+    for _ in range(count):
+        p, q, r, s = word(), word(), word(), word()
+        kind = rng.randrange(5)
+        if kind == 1:
+            r, s = rng.choice(model.geodesic(p, q)), rng.choice(model.geodesic(p, q))
+        elif kind == 2:
+            r = rng.choice(model.geodesic(p, q))
+        elif kind == 3:
+            s = r
+        elif kind == 4:
+            q = p
+        pairs.append(((p, q), (r, s)))
+    return pairs
+
+
+def test_tree_block_overlaps_at_c_zero_are_read_off_medians():
+    # [p, q] ∩ [r, s] in a tree runs from median(p, q, r) to median(p, q, s);
+    # the all-pairs reference measures it on the two geodesics, for either
+    # orientation of either segment and either order of the two.
+    rng = random.Random("segment-overlap")
+    shared = {"none": 0, "one point": 0, "segment": 0}
+    for model in (FreeGroupModel(2, cap=4096), FreeGroupModel(3, cap=4096), FreeProductModel(cap=4096)):
+        for (p, q), (r, s) in _segment_pairs(model, rng, 700):
+            geo_1, geo_2 = model.geodesic(p, q), model.geodesic(r, s)
+            expected = _all_pairs_segment_overlap(model, geo_1, geo_2, 0)
+            for first, second in (((p, q), (r, s)), ((q, p), (s, r)), ((q, p), (r, s)), ((r, s), (p, q))):
+                assert _segment_overlap(model, first, second, 0) == expected, (model.spec_dict(), p, q, r, s)
+            common = len(set(geo_1) & set(geo_2))
+            shared["segment" if common > 1 else "one point" if common else "none"] += 1
+            assert (expected > 0) == (common > 1)
+    assert sum(shared.values()) >= 2000 and min(shared.values()) >= 200, shared
+
+
+def test_a_chain_at_delta_zero_builds_no_segment_geodesic(monkeypatch, capsys):
+    # At c = 10 delta = 0 the block overlaps c3-c5 come from medians; at
+    # delta 1 each of the five overlaps (c3 and c4 on two blocks, c5 on one)
+    # builds its two geodesics and takes the point-list path, as chain --delta 1 does.
+    model = FreeGroupModel(2, cap=512)
+    a, word = (1,) * 40, (2, 1, 2, 1, 2)
+    x, y = chain_base_points(analyze_pair(model, a, B, 0, window=6))
+    calls = {"geodesic": 0, "overlap_points": 0}
+
+    def counted(name, function):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or function(*args)
+
+    monkeypatch.setattr(model, "geodesic", counted("geodesic", model.geodesic))
+    monkeypatch.setattr(freecert.certifier, "overlap_points", counted("overlap_points", freecert.certifier.overlap_points))
+    assert build_witness_chain(model, word, a, B, x, y, Fraction(40, 1000), 1, 0).failures == []
+    assert calls == {"geodesic": 0, "overlap_points": 0}
+    chain = build_witness_chain(model, word, a, B, x, y, Fraction(101), 1, 1)
+    assert calls == {"geodesic": 10, "overlap_points": 5}
+    assert [chain.conditions[name]["measured"] for name in ("c3", "c4", "c5")] == [11, 11, 19]  # all-pairs at c = 10
+
+    f2 = str(Path(__file__).resolve().parent.parent / "demos/models/f2.json")
+    argv = ["chain", "--model", f2, "--a", "a" * 40, "--b", "b", "--window", "6", "--word", "babab", "--Q", "1",
+            "--E", "101", "--delta", "1"]
+    main(argv)
+    capsys.readouterr()
+    assert calls["overlap_points"] == 10
+
+
+def _gap_band_by_fractions(d, tr_a):
+    """The chain's gap band with the bounds as Fractions, as it was first written."""
+    if Fraction(4, 5) * tr_a <= d <= Fraction(6, 5) * tr_a:
+        return "i"
+    if tr_a / 100 <= d <= tr_a / 10:
+        return "ii"
+    return None
+
+
+def test_integer_gap_bands_equal_the_fraction_bands():
+    # Every d up to 1.5 tau for integer and fractional tau, with the four
+    # boundaries 5d = 4 tau, 5d = 6 tau, 100d = tau and 10d = tau reached.
+    taus = [Fraction(t) for t in (1, 5, 10, 40, 100, 120, 1000, 2000)] + [Fraction(7, 3), Fraction(1000, 7)]
+    for tau in taus:
+        for d in range(0, int(tau * 3 / 2) + 2):
+            assert _gap_band(d, tau) == _gap_band_by_fractions(d, tau), (d, tau)
+    boundaries = [(4, Fraction(5)), (6, Fraction(5)), (1, Fraction(100)), (10, Fraction(100)), (20, Fraction(200))]
+    assert [_gap_band(d, tau) for d, tau in boundaries] == ["i", "i", "ii", "ii", "ii"]
+    assert [_gap_band(d, tau) for d, tau in ((3, Fraction(5)), (7, Fraction(5)), (0, Fraction(100)))] == [None] * 3
 
 
 def _assert_chain_overlaps_match(model, chain):

@@ -3,6 +3,7 @@
 import argparse
 import gc
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import freecert
 from freecert import analyze_pair, build_witness_chain, build_model, chain_base_points, validate_certificate
-from freecert.cli import _write_doc, main
+from freecert.cli import _json_text, _write_doc, build_parser, main
 
 MODELS = {
     "f2.json": {"kind": "free-group", "rank": 2, "cap": 512},
@@ -111,11 +112,18 @@ def test_exit_code_matrix(model_dir, tmp_path, capsys):
          "exponent range 'a:b' has a malformed part 'a:b'"),
         (["certify", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "nielsen", "--exponents", "5",
           "--no-verify"], "explicit exponents must be two integers, got (5,)"),
+        (["certify", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "nielsen",
+          "--epsilon-mode", "sharp-experimental", "--epsilon", "1", "--exponents=0,0"],
+         "explicit exponents must be >= 1, got (0, 0)"),
+        (["certify", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "nielsen",
+          "--epsilon-mode", "sharp-experimental", "--epsilon", "1", "--exponents=-2,-2"],
+         "explicit exponents must be >= 1, got (-2, -2)"),
         (["certify", "--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "prop6", "--q", "0",
           "--no-verify"], "q must be >= 1"),
     ],
     ids=["budget", "profile-delta", "overlap-delta", "overlap-c", "window", "range-parts",
-         "range-trailing-comma", "range-no-low", "range-letters", "exponents-one", "prop6-q"],
+         "range-trailing-comma", "range-no-low", "range-letters", "exponents-one", "exponents-zero",
+         "exponents-negative", "prop6-q"],
 )
 def test_out_of_range_number_names_its_bound(model_dir, capsys, argv, message):
     assert run(model_dir, *argv) == 2
@@ -604,11 +612,35 @@ def test_not_hyperbolic_profile_documents_match_their_golden_bytes(monkeypatch, 
     _assert_profiles_match("profile_no.json", monkeypatch, capsys)
 
 
+def _json_value(rng, depth):
+    """A seeded JSON-able value: scalars of every kind json writes, and nested
+    lists, tuples and dicts (some empty, some of plain ints only, some with
+    int, bool or None keys)."""
+    scalars = [
+        lambda: None, lambda: True, lambda: False, lambda: rng.randint(-9, 9),
+        lambda: rng.choice((1, -1)) * rng.randrange(10**29, 10**30), lambda: rng.choice((-0.0, 2.5, 1e300)),
+        lambda: "".join(rng.choice('ab"\\\n\t\x01/ü∂К\U0001f600') for _ in range(rng.randint(0, 6))),
+    ]
+    kind = rng.randrange(10 if depth else 7)
+    if kind < 7:
+        return scalars[kind]()
+    items = [_json_value(rng, depth - 1) for _ in range(rng.choice((0, 1, 3)))]
+    if kind == 7:
+        return [rng.randint(-10**12, 10**12) for _ in items] if rng.random() < 0.5 else items
+    if kind == 8:
+        return tuple(items)
+    keys = [rng.choice(("k", "ключ", "\"q\"", rng.randint(-5, 5), True, False, None)) for _ in items]
+    return dict(zip(keys, items))
+
+
 DOCS = [
     {},
     [],
     {"empty": {}, "none": [], "nested": [[], [{}], [1, [2.5, [None, True]]]], 7: "int key", "tuple": (1, 2)},
     {"text": "naïve ∂ \"quoted\"\n", "ключ": ["ü", {"deep": {"er": [-0.0, 10**30]}}]},
+    [1, True], [True, 1], (), [[]], None, True, False, -7, 10**30, -(10**30), "esc \"\\ \n\t\x00",
+    {1: 2, True: None, None: [1, 2]}, (1, 2, 3),
+    *(_json_value(random.Random(f"json:{i}"), 4) for i in range(300)),
 ]
 
 
@@ -618,6 +650,60 @@ def test_documents_are_written_as_json_dumps_writes_them(tmp_path, capsys):
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
         _write_doc(doc, str(tmp_path / "doc.json"))
         assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_the_writer_emits_null_true_false_and_int_lists_without_json_dumps(monkeypatch):
+    doc = {"none": None, "yes": True, "no": False, "ints": [3, -1, 10**30], "mixed": [1, True, None]}
+    expected = json.dumps(doc, indent=2)
+    monkeypatch.setattr(freecert.cli.json, "dumps", lambda *args, **kwargs: pytest.fail("json.dumps called"))
+    assert _json_text(doc) == expected
+
+
+def _through_the_top_level_parser(monkeypatch, argv):
+    """main with no command known to it, so that every argv is parsed by the
+    top-level parser, which hands a command's arguments on to its parser."""
+    with monkeypatch.context() as patch:
+        patch.setattr(build_parser(), "commands", {})
+        return main(argv)
+
+
+REQUIRED = {
+    "delta": ["--model", "@c4.json"],
+    "profile": ["--model", "@f2.json", "--a", "ab"],
+    "overlap": ["--model", "@f2.json", "--a", "ab", "--b", "ba"],
+    "acyl": ["--model", "@c4.json"],
+    "certify": ["--model", "@f2.json", "--a", "ab", "--b", "ba", "--criterion", "nielsen"],
+    "verify": ["--certificate", "@missing.json"],
+    "sweep": ["--model", "@f2.json", "--a", "a", "--b", "b", "--range", "1:1"],
+    "chain": ["--model", "@f2.json", "--a", "aaa", "--b", "b", "--word", "ab", "--E", "3/1000", "--Q", "1"],
+}
+DISPATCH = (
+    [[command, *flags, "--bogus"] for command, flags in REQUIRED.items()]
+    + [[command, *flags, "--bogus", "1", "--also"] for command, flags in REQUIRED.items()]
+    + [[command, *flags[:-2]] for command, flags in REQUIRED.items()]  # the last required flag missing
+    + [[command, *flags, "--window", "x"] for command, flags in REQUIRED.items()]
+    + [
+        ["chain", *REQUIRED["chain"], "--E", "1/0"],
+        ["acyl", *REQUIRED["acyl"], "--radii", "1,x"],
+        ["certify", *REQUIRED["certify"], "--criterion", "bogus"],
+        ["certify", "-h"], ["chain", "--help"], ["delta", "--he"], ["-h"], ["--help"], [], ["bogus"],
+        ["bogus", "--model", "@c4.json"], ["--model", "@c4.json"], ["--", "delta", "--model", "@c4.json"],
+        ["delta", "--", "--model", "@c4.json"], ["delta", "--model", "@c4.json", "--"],
+        ["delta", "--model", "@c4.json", "--", "x"], ["delta", "--mod", "@c4.json", "--budget", "5"],
+        ["delta", "--model=@c4.json", "--radius", "-1"], ["profile", "--model", "@c4.json", "--a", "r", "extra"],
+        ["sweep", *REQUIRED["sweep"], "--depth", "1", "-x"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", DISPATCH, ids=[" ".join(argv) or "(none)" for argv in DISPATCH])
+def test_main_dispatches_as_the_top_level_parser_would(model_dir, monkeypatch, capsys, argv):
+    # Exit code, stdout and stderr are compared with the top-level path on the
+    # running Python, as argparse's texts differ between versions.
+    argv = [a.replace("@", str(model_dir) + "/") for a in argv]
+    capsys.readouterr()
+    expected = _through_the_top_level_parser(monkeypatch, argv), capsys.readouterr()
+    assert (main(argv), capsys.readouterr()) == expected
 
 
 def test_writing_a_document_leaves_no_reference_cycles(tmp_path):

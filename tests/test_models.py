@@ -612,6 +612,46 @@ def test_parse_letters():
         parse_letters("c", ("a", "b"))
 
 
+def _letters_by_loop(text, names):
+    """parse_letters as one loop over the characters, the rule its table is made by."""
+    index = {name: i + 1 for i, name in enumerate(names)}
+    raw, i = [], 0
+    while i < len(text):
+        ch = text[i]
+        if ch.lower() not in index:
+            raise ModelError(f"unknown generator letter {ch!r} (expected one of {list(names)})")
+        sign = -1 if ch.isupper() else 1
+        if i + 1 < len(text) and text[i + 1] == "'":
+            sign, i = -sign, i + 1
+        raw.append(sign * index[ch.lower()])
+        i += 1
+    return tuple(raw)
+
+
+def _outcome(parse, text, names):
+    try:
+        return parse(text, names)
+    except ModelError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("f", "s"), ("a", "b", "c"), ("k",), ("x", "X")])
+def test_parse_letters_equals_the_loop(names):
+    # Seeded words with and without apostrophes, upper case, the empty word,
+    # letters outside the names (the same message), and the Kelvin sign, whose
+    # lower case is k and which is upper case.
+    rng = random.Random(f"letters:{names}")
+    alphabet = [*names, *(n.upper() for n in names), "'", "z", "Z", "K", "\u212a", "ß", " "]
+    words = ["", "'", "a'", "A'", "\u212a", "k\u212a'", "abA", "zz", "aba'"]
+    words += ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40))) for _ in range(300)]
+    words += ["".join(rng.choice(alphabet[: 2 * len(names)]) for _ in range(rng.randint(1, 40))) for _ in range(300)]
+    outcomes = [(_outcome(parse_letters, w, names), _outcome(_letters_by_loop, w, names)) for w in words]
+    assert all(fast == loop for fast, loop in outcomes), [(w, o) for w, o in zip(words, outcomes) if o[0] != o[1]]
+    assert {type(fast) for fast, _ in outcomes} == {tuple, str}  # words read, and words refused
+    if names == ("k",):
+        assert parse_letters("\u212a", names) == (-1,)
+
+
 def test_reduced_word_counts():
     words = FreeGroupModel(2).group_ball(3)
     by_len = {}
