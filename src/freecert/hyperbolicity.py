@@ -6,19 +6,23 @@ Each side, the geodesics between one pair of points, is measured once, and
 the worst choice is taken one side at a time: a vertex of one side is
 measured against the farthest choice of each other side, never against
 every combination of choices.  On a tree ball, whose geodesics are unique,
-a side is joined from its corners' branches out of the ball's center,
-read off the ball's BFS parents and built once per call, with its
-vertices as their places in the ball; an explicit region, on a tree as on
-a graph, takes its sides from the model's geodesics.  A triple budget
-bounds the cost; exceeding it yields a clearly flagged sampled report,
-never a silently truncated "exhaustive" one.
+a point's id is its place in the ball, and a side is a tuple of ids
+joined from its corners' branches out of the ball's center: each branch
+is read off the ball's BFS parents on first use and kept as its ids and
+their set.  A triangle's three sides are then scanned, each vertex looked
+up in the other two sides' sets, and distances are measured only if some
+vertex lies on neither, which no tree triangle has.  An explicit region,
+on a tree as on a graph, takes its sides from the model's geodesics.  A
+triple budget bounds the cost; exceeding it yields a clearly flagged
+sampled report, never a silently truncated "exhaustive" one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from itertools import combinations, islice
+from functools import partial
+from itertools import combinations, islice, starmap
 from math import comb
 from typing import Optional
 
@@ -96,10 +100,13 @@ class _TreeSides:
     from the center to the ball's point i, walked back to where the branch
     to point j leaves it, then that branch onwards.  A point's id is its
     place in the ball, whose BFS parents, the center's None, give each
-    branch.  A branch, built on first use, is the branch of its nearest
-    built ancestor plus the ids below it: a side is two tuple slices, and
-    its :class:`EdgePath` hashes ints.  This object is those paths' metric:
-    ``point`` maps an id back to its point, and ``distance`` measures there.
+    branch.  A branch is built on first use, as its ids from the center and
+    their set: the branch of its nearest built ancestor plus the ids below
+    it.  Two branches share exactly a prefix, as long as their sets'
+    intersection, so a side is two tuple slices, and a triangle is measured
+    by :func:`_tripod_slack` on its sides' ids and sets.  This object is
+    their metric: ``point`` maps an id back to its point, and ``distance``
+    measures there.
     """
 
     def __init__(self, model: ActionModel, parents: dict):
@@ -108,22 +115,39 @@ class _TreeSides:
         self._branches: list = [None] * len(self._vertices)
 
     def _branch(self, x: int):
-        """(branch, reversed branch, vertex set) from the root to id x, built and cached."""
+        """(branch, vertex set) from the root to id x, built and cached."""
         branches, parents, below = self._branches, self._parents, []
         y = x
         while y is not None and branches[y] is None:
             below.append(y)
             y = parents[y]
-        path = (branches[y][0] if y is not None else ()) + tuple(reversed(below))
-        branch = branches[x] = (path, path[::-1], frozenset(path))
+        below.reverse()
+        path = branches[y][0] + tuple(below) if y is not None else tuple(below)
+        branch = branches[x] = (path, frozenset(path))
         return branch
 
-    def side(self, i: int, j: int) -> EdgePath:
+    def side(self, i: int, j: int):
+        """(ids, id set) of side i-j, joined as :meth:`slack` joins it."""
         branches = self._branches
-        path_i, back_i, set_i = branches[i] or self._branch(i)
-        path_j, _, set_j = branches[j] or self._branch(j)
-        shared = len(set_i & set_j)  # two branches from one root share exactly a prefix
-        return EdgePath(self, back_i[: len(path_i) - shared + 1] + path_j[shared:])
+        path_i, set_i = branches[i] or self._branch(i)
+        path_j, set_j = branches[j] or self._branch(j)
+        s = len(set_i & set_j)  # the branches' shared prefix: their last common id is at s - 1
+        ids = path_i[: s - 1 : -1] + path_j[s - 1 :]
+        return ids, frozenset(ids)
+
+    def slack(self, i: int, j: int, k: int) -> int:
+        """Slack of the triangle on ids i, j, k: sides i-j, j-k and i-k joined, then :func:`_tripod_slack`."""
+        branches = self._branches
+        path_i, set_i = branches[i] or self._branch(i)
+        path_j, set_j = branches[j] or self._branch(j)
+        path_k, set_k = branches[k] or self._branch(k)
+        s = len(set_i & set_j)
+        a = path_i[: s - 1 : -1] + path_j[s - 1 :]
+        s = len(set_j & set_k)
+        b = path_j[: s - 1 : -1] + path_k[s - 1 :]
+        s = len(set_i & set_k)
+        c = path_i[: s - 1 : -1] + path_k[s - 1 :]
+        return _tripod_slack(self, (a, frozenset(a)), (b, frozenset(b)), (c, frozenset(c)))
 
     def point(self, x: int):
         """The point whose id is x."""
@@ -132,6 +156,33 @@ class _TreeSides:
     def distance(self, x: int, y: int) -> int:
         vertices = self._vertices
         return self.model.distance(vertices[x], vertices[y])
+
+
+def _tripod_slack(metric, a, b, c) -> int:
+    """Slack of a triangle whose sides a, b, c are (edge path, its point set) over ``metric``.
+
+    Every vertex of every side is looked up in the other two sets, the skip
+    rule of :func:`_slimness`.  If each lies on another side, the triangle
+    is a tripod, as every triangle of a tree is, and its slack is 0 with no
+    distance measured; at the first vertex on neither, the sides become
+    :class:`EdgePath`s over ``metric`` and :func:`_slimness` measures them.
+    """
+    (path_a, set_a), (path_b, set_b), (path_c, set_c) = a, b, c
+    # One loop per side: a tuple of (side, set, set) per call costs a tree triple 10%.
+    for v in path_a:
+        if v not in set_b and v not in set_c:
+            break
+    else:
+        for v in path_b:
+            if v not in set_a and v not in set_c:
+                break
+        else:
+            for v in path_c:
+                if v not in set_a and v not in set_b:
+                    break
+            else:
+                return 0
+    return _slimness((EdgePath(metric, path_a), EdgePath(metric, path_b), EdgePath(metric, path_c)))[0]
 
 
 def _slimness(sides) -> tuple[int, object]:
@@ -203,9 +254,11 @@ def compute_delta(
     supported Python.  Each side is measured once: when
     enumerating, one table holds a side per pair of points before the
     triple loop; when sampling, each triple builds its three sides.  On a
-    tree ball, either way, a side is built from its corners' cached
-    branches (see :class:`_TreeSides`); an explicit region's sides are the
-    model's geodesics.  A ``triple_budget`` below 1 is refused.
+    tree ball, either way, a side is ids joined from its corners' cached
+    branches and a triangle is scanned by :func:`_tripod_slack` (see
+    :class:`_TreeSides`); an explicit region's sides are the model's
+    geodesics, measured by :func:`_slimness`.  A ``triple_budget`` below 1
+    is refused.
     """
     if triple_budget < 1:
         raise ModelError(f"triple budget must be >= 1, got {triple_budget}")
@@ -231,16 +284,24 @@ def compute_delta(
         truncated = truncated or trunc
         return EdgePath(model, paths[0]) if len(paths) == 1 else _GeodesicSet(model, paths)
 
-    side = _TreeSides(model, parents).side if model.is_tree and parents is not None else graph_side
+    if model.is_tree and parents is not None:
+        tree = _TreeSides(model, parents)
+        side, slack = tree.side, partial(_tripod_slack, tree)
+    else:
+        tree, side, slack = None, graph_side, lambda *sides: _slimness(sides)[0]
 
     if exhaustive:
         table = [[side(i, j) if i < j else None for j in range(n)] for i in range(n)]
-        triangles = ((table[i][j], table[j][k], table[i][k]) for i, j, k in combinations(range(n), 3))
+        slacks = (slack(table[i][j], table[j][k], table[i][k]) for i, j, k in combinations(range(n), 3))
     else:
         triples = _triples(random.Random(seed), n, triple_budget)
-        triangles = ((side(i, j), side(j, k), side(i, k)) for i, j, k in triples)
+        if tree is None:
+            slacks = (slack(side(i, j), side(j, k), side(i, k)) for i, j, k in triples)
+        else:
+            slacks = starmap(tree.slack, triples)
     delta = count = 0
-    for sides in triangles:
-        delta = max(delta, _slimness(sides)[0])
+    for d in slacks:
+        if d > delta:
+            delta = d
         count += 1
     return HyperbolicityReport(delta, region, exhaustive and not truncated, count)

@@ -95,6 +95,7 @@ def test_check_slim_c4_witness():
     # Sides (v0,v1), (v1,v2) and the far arc v0-v3-v2: v3 is 1 away.
     tri = ([0, 1], [1, 2], [0, 3, 2])
     assert hyperbolicity._slimness([EdgePath(m, side) for side in tri]) == (1, 3)
+    assert _scanned_slack(m, tri) == 1  # v3 is on neither other side, so the scan hands it to _slimness
 
 
 def test_sampled_mode_flags_non_exhaustive():
@@ -117,6 +118,11 @@ def _torus(m=4, n=4, label_seed=None):
         adjacency[v] = [vertex(x + 1, y), vertex(x - 1, y), vertex(x, y + 1), vertex(x, y - 1)]
         shift_x[v], shift_y[v] = vertex(x + 1, y), vertex(x, y + 1)
     return ExplicitGraphModel(adjacency, [shift_x, shift_y])
+
+
+def _scanned_slack(metric, triangle):
+    """The tree scan on a triangle given as three point sequences over ``metric``."""
+    return hyperbolicity._tripod_slack(metric, *((tuple(side), frozenset(side)) for side in triangle))
 
 
 def _reference_slack(model, triangle):
@@ -153,11 +159,37 @@ def test_check_slim_matches_all_pairs_reference(model):
     """The slimness measure compute_delta runs, on edge-path sides, against the all-pairs formula."""
     rng = random.Random(f"slim:{model.kind}")
     region = model.ball(model.basepoint(), 3)
+    fallbacks = 0
     for _ in range(150):
         x, y, z = rng.sample(region, 3)
         triangle = (_random_side(model, rng, x, y), _random_side(model, rng, y, z), _random_side(model, rng, x, z))
         sides = [EdgePath(model, side) for side in triangle]
-        assert hyperbolicity._slimness(sides) == _reference_slack(model, triangle)
+        slack, witness = hyperbolicity._slimness(sides)
+        assert (slack, witness) == _reference_slack(model, triangle)
+        # The tree scan measures a triangle that is not a tripod, here a
+        # random edge walk or a graph geodesic, by the same rule.
+        assert _scanned_slack(model, triangle) == slack
+        fallbacks += slack > 0
+    assert fallbacks > 0
+
+
+def test_tree_scan_measures_a_triangle_that_is_not_a_tripod_over_ids():
+    """The scan's fallback on ball ids: EdgePaths over _TreeSides, measured as on the points."""
+    model = FreeGroupModel(2, cap=64)
+    parents = model.ball_parents((), 6)
+    tree, place = hyperbolicity._TreeSides(model, parents), {p: i for i, p in enumerate(parents)}
+    rng = random.Random("slim:free-group")
+    region = model.ball((), 3)
+    measured = 0
+    for _ in range(150):
+        x, y, z = rng.sample(region, 3)
+        triangle = (_random_side(model, rng, x, y), _random_side(model, rng, y, z), _random_side(model, rng, x, z))
+        if not all(v in place for side in triangle for v in side):
+            continue
+        slack = _reference_slack(model, triangle)[0]
+        assert _scanned_slack(tree, [[place[v] for v in side] for side in triangle]) == slack
+        measured += slack > 0
+    assert measured > 50
 
 
 def test_delta_measures_each_side_once(monkeypatch):
@@ -198,15 +230,25 @@ def test_delta_refuses_a_triple_budget_below_one():
 
 
 def _recorded_sides(monkeypatch):
-    """Every triangle compute_delta measures, as the sides it built."""
+    """Every triangle compute_delta measures, as (metric, its three sides' point tuples).
+
+    A tree ball's triangle is the three id tuples :func:`_tripod_slack`
+    scans, over the ball's :class:`_TreeSides`; any other is the points of
+    the three sides :func:`_slimness` measures, over the model.
+    """
     triangles = []
 
-    def recording(sides):
-        triangles.append(sides)
+    def scanning(metric, *sides):
+        triangles.append((metric, [ids for ids, _ in sides]))
+        return tripod_slack(metric, *sides)
+
+    def measuring(sides):
+        triangles.append((sides[0].model, [side.points for side in sides]))
         return slimness(sides)
 
-    slimness = hyperbolicity._slimness
-    monkeypatch.setattr(hyperbolicity, "_slimness", recording)
+    tripod_slack, slimness = hyperbolicity._tripod_slack, hyperbolicity._slimness
+    monkeypatch.setattr(hyperbolicity, "_tripod_slack", scanning)
+    monkeypatch.setattr(hyperbolicity, "_slimness", measuring)
     return triangles
 
 
@@ -226,12 +268,14 @@ def test_tree_sides_are_the_model_geodesics_between_their_corners(monkeypatch, m
     region = kwargs.get("points") or model.ball(model.basepoint(), kwargs["radius"])
     assert report.delta == 0 and len(triangles) == report.triple_count > 0
     assert report.exhaustive == ("triple_budget" not in kwargs)
-    for a, b, c in triangles:
+    for metric, triangle in triangles:
         if "points" in kwargs:  # an explicit region's sides are paths over the model's own points
-            assert all(side.model is model for side in (a, b, c))
-            sides = [list(side.points) for side in (a, b, c)]
-        else:  # a ball's sides are paths over ids, their places in the ball
-            sides = [[side.model.point(v) for v in side.points] for side in (a, b, c)]
+            assert metric is model
+            sides = [list(side) for side in triangle]
+        else:  # a ball's sides are tuples of ids, their places in the ball
+            assert isinstance(metric, hyperbolicity._TreeSides)
+            assert all(type(side) is tuple and all(type(v) is int for v in side) for side in triangle)
+            sides = [[metric.point(v) for v in side] for side in triangle]
         x, y, z = sides[0][0], sides[1][0], sides[2][-1]
         assert {x, y, z} <= set(region)
         assert sides == [model.geodesic(x, y), model.geodesic(y, z), model.geodesic(x, z)]
@@ -241,12 +285,16 @@ def test_tree_side_distance_maps_ids_back_to_points(monkeypatch):
     model = FreeGroupModel(2, cap=64)
     triangles = _recorded_sides(monkeypatch)
     compute_delta(model, radius=3, triple_budget=40, seed=1)
-    metric = triangles[0][0].model
-    ids = {v for triangle in triangles for side in triangle for v in side.points}
-    for side in triangles[-1]:
-        path = [metric.point(v) for v in side.points]
+    assert len(triangles) == 40
+    metric = triangles[0][0]
+    ids = {v for _, triangle in triangles for side in triangle for v in side}
+    for side in triangles[-1][1]:
+        # The edge path the scan's fallback would build on these ids.
+        edges = EdgePath(metric, side)
+        path = [metric.point(v) for v in side]
         for v in ids:
-            assert side.distance(v) == min(model.distance(metric.point(v), p) for p in path)
+            assert metric.distance(v, side[0]) == model.distance(metric.point(v), path[0])
+            assert edges.distance(v) == min(model.distance(metric.point(v), p) for p in path)
 
 
 def test_sampled_tree_delta_builds_one_geodesic_per_region_point(monkeypatch):
@@ -277,10 +325,24 @@ def test_an_explicit_tree_region_with_points_at_the_cap_is_slim(kwargs, exhausti
     assert (report.delta, report.exhaustive, report.triple_count) == (0, exhaustive, count)
 
 
-def test_tree_delta_walks_branches_longer_than_the_recursion_limit():
+def test_tree_delta_walks_branches_longer_than_the_recursion_limit(monkeypatch):
     # Z is a line, so the ball of radius 3000 is a BFS tree 3,000 levels deep.
+    built = []
+
+    class Recorded(hyperbolicity._TreeSides):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self._branches)
+
+    monkeypatch.setattr(hyperbolicity, "_TreeSides", Recorded)
     report = compute_delta(FreeGroupModel(1, cap=4096), radius=3000, triple_budget=20, seed=3)
     assert (report.delta, report.triple_count, report.region["size"]) == (0, 20, 6001)
+    # Branches are built on first use: only the drawn ids', each of up to
+    # 3,001 ids, never one per point of the ball.
+    drawn = {v for triple in hyperbolicity._triples(random.Random(3), 6001, 20) for v in triple}
+    (branches,) = built
+    assert {v for v, branch in enumerate(branches) if branch is not None} == drawn
+    assert len(drawn) <= 60
 
 
 @pytest.mark.parametrize("n", [*range(3, 81), 161, 485, 1457])
@@ -290,6 +352,27 @@ def test_sampled_triples_are_the_ones_random_sample_draws(n):
         reference = random.Random(seed)
         triples = hyperbolicity._triples(random.Random(seed), n, 50)
         assert [list(t) for t in triples] == [reference.sample(range(n), 3) for _ in range(50)], seed
+
+
+def test_sampled_tree_reports_match_their_golden_bytes():
+    # tests/data/delta_tree.json holds compute_delta(...).to_doc() on tree
+    # balls of F2, F3 and Z * Z/2 (cap 64) at radii 3-6, budgets 1, 300 and
+    # 900 and seeds 0-2, and one refusal at cap 5, recorded while each
+    # sampled tree triangle still built an EdgePath per side.  The test only
+    # reads it.
+    golden = json.loads((Path(__file__).parent / "data/delta_tree.json").read_text())
+    assert len(golden) == 109
+    models = {"f2": lambda cap: FreeGroupModel(2, cap=cap), "f3": lambda cap: FreeGroupModel(3, cap=cap),
+              "zxz2": lambda cap: FreeProductModel(cap=cap)}
+    for case in golden:
+        model = models[case["model"]](case["cap"])
+        kwargs = dict(radius=case["radius"], triple_budget=case["triple_budget"], seed=case["seed"])
+        if "error" in case:
+            with pytest.raises(ModelError) as refusal:
+                compute_delta(model, **kwargs)
+            assert f"{refusal.type.__name__}: {refusal.value}" == case["error"], case
+        else:
+            assert json.dumps(compute_delta(model, **kwargs).to_doc()) == json.dumps(case["doc"]), case
 
 
 def test_sampled_reports_match_their_golden_bytes():
