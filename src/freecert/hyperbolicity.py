@@ -12,7 +12,12 @@ is read off the ball's BFS parents on first use and kept as its ids and
 their set.  A triangle's three sides are then scanned, each vertex looked
 up in the other two sides' sets, and distances are measured only if some
 vertex lies on neither, which no tree triangle has.  An explicit region,
-on a tree as on a graph, takes its sides from the model's geodesics.  A
+on a tree as on a graph, takes its sides from the model's geodesics, and
+such a triangle is measured only if half its longest side, rounded down,
+beats the running delta: a vertex v of side x-y is at most min(d(v, x),
+d(v, y)) <= floor(d(x, y) / 2) from every choice of the other two sides,
+as each holds x or y.  Its sides are still built, so truncation and the
+triple count do not change; a tree ball scans every triangle.  A
 triple budget bounds the cost; exceeding it yields a clearly flagged
 sampled report, never a silently truncated "exhaustive" one.
 """
@@ -257,8 +262,9 @@ def compute_delta(
     tree ball, either way, a side is ids joined from its corners' cached
     branches and a triangle is scanned by :func:`_tripod_slack` (see
     :class:`_TreeSides`); an explicit region's sides are the model's
-    geodesics, measured by :func:`_slimness`.  A ``triple_budget`` below 1
-    is refused.
+    geodesics, measured by :func:`_slimness` only where half the longest
+    side, rounded down, exceeds the delta found so far, as no triangle's
+    slack is above that.  A ``triple_budget`` below 1 is refused.
     """
     if triple_budget < 1:
         raise ModelError(f"triple budget must be >= 1, got {triple_budget}")
@@ -278,17 +284,23 @@ def compute_delta(
     truncated = False
 
     def graph_side(i: int, j: int):
-        """Side points[i]-points[j]: an :class:`EdgePath` for one geodesic, else a :class:`_GeodesicSet`."""
+        """(side, half its length rounded down): an :class:`EdgePath` for one geodesic, else a :class:`_GeodesicSet`."""
         nonlocal truncated
         paths, trunc = all_geodesics(model, points[i], points[j])
         truncated = truncated or trunc
-        return EdgePath(model, paths[0]) if len(paths) == 1 else _GeodesicSet(model, paths)
+        side = EdgePath(model, paths[0]) if len(paths) == 1 else _GeodesicSet(model, paths)
+        return side, (len(paths[0]) - 1) // 2
+
+    def graph_slack(a, b, c) -> int:
+        """Slack of a triangle of graph sides, or 0 if no side's half length beats the running delta."""
+        (a, half_a), (b, half_b), (c, half_c) = a, b, c
+        return _slimness((a, b, c))[0] if max(half_a, half_b, half_c) > delta else 0
 
     if model.is_tree and parents is not None:
         tree = _TreeSides(model, parents)
         side, slack = tree.side, partial(_tripod_slack, tree)
     else:
-        tree, side, slack = None, graph_side, lambda *sides: _slimness(sides)[0]
+        tree, side, slack = None, graph_side, graph_slack
 
     if exhaustive:
         table = [[side(i, j) if i < j else None for j in range(n)] for i in range(n)]

@@ -27,12 +27,25 @@ def _explicit(graph):
     return ExplicitGraphModel([sorted(graph[v]) for v in range(len(graph))]), graph
 
 
+def _tailed_cycle():
+    """A 7-cycle with a path of 5 edges hung off vertex 0 and one of 6 off vertex 3."""
+    graph = nx.cycle_graph(7)
+    nx.add_path(graph, [0, *range(7, 12)])
+    nx.add_path(graph, [3, *range(12, 18)])
+    return graph
+
+
 CYCLES = [(CycleModel(n), nx.cycle_graph(n)) for n in range(5, 10)]
 TORI = [_torus(m, n) for m, n in ((3, 3), (3, 4), (4, 4))]
 # Graphs with no symmetry, where the vertex order and the geodesic choices matter.
 IRREGULAR = [_explicit(nx.connected_watts_strogatz_graph(11, 4, 0.5, seed=s)) for s in (1, 2, 3)]
-GRAPHS = CYCLES + TORI + IRREGULAR
+# Every graph above has delta = floor(diameter / 2), so a triangle reaching
+# it ends the measuring; on these two delta is lower, so compute_delta
+# measures only part of their triangles and a bound that skips too many shows.
+PARTIAL = [_explicit(nx.convert_node_labels_to_integers(nx.grid_2d_graph(3, 6))), _explicit(_tailed_cycle())]
+GRAPHS = CYCLES + TORI + IRREGULAR + PARTIAL
 GRAPH_IDS = [f"C{n}" for n in range(5, 10)] + ["torus3x3", "torus3x4", "torus4x4", "ws1", "ws2", "ws3"]
+GRAPH_IDS += ["grid3x6", "tailed-C7"]
 
 
 def test_explicit_graph_distances_match_networkx():
@@ -123,6 +136,11 @@ def test_delta_matches_networkx(model, graph):
     assert report.region["size"] == len(graph) and report.exhaustive
     assert report.triple_count == comb(len(graph), 3)
     assert report.delta == _networkx_delta(graph, graph) > 0
+
+
+@pytest.mark.parametrize("model, graph", PARTIAL, ids=GRAPH_IDS[-2:])
+def test_delta_is_below_half_the_diameter(model, graph):
+    assert compute_delta(model, radius=len(graph)).delta < nx.diameter(graph) // 2
 
 
 @pytest.mark.parametrize("model, graph", GRAPHS, ids=GRAPH_IDS)

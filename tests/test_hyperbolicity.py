@@ -20,6 +20,7 @@ from freecert import (
     hyperbolicity,
 )
 from freecert.cli import main
+from freecert.models import build_model
 
 
 def test_tree_unique_geodesic():
@@ -222,6 +223,67 @@ def test_delta_takes_the_worst_choice_of_a_truncated_geodesic_set():
     assert report.delta == worst > first  # the first geodesic of each side is not the worst choice
 
 
+def _grid(m, n):
+    """The m x n grid graph, (x, y) numbered x * n + y, with no automorphisms given."""
+    steps = ((-1, 0), (0, -1), (0, 1), (1, 0))
+    return ExplicitGraphModel(
+        [
+            [(x + dx) * n + y + dy for dx, dy in steps if 0 <= x + dx < m and 0 <= y + dy < n]
+            for x, y in product(range(m), range(n))
+        ]
+    )
+
+
+def _measured_corners(monkeypatch):
+    """The corners of every triangle compute_delta hands to :func:`_slimness`, each as a frozenset."""
+    measured = []
+
+    def ends(side):
+        return side.ends if isinstance(side, hyperbolicity._GeodesicSet) else (side.points[0], side.points[-1])
+
+    def measuring(sides):
+        measured.append(frozenset(ends(sides[0]) + ends(sides[1])))
+        return slimness(sides)
+
+    slimness = hyperbolicity._slimness
+    monkeypatch.setattr(hyperbolicity, "_slimness", measuring)
+    return measured
+
+
+def test_graph_delta_measures_only_triangles_that_can_beat_it(monkeypatch):
+    # The 5x5 torus has delta 2 = floor(diameter / 2): once a triangle
+    # reaches it, no other's half longest side can beat it.
+    measured = _measured_corners(monkeypatch)
+    report = compute_delta(_torus(5, 5), radius=4)
+    assert (report.delta, report.exhaustive, report.triple_count) == (2, True, 2300)
+    assert 0 < len(measured) < 23
+
+
+def test_a_graph_triangle_left_unmeasured_cannot_beat_delta(monkeypatch):
+    # On the 3x6 grid delta is 2 and the diameter 7, so pruning is partial.
+    model, slimness = _grid(3, 6), hyperbolicity._slimness
+    measured = _measured_corners(monkeypatch)
+    report = compute_delta(model, radius=7)
+    assert (report.delta, report.exhaustive, report.triple_count) == (2, True, 816)
+    assert 0 < len(measured) < 816
+    for x, y, z in combinations(range(18), 3):
+        if frozenset((x, y, z)) in measured:
+            continue
+        longest = max(model.distance(p, q) for p, q in ((x, y), (y, z), (x, z)))
+        assert longest // 2 <= report.delta
+        sides = [hyperbolicity._GeodesicSet(model, all_geodesics(model, p, q)[0]) for p, q in ((x, y), (y, z), (x, z))]
+        assert slimness(sides)[0] <= report.delta  # and so, measured, it does not
+
+
+def test_a_sampled_tree_ball_scans_every_triangle(monkeypatch):
+    calls = []
+    slack = hyperbolicity._TreeSides.slack
+    monkeypatch.setattr(hyperbolicity._TreeSides, "slack", lambda self, *ids: calls.append(ids) or slack(self, *ids))
+    report = compute_delta(FreeGroupModel(2, cap=64), radius=5, triple_budget=300, seed=4)
+    assert (report.delta, report.exhaustive) == (0, False)
+    assert len(calls) == report.triple_count == 300
+
+
 def test_delta_refuses_a_triple_budget_below_one():
     for budget in (0, -3):
         with pytest.raises(ModelError, match="triple budget must be >= 1"):
@@ -266,8 +328,19 @@ def test_tree_sides_are_the_model_geodesics_between_their_corners(monkeypatch, m
     triangles = _recorded_sides(monkeypatch)
     report = compute_delta(model, **kwargs)
     region = kwargs.get("points") or model.ball(model.basepoint(), kwargs["radius"])
-    assert report.delta == 0 and len(triangles) == report.triple_count > 0
+    assert report.delta == 0 and report.triple_count > 0
     assert report.exhaustive == ("triple_budget" not in kwargs)
+    if "points" in kwargs:
+        # An explicit region's triangle is measured only if half its longest
+        # side beats delta, here 0: the one on (1, 2), (1, 2, 1) and the
+        # repeated (1, 2) has sides of length 1 and 0 and is not.
+        measured = [tuple(map(tuple, triangle)) for _, triangle in triangles]
+        for x, y, z in combinations(region, 3):
+            sides = tuple(tuple(model.geodesic(p, q)) for p, q in ((x, y), (y, z), (x, z)))
+            assert (sides in measured) == ((max(map(len, sides)) - 1) // 2 > report.delta)
+        assert len(triangles) == report.triple_count - 1 == 34
+    else:  # a tree ball scans every triangle
+        assert len(triangles) == report.triple_count
     for metric, triangle in triangles:
         if "points" in kwargs:  # an explicit region's sides are paths over the model's own points
             assert metric is model
@@ -388,6 +461,25 @@ def test_sampled_reports_match_their_golden_bytes():
             model = _torus(*case["torus"], label_seed=case["seed"])
         report = compute_delta(model, radius=case["radius"], triple_budget=case["triple_budget"], seed=case["seed"])
         assert json.dumps(report.to_doc()) == json.dumps(case["doc"]), case
+
+
+def test_graph_reports_match_their_golden_bytes():
+    # tests/data/delta_graph.json holds compute_delta(...).to_doc() on graph
+    # models, recorded while every graph triangle was still measured: cycles
+    # 3-16 at every radius (exhaustive, and sampled at budgets 1 and 30),
+    # tori 3x3 to 5x5 relabelled as the benchmark relabels them, the 6x6
+    # torus (truncated at the geodesic cap), three Watts-Strogatz graphs, the
+    # 3x6 grid, a 7-cycle with two pendant paths, and explicit regions with a
+    # repeated point.  The test only reads it.
+    golden = json.loads((Path(__file__).parent / "data/delta_graph.json").read_text())
+    assert len(golden) == 41 and sum(len(graph["runs"]) for graph in golden) == 331
+    runs = [run for graph in golden for run in graph["runs"]]
+    assert any(not run["doc"]["exhaustive"] and "triple_budget" not in run["kwargs"] for run in runs)  # truncated
+    for graph in golden:
+        model = build_model(graph["spec"])
+        for run in graph["runs"]:
+            report = compute_delta(model, **run["kwargs"])
+            assert json.dumps(report.to_doc()) == json.dumps(run["doc"]), (graph["spec"], run)
 
 
 def _geodesic_sets():
