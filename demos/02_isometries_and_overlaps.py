@@ -17,9 +17,9 @@ for word, name in [((1,), "a"), ((1, 2), "ab"), ((1, 2, -1), "aba^-1")]:
 
 print("displacement criterion first fires for a at power", displacement_power(model, (1,), delta=0))
 
-axis_a = quasi_axis(model, classify(model, (1,)), window=6, delta=0)
-axis_b = quasi_axis(model, classify(model, (2,)), window=6, delta=0)
-axis_ab = quasi_axis(model, classify(model, (1, 2)), window=6, delta=0)
+axis_a = quasi_axis(model, classify(model, (1,)), window=6)
+axis_b = quasi_axis(model, classify(model, (2,)), window=6)
+axis_ab = quasi_axis(model, classify(model, (1, 2)), window=6)
 print("\naxis of a:", axis_a.mode, "defect", axis_a.invariance_defect)
 
 print("\noverlap diameters (c = 10 delta = 0):")

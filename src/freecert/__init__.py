@@ -24,14 +24,12 @@ from .certifier import (
     three_points_check,
     validate_certificate,
 )
-from .hyperbolicity import HyperbolicityReport, all_geodesics, compute_delta
+from .hyperbolicity import EdgePath, HyperbolicityReport, all_geodesics, compute_delta
 from .isometry import (
     AxisData,
     AxisPair,
-    EdgePath,
     IsometryProfile,
     OverlapReport,
-    axis_overlap,
     classify,
     displacement_power,
     independence_test,

@@ -2,9 +2,10 @@
 
 Each criterion measures, then claims.  ``*_certify`` checks its inputs and
 measures the pair once: :func:`analyze_pair`, then ``_claim_on`` reads the
-axis overlap D (refusing when the window cannot bound it); on a tree at
-c = 0 that overlap is read off the axes' rays, and only an overlap at
-c >= 1 builds the two axes.
+axis overlap D (refusing when the window cannot bound it).  Both axes are
+ray records and D is read off their ends, at every overlap radius c; the
+witness chain's block overlaps are read off its segments' ends the same
+way, and its base points off the axes' rays.
 ``*_claim`` is pure arithmetic on the constants, tr(a), tr(b) and D: it
 returns (n_min, m_min, its own constants, details), or raises
 :class:`CertificateRefused` naming the inequality that failed, so each
@@ -23,12 +24,13 @@ from typing import Optional, Sequence
 from .acylindricity import acyl_profile, constant_P
 from .isometry import (
     AxisPair,
-    EdgePath,
+    IsometryProfile,
+    _median,
     classify,
     farthest_pair,
     hyperbolic,
     independence_test,
-    overlap_points,
+    segment_overlap,
 )
 from .models import IDENTITY, ActionModel, ModelError, Word, check_int, common_prefix
 from .oracle import OracleReport, freeness_to_depth
@@ -258,9 +260,8 @@ INDEPENDENCE_BOUND = 3
 def analyze_pair(model: ActionModel, a: Word, b: Word, delta: int, window: int = 8,
                  c: Optional[int] = None) -> AxisPair:
     """The :class:`AxisPair` of a and b, whose c-overlap (c = 10 delta unless
-    given) :func:`axis_overlap` measures here; on a tree at c = 0 no axis is
-    built.  First refuses an element that is not hyperbolic, by name, then a
-    dependent pair.
+    given) it measures.  First refuses an element that is not hyperbolic, by
+    name, then a dependent pair.
     """
     pa = classify(model, a)
     pb = classify(model, b)
@@ -269,7 +270,7 @@ def analyze_pair(model: ActionModel, a: Word, b: Word, delta: int, window: int =
     verdict, witness = independence_test(model, pa.element, pb.element, INDEPENDENCE_BOUND)
     if verdict == "dependent":
         raise CertificateRefused(f"elements are dependent: [a^{witness[0]}, b^{witness[1]}] = 1")
-    return AxisPair(model, pa, pb, window, delta, 10 * delta if c is None else c)
+    return AxisPair(model, pa, pb, window, 10 * delta if c is None else c)
 
 
 # A claim: (n_min, m_min, the criterion's own constants, details).
@@ -580,17 +581,11 @@ class WitnessChain:
 
 
 def _segment_overlap(model: ActionModel, seg1: tuple, seg2: tuple, c: int) -> int:
-    """Diameter of the c-overlap of two geodesic segments, each given by its ends (0 when empty).
-
-    On a tree at c = 0 it is [p, q] ∩ [r, s], which runs from median(p, q, r)
-    to median(p, q, s) (both are one point when the segments are disjoint);
-    otherwise the two geodesics are built and their c-overlap is measured.
-    """
+    """Diameter of the c-overlap of two tree geodesics, each given by its ends
+    (0 when empty): :func:`farthest_pair` on :func:`segment_overlap`'s ends."""
     (p, q), (r, s) = seg1, seg2
-    if c == 0 and model.is_tree:
-        return model.distance(_median(p, q, r), _median(p, q, s))
-    pts = overlap_points(EdgePath(model, model.geodesic(p, q)), EdgePath(model, model.geodesic(r, s)), c)[2]
-    return farthest_pair(model, pts)[0] if pts else 0
+    found = segment_overlap((p, q, common_prefix(p, q)), (r, s, common_prefix(r, s)), c)
+    return farthest_pair(model, found[0])[0] if found else 0
 
 
 def _gap_band(d: int, tr_a: Fraction) -> Optional[str]:
@@ -644,9 +639,10 @@ def build_witness_chain(
     """Interpolated point chain witnessing that ``word`` (in a, b) moves x.
 
     :func:`check_chain_input` refuses bad input and splits the word into syllables, which
-    alternate generators.  One walk over them keeps w, the prefix read so far: each a-syllable
-    a^n and the b-syllable b^m after it (m = 0 at the end) make a block p = w x, q = w a^n x,
-    r = w a^n y, s = w a^n b^m y, and a leading b-syllable (cases O and II) moves y to s_0.
+    alternate generators; an a that is not hyperbolic is refused next, by name.  One walk over
+    them keeps w, the prefix read so far: each a-syllable a^n and the b-syllable b^m after it
+    (m = 0 at the end) make a block p = w x, q = w a^n x, r = w a^n y, s = w a^n b^m y, and a
+    leading b-syllable (cases O and II) moves y to s_0.
     Checks the five block conditions (violations are annotated, not fatal), the gap bands and
     the three points condition for epsilon = E on the pruned chain u, and the embedding bound
     L * |x - w x| >= |word| at the final prefix w = w(a, b).
@@ -654,7 +650,7 @@ def build_witness_chain(
     E = Fraction(E)
     syl, case = check_chain_input(word, E, Q, delta)
     a, b = model.canon(a), model.canon(b)
-    tr_a = Fraction(model.exact_translation_length(a))
+    tr_a = hyperbolic("a", IsometryProfile(a, Fraction(model.exact_translation_length(a)))).tr
 
     def between(w: Word, g: Word, n: int, stride: int):
         """The prefixes w g^(k stride), 0 < k < |n| // stride, k of n's sign, each one compose past the last."""
@@ -756,11 +752,6 @@ def build_witness_chain(
     )
 
 
-def _median(x: Word, y: Word, z: Word) -> Word:
-    """The median of three vertices of a Cayley tree: the longest of their pairwise common prefixes."""
-    return max(x[: common_prefix(x, y)], y[: common_prefix(y, z)], z[: common_prefix(z, x)], key=len)
-
-
 def chain_base_points(pair: AxisPair):
     """Base points (x, y) for witness chains, read off the rays of the pair's window axes.
 
@@ -771,8 +762,7 @@ def chain_base_points(pair: AxisPair):
     median(a-, a+, b-) to median(b-, b+, a-) is used for both.
     """
     model, witness = pair.model, pair.overlap.witness_segment
-    rays = [model.axis_rays(p.element, pair.window) for p in (pair.profile_a, pair.profile_b)]
-    (_, a_end, a_start), (_, b_end, b_start) = rays  # the overlap has refused what the rays would
+    (a_start, a_end), (b_start, b_end) = [(axis.backward, axis.forward) for axis in (pair.axis_a, pair.axis_b)]
     if witness:
         mid = witness[len(witness) // 2]
         return _median(a_start, a_end, mid), _median(b_start, b_end, mid)

@@ -37,7 +37,7 @@ from .certifier import (
     validate_certificate,
 )
 from .hyperbolicity import DEFAULT_TRIPLE_BUDGET, compute_delta
-from .isometry import AxisPair, check_radius, classify, displacement_power, window_rays
+from .isometry import AxisPair, check_radius, classify, displacement_power, quasi_axis
 from .models import ActionModel, ModelError, Word, build_model, parse_letters
 from .oracle import exceptional_sweep, freeness_to_depth
 
@@ -189,9 +189,9 @@ def _cmd_profile(args) -> int:
     doc = {"command": "profile", "delta": delta, **profile.to_doc(), "criterion1_power": None}
     if profile.tr > 0:
         doc["criterion1_power"] = displacement_power(model, profile.element, delta)
-        base, forward, _ = window_rays(model, "a", profile, args.window)
-        # A tree's window axis is geodesic, w tau edges on each side of p*.
-        doc["axis"] = {"mode": "geodesic-axis", "invariance_defect": 0, "length": 2 * (len(forward) - len(base)) + 1}
+        axis = quasi_axis(model, profile, args.window)  # w tau edges on each side of p*
+        length = 2 * (len(axis.forward) - len(axis.base)) + 1
+        doc["axis"] = {"mode": axis.mode, "invariance_defect": axis.invariance_defect, "length": length}
     _write_doc(doc, args.out)
     return 0
 
@@ -201,7 +201,7 @@ def _cmd_overlap(args) -> int:
     delta, _ = _resolve_delta(model, args)
     c = check_radius(args.c if args.c is not None else 10 * delta)  # before the elements are read
     a, b = _element(model, args.a), _element(model, args.b)
-    pair = AxisPair(model, classify(model, a), classify(model, b), args.window, delta, c)
+    pair = AxisPair(model, classify(model, a), classify(model, b), args.window, c)
     _write_doc({"command": "overlap", "delta": delta, **pair.overlap.to_doc()}, args.out)
     return 0
 

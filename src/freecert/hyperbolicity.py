@@ -31,7 +31,6 @@ from itertools import combinations, islice, starmap
 from math import comb
 from typing import Optional
 
-from .isometry import EdgePath
 from .models import ActionModel, ModelError
 
 DEFAULT_TRIPLE_BUDGET = 200_000
@@ -58,6 +57,35 @@ def all_geodesics(model: ActionModel, x, y):
     """
     paths = list(islice(model.geodesics(x, y), GEODESIC_CAP))
     return paths, len(paths) == GEODESIC_CAP
+
+
+class EdgePath:
+    """Exact point-to-path distances on an edge path, without all-pairs scans.
+
+    The path must be an edge path: consecutive points at distance <= 1.
+    Then d(p, q_j) >= d(p, q_i) - |i - j| for any point p, so after reading
+    d(p, q_i) a scan may jump over every index that cannot beat the value
+    it looks for.  Points of the path are found by set lookup, at distance 0.
+    """
+
+    def __init__(self, model: ActionModel, points):
+        self.model = model
+        self.points = tuple(points)
+        self.members = frozenset(self.points)
+
+    def distance(self, p) -> int:
+        """Exact distance from p to the path."""
+        if p in self.members:
+            return 0
+        dist, points = self.model.distance, self.points
+        best = dist(p, points[0])
+        i = 1
+        while i < len(points):
+            d = dist(p, points[i])
+            if d < best:
+                best = d
+            i += d - best + 1  # the points skipped cannot come closer than best
+        return best
 
 
 class _GeodesicSet:

@@ -4,38 +4,54 @@ The translation length of g is the model's exact one (its
 ``exact_translation_length``: the cyclically reduced length on a Cayley
 tree, 0 on a finite model), a single rational number, and g is hyperbolic
 iff it is > 0.  Only a tree model has hyperbolic elements, and there an
-axis is a line that ``model.axis_rays`` gives as two words: profiles, chain
-base points and the overlap at c = 0 (:func:`axis_overlap`) are read off
-them.  Only an overlap at c >= 1 builds two point-list axes
-(:func:`quasi_axis`) and measures them (:func:`overlap_diameter`).
+axis is a line that ``model.axis_rays`` gives as two words out of a base
+point: :func:`quasi_axis` keeps a window of it as that ray record, a
+geodesic segment, and forms its points only when they are read.  Two
+geodesics of a tree meet in one segment or are joined by one bridge, so
+the c-overlap of two windows, at every c >= 0, is read off the four ends
+of the segments (:func:`segment_overlap`), and :func:`overlap_diameter`
+measures it with no point list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .models import IDENTITY, ActionModel, CapExceeded, ModelError, Word, common_prefix
 
-@dataclass(frozen=True)
-class AxisData:
-    """A window of an invariant (quasi-)axis.
 
-    ``path`` is an edge path: consecutive points are at distance <= 1, as
-    it is a concatenation of model geodesics.  The axis carries the
-    :class:`EdgePath` over ``path`` that :func:`quasi_axis` built as
-    ``edges``, and overlaps measure against it instead of indexing the
-    points again.  Two axes are equal when their path, mode, defect and
-    step are.
+class AxisData(NamedTuple):
+    """A window of a hyperbolic element's axis on a tree: the geodesic from
+    the end of ``backward`` to the end of ``forward``.
+
+    ``base`` is the axis base point p*, ``forward`` and ``backward`` are the
+    rays of ``model.axis_rays`` out of it, each window translations long, and
+    ``step`` is the translation length tau.  The window's point t steps from
+    p* is the first |p*| + |t| letters of ``forward`` (t >= 0) or of
+    ``backward`` (t < 0).  The element carries this geodesic into its own
+    line, so every window axis is a geodesic axis with invariance defect 0.
     """
 
-    path: tuple
-    mode: str  # "geodesic-axis" | "quasi-geodesic-axis"
-    invariance_defect: int
-    step: int  # edges advanced per application; margin for end effects
-    edges: EdgePath = field(compare=False, repr=False)
+    base: Word
+    forward: Word
+    backward: Word
+    step: int
+    mode = "geodesic-axis"
+    invariance_defect = 0
+
+    @property
+    def segment(self) -> tuple[Word, Word, int]:
+        """The window as :func:`segment_overlap` reads it: the rays part after p*."""
+        return self.backward, self.forward, len(self.base)
+
+    @property
+    def path(self) -> tuple:
+        """The window's 2 w tau + 1 points, from the end of ``backward`` to the end of ``forward``."""
+        u, n = len(self.base), len(self.forward) - len(self.base)
+        backward, forward = self.backward, self.forward
+        return tuple(backward[: u + k] for k in range(n, 0, -1)) + tuple(forward[: u + k] for k in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -116,155 +132,86 @@ def displacement_power(model: ActionModel, g: Word, delta: int) -> Optional[int]
     return None
 
 
-class EdgePath:
-    """Exact point-to-path distances on an edge path, without all-pairs scans.
+def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8) -> AxisData:
+    """The axis of a hyperbolic element on a window, from the profile
+    :func:`classify` returned for it, read off ``model.axis_rays``.
 
-    The path must be an edge path: consecutive points at distance <= 1.
-    Then d(p, q_j) >= d(p, q_i) - |i - j| for any point p, so after reading
-    d(p, q_i) a scan may jump over every index that cannot beat the value
-    it looks for.  Points of the path are found by set lookup, at distance 0.
+    A window below 1 is refused, and so is one whose orbit point
+    g^-window p* would pass the model cap, before that point is formed.
     """
-
-    def __init__(self, model: ActionModel, points):
-        self.model = model
-        self.points = tuple(points)
-        self.members = frozenset(self.points)
-
-    def distance(self, p) -> int:
-        """Exact distance from p to the path."""
-        if p in self.members:
-            return 0
-        dist, points = self.model.distance, self.points
-        best = dist(p, points[0])
-        i = 1
-        while i < len(points):
-            d = dist(p, points[i])
-            if d < best:
-                best = d
-            i += d - best + 1  # the points skipped cannot come closer than best
-        return best
-
-    def within(self, p, c: int) -> bool:
-        """Whether some path point lies within c of p; stops at the first hit.
-
-        Only a path point lies within 0 of the path, so c < 1 is decided by
-        membership alone, without measuring a distance.
-        """
-        if p in self.members:
-            return c >= 0
-        if c < 1:
-            return False
-        dist, points = self.model.distance, self.points
-        i = 0
-        while i < len(points):
-            d = dist(p, points[i])
-            if d <= c:
-                return True
-            i += d - c  # the points skipped are farther than c
-        return False
-
-
-def invariance_defect(model: ActionModel, g: Word, edges: EdgePath, step: int) -> int:
-    """Largest distance from g.p to the path over its interior points p: every
-    point but a margin of max(step, 1) at each end (all of a path too short
-    to leave an interior).  The path's consecutive points must be adjacent.
-
-    g.path[i] is compared with path[i + step], and measured only if it is not
-    that point.  The left action commutes with right steps,
-    g.(x.s) = (g.x).s, so after a match the next image is path[i + step + 1]
-    exactly when the two edges carry the same ``model.edge_labels`` label: a
-    run of agreeing labels is read in one slice comparison, and g is applied
-    only where a run starts or breaks.
-    """
-    path = edges.points
-    margin = max(step, 1)
-    lo, hi = (margin, len(path) - margin) if len(path) > 2 * margin else (0, len(path))
-    labels = model.edge_labels(path)
-    defect, i = 0, lo
-    while i < hi:
-        j = i + step
-        q = model.apply(g, path[i])
-        if j < len(path) and q == path[j]:
-            n = min(hi - 1 - i, len(labels) - j)  # the run ends at hi and at the last edge
-            i += common_prefix(labels[i : i + n], labels[j : j + n]) + 1
-        else:
-            defect = max(defect, edges.distance(q))
-            i += 1
-    return defect
-
-
-def quasi_axis(model: ActionModel, profile: IsometryProfile, window: int = 8, delta: int = 0) -> AxisData:
-    """Invariant (quasi-)axis of a hyperbolic element, built from the profile
-    :func:`classify` returned for it, on a window.
-
-    Walks the orbit g^-window p* .. g^window p* of a minimal-displacement
-    base point p* one cap-checked application of g^-1 or g per point, so a
-    window too long for the model cap is refused once the walk passes the
-    cap, and concatenates geodesics between consecutive orbit points.
-    Classifies the result as a genuine geodesic axis when the concatenation
-    is a geodesic with :func:`invariance_defect` <= 2*delta, otherwise
-    verifies the quasi-geodesic-axis properties on the window: bounded
-    defect, and subpaths within 10*delta of the geodesics between their
-    endpoints.  A window below 1 is refused.
-    """
-    if profile.tr <= 0:
+    step = int(profile.tr)  # an integer, as on every tree
+    if step <= 0:
         raise ModelError("quasi_axis requires a hyperbolic element")
     if window < 1:
         raise ModelError(f"window must be >= 1, got {window}")
-    g = profile.element
-    g_inv = model.inverse(g)
-    orbit = [model.min_displacement_point(g)]
-    for _ in range(window):
-        orbit.append(model.apply(g_inv, orbit[-1]))
-    orbit.reverse()
-    for _ in range(window):
-        orbit.append(model.apply(g, orbit[-1]))
-    step = model.distance(orbit[window], orbit[window + 1])
-    path: list = []
-    for u, v in zip(orbit, orbit[1:]):
-        seg = model.geodesic(u, v)
-        path.extend(seg if not path else seg[1:])
-    edge_path = EdgePath(model, path)
-    defect = invariance_defect(model, g, edge_path, step)
-
-    is_geodesic = len(path) - 1 == model.distance(path[0], path[-1])
-    if is_geodesic and defect <= 2 * delta:
-        return AxisData(edge_path.points, "geodesic-axis", defect, step, edge_path)
-
-    # Fact-12 style checks on the window.
-    if defect > 30 * delta:
-        raise ModelError("path fails quasi-geodesic-axis invariance on the window")
-    stride = max(1, len(path) // 24)
-    for i in range(0, len(path), stride):
-        for j in range(i + 2, len(path), stride):
-            sub = EdgePath(model, path[i : j + 1])
-            geo = EdgePath(model, model.geodesic(path[i], path[j]))
-            close = all(geo.within(p, 10 * delta) for p in sub.points) and all(
-                sub.within(q, 10 * delta) for q in geo.points
-            )
-            if not close:
-                raise ModelError("subpath strays beyond 10*delta of its chord")
-    return AxisData(edge_path.points, "quasi-geodesic-axis", defect, step, edge_path)
+    return AxisData(*model.axis_rays(profile.element, window), step)
 
 
-def overlap_points(near_a: EdgePath, near_b: EdgePath, c: int) -> tuple[list, list, list]:
-    """The c-overlap of two edge paths, each given as its :class:`EdgePath`
-    (an axis carries its own as ``edges``).
+def _median(x: Word, y: Word, z: Word) -> Word:
+    """The median of three vertices of a Cayley tree: the longest of their pairwise common prefixes."""
+    return max(x[: common_prefix(x, y)], y[: common_prefix(y, z)], z[: common_prefix(z, x)], key=len)
 
-    Returns (in_a, in_b, union): the points of each path within c of the
-    other, and both lists joined in order without repeats.  Only a path
-    point lies within 0 of a path, and none within c < 0, so c < 1 is
-    decided by membership alone, in one comprehension per path.
+
+def _at(x0: Word, x1: Word, k: int, t: int) -> Word:
+    """The point of the tree segment [x0, x1] t steps from x0; k = |common prefix of x0, x1|."""
+    up = len(x0) - k
+    return x0[: len(x0) - t] if t <= up else x1[: k + t - up]
+
+
+def segment_overlap(seg_a: tuple, seg_b: tuple, c: int) -> Optional[tuple[list, tuple, tuple]]:
+    """The c-overlap of the geodesics A = [a0, a1] and B = [b0, b1] of a
+    Cayley tree, each given as (x0, x1, k): its ends and the length k of
+    their common prefix.  Returns (ends, span_a, span_b), or None when the
+    overlap is empty.
+
+    Two geodesics of a tree meet in one segment, from m0 = median(a0, a1, b0)
+    to median(a0, a1, b1), or are joined by a bridge d >= 1 long from m0 to
+    median(b0, b1, a0).  A point of A is as far from B as from the meet, or
+    d farther than from m0, so A's piece (its points within c of B) is the
+    meet widened by c on each side, or m0 widened by c - d (nothing when
+    d > c), clipped to A; likewise for B.  ``span_a`` and ``span_b`` give
+    the pieces as (first, last) steps from a0 and from b0.  ``ends`` are the
+    pieces' ends in the order of the overlap's points (A's piece along A,
+    then the rest of B's along B), without repeats.  A point inside a piece
+    is nearer than one of the piece's ends to every other point, so every
+    farthest pair of the overlap is a pair of ends.
     """
-    if c >= 1:
-        in_a = [p for p in near_a.points if near_b.within(p, c)]
-        in_b = [q for q in near_b.points if near_a.within(q, c)]
-    elif c == 0:
-        in_a = [p for p in near_a.points if p in near_b.members]
-        in_b = [q for q in near_b.points if q in near_a.members]
-    else:
-        in_a = in_b = []
-    return in_a, in_b, list(dict.fromkeys(in_a + in_b))
+    (a0, a1, ka), (b0, b1, kb) = seg_a, seg_b
+    # The common prefixes of A's ends with B's: if x0 and x1 part after k
+    # letters and y shares p != k letters with x0, it shares min(p, k) with x1.
+    p00 = common_prefix(a0, b0)
+    p10 = common_prefix(a1, b0) if p00 == ka else min(p00, ka)
+    p01 = common_prefix(a0, b1) if p00 == kb else min(p00, kb)
+    p11 = common_prefix(a1, b1) if p10 == kb else min(p10, kb)
+    # median(x0, x1, y) is the longest of x0[:k], x0[:p] and x1[:q] (p, q:
+    # y's common prefixes with x0, x1), and lies |x0| + q - 2k steps from x0
+    # if it is x1[:q], q > k, else |x0| - max(k, p): b0, b1 fall at t0, t1 on A,
+    # and a0, a1 at s0, s1 on B.
+    la, lb = len(a0), len(b0)
+    t0 = la + p10 - 2 * ka if p10 > ka else la - max(ka, p00)
+    t1 = la + p11 - 2 * ka if p11 > ka else la - max(ka, p01)
+    s0 = lb + p01 - 2 * kb if p01 > kb else lb - max(kb, p00)
+    s1 = lb + p11 - 2 * kb if p11 > kb else lb - max(kb, p10)
+    # b0 and b1 fall on two points of A only if A meets B (d = 0); if on one,
+    # b0 reaches A through the bridge's foot s0 on B: d(b0, A) = s0 + d.
+    d = 0 if t0 != t1 else lb + max(ka, p00, p10) - 2 * max(p00, p10) - s0
+    r = c - d
+    if r < 0:
+        return None
+    if t0 > t1:
+        t0, t1 = t1, t0
+    if s0 > s1:
+        s0, s1 = s1, s0
+    lo_a, hi_a = max(t0 - r, 0), min(t1 + r, la + len(a1) - 2 * ka)
+    lo_b, hi_b = max(s0 - r, 0), min(s1 + r, lb + len(b1) - 2 * kb)
+    ends = [_at(a0, a1, ka, lo_a)]
+    if hi_a > lo_a:
+        ends.append(_at(a0, a1, ka, hi_a))
+    if d or lo_b < s0:  # else B's end is a meet end, on A
+        ends.append(_at(b0, b1, kb, lo_b))
+    if hi_b > lo_b and (d or hi_b > s1):
+        ends.append(_at(b0, b1, kb, hi_b))
+    return ends, (lo_a, hi_a), (lo_b, hi_b)
 
 
 def farthest_pair(model: ActionModel, points) -> tuple:
@@ -279,42 +226,26 @@ def farthest_pair(model: ActionModel, points) -> tuple:
 
 
 def overlap_diameter(model: ActionModel, axis_a: AxisData, axis_b: AxisData, c: int) -> OverlapReport:
-    """Diameter of the c-overlap of two axes, within their windows.
+    """Diameter of the c-overlap of two window axes.
 
     The overlap set is (A in the c-neighborhood of B) union (B in the
-    c-neighborhood of A); the empty set has diameter 0 by convention.
-    Both axis paths are edge paths (consecutive points at distance <= 1),
-    which lets :func:`overlap_points` skip along each axis's own
-    :class:`EdgePath` instead of scanning.  Touching a window end makes D
-    only a lower bound, and touching both ends of one axis flags the
-    overlap as unbounded in the window.  This is the point-list path:
-    :func:`axis_overlap` calls it wherever it cannot read the overlap off
-    the rays (c >= 1, or a model that is not a tree).
+    c-neighborhood of A); the empty set has diameter 0 by convention.  Its
+    pieces are :func:`segment_overlap`'s, and D and the witness pair are
+    :func:`farthest_pair`'s on their ends.  A piece that reaches one of the
+    first or last ``step`` points of a window (2 window step edges long)
+    touches that end: then D is only a lower bound, and touching both ends
+    of one axis flags the overlap as unbounded in the window.
     """
-    pa, pb = axis_a.path, axis_b.path
-    window = min(len(pa), len(pb)) - 1
-
-    in_a, in_b, union = overlap_points(axis_a.edges, axis_b.edges, c)
-    if not union:
-        return OverlapReport(0, c, window, (), False, False)
-
-    D, p, q = farthest_pair(model, union)
-    witness = tuple(model.geodesic(p, q))
-
-    def touches(points, path, step):
-        m = max(step, 1)
-        head, tail = set(path[:m]), set(path[-m:])
-        return any(p in head for p in points), any(p in tail for p in points)
-
-    a_head, a_tail = touches(in_a, pa, axis_a.step)
-    b_head, b_tail = touches(in_b, pb, axis_b.step)
-    return _report(D, c, window, witness, (a_head, a_tail), (b_head, b_tail))
-
-
-def _report(D: int, c: int, window: int, witness: tuple, a_ends: tuple, b_ends: tuple) -> OverlapReport:
-    """The report of an overlap that touches the (head, tail) ends of each window given."""
-    boundary = any(a_ends) or any(b_ends)
-    return OverlapReport(D, c, window, witness, boundary, all(a_ends) or all(b_ends))
+    len_a, len_b = 2 * (len(axis_a.forward) - len(axis_a.base)), 2 * (len(axis_b.forward) - len(axis_b.base))
+    found = segment_overlap(axis_a.segment, axis_b.segment, c)
+    if found is None:
+        return OverlapReport(0, c, min(len_a, len_b), (), False, False)
+    ends, (lo_a, hi_a), (lo_b, hi_b) = found
+    D, p, q = farthest_pair(model, ends)
+    a_head, a_tail = lo_a < axis_a.step, hi_a > len_a - axis_a.step
+    b_head, b_tail = lo_b < axis_b.step, hi_b > len_b - axis_b.step
+    return OverlapReport(D, c, min(len_a, len_b), tuple(model.geodesic(p, q)), a_head or a_tail or b_head or b_tail,
+                         a_head and a_tail or b_head and b_tail)
 
 
 def check_radius(c: int) -> int:
@@ -324,90 +255,28 @@ def check_radius(c: int) -> int:
     return c
 
 
-def window_rays(model: ActionModel, name: str, profile: IsometryProfile, window: int) -> tuple[Word, Word, Word]:
-    """``model.axis_rays`` of a hyperbolic element on a window, refused as
-    :func:`quasi_axis` refuses it: not hyperbolic (by ``name``), a window
-    below 1 or past the model cap.  On a tree the window axis is the geodesic
-    between the rays' ends, 2 window tau edges long: a geodesic axis with
-    invariance defect 0 at every delta."""
-    hyperbolic(name, profile)
-    if window < 1:
-        raise ModelError(f"window must be >= 1, got {window}")
-    return model.axis_rays(profile.element, window)
-
-
 @dataclass
 class AxisPair:
-    """Hyperbolic a and b on one window, and the c-overlap (c >= 0) of their
-    axes, measured by :func:`axis_overlap` when the pair is made.  Only an
-    overlap at c >= 1 reads ``axis_a`` and ``axis_b``, the point-list axes.
-    A negative c is refused first; every other refusal names a or b, a's first.
+    """Hyperbolic a and b on one window, their axes, and the c-overlap
+    (c >= 0) of the axes, measured by :func:`overlap_diameter` when the pair
+    is made.  A negative c is refused first; every other refusal names a or
+    b, a's first.
     """
 
     model: ActionModel
     profile_a: IsometryProfile
     profile_b: IsometryProfile
     window: int
-    delta: int
     c: int
+    axis_a: AxisData = field(init=False)
+    axis_b: AxisData = field(init=False)
     overlap: OverlapReport = field(init=False)
 
     def __post_init__(self):
         check_radius(self.c)
-        self.overlap = axis_overlap(self)
-
-    @cached_property
-    def axis_a(self) -> AxisData:
-        return quasi_axis(self.model, hyperbolic("a", self.profile_a), self.window, self.delta)
-
-    @cached_property
-    def axis_b(self) -> AxisData:
-        return quasi_axis(self.model, hyperbolic("b", self.profile_b), self.window, self.delta)
-
-
-def axis_overlap(pair: AxisPair) -> OverlapReport:
-    """The report :func:`overlap_diameter` gives on the pair's two axes at its c.
-
-    On a tree at c = 0 (every tree's own case: c = 10 delta) it is read off
-    the rays of :func:`window_rays`, building no axis.  a's axis is P(t),
-    t in [-w tau, w tau], and two lines in a tree meet in one segment: a ray
-    of a and a ray of b share the points from max(|p*_a|, |p*_b|) letters up
-    to their common prefix, which the ray lengths clip to both windows.
-    Those run from P(t1) to P(t2) on a's axis (s1 to s2 on b's), so
-    D = t2 - t1 and the witness is P(t1) .. P(t2), the pair
-    :func:`farthest_pair` finds first.  At c >= 1
-    both axes are built and measured by :func:`overlap_diameter` (no other
-    model has a hyperbolic element, so elsewhere the axes refuse).
-    """
-    model, w = pair.model, pair.window
-    if not (model.is_tree and pair.c == 0):
-        return overlap_diameter(model, pair.axis_a, pair.axis_b, pair.c)
-    sides = []
-    for name, profile in (("a", pair.profile_a), ("b", pair.profile_b)):
-        base, *rays = window_rays(model, name, profile, w)
-        sides.append((len(base), int(profile.tr), rays))
-    (u, tau, rays_a), (v, sigma, rays_b) = sides
-    low = max(u, v)
-    ts, ss = [], []
-    for sign_a, ray_a in zip((1, -1), rays_a):
-        for sign_b, ray_b in zip((1, -1), rays_b):
-            high = common_prefix(ray_a, ray_b)
-            if high >= low:
-                ts += (sign_a * (low - u), sign_a * (high - u))
-                ss += (sign_b * (low - v), sign_b * (high - v))
-    window = 2 * w * min(tau, sigma)
-    if not ts:
-        return OverlapReport(0, 0, window, (), False, False)
-    t1, t2, s1, s2 = min(ts), max(ts), min(ss), max(ss)
-
-    def point(t):
-        return rays_a[t < 0][: u + abs(t)]
-
-    def ends(lo, hi, step):  # the first and last step points lie past (w - 1) step from p*
-        return lo < -(w - 1) * step, hi > (w - 1) * step
-
-    witness = tuple(model.geodesic(point(t1), point(t2)))
-    return _report(t2 - t1, 0, window, witness, ends(t1, t2, tau), ends(s1, s2, sigma))
+        self.axis_a = quasi_axis(self.model, hyperbolic("a", self.profile_a), self.window)
+        self.axis_b = quasi_axis(self.model, hyperbolic("b", self.profile_b), self.window)
+        self.overlap = overlap_diameter(self.model, self.axis_a, self.axis_b, self.c)
 
 
 def independence_test(model: ActionModel, a: Word, b: Word, exponent_bound: int):

@@ -2,7 +2,7 @@
 
 Every other module operates on an :class:`ActionModel`, which also owns
 the structure the isometry layer needs: the exact translation length of an
-element, and a point of least displacement for a hyperbolic one.
+element, and the axis of a hyperbolic one, as rays out of its base point.
 Three desk-scale families are built in:
 
 * :class:`CyclicFreeProductModel` -- a free product of copies of Z and
@@ -115,8 +115,7 @@ class ActionModel:
     (generator index, then sign), so the geodesic walk, which tries
     neighbours in that order, is deterministic.
     An infinite model also provides what an axis of a hyperbolic element
-    needs: exact translation lengths, the axis base point, and the generator
-    labels of a path's edges, by which the axis reads its invariance.
+    needs: exact translation lengths and the axis rays.
     """
 
     kind: str = "abstract"
@@ -253,23 +252,6 @@ class ActionModel:
         if self.order is None:
             raise NotImplementedError(f"{type(self).__name__} has no exact translation length")
         return 0
-
-    def min_displacement_point(self, g: Word):
-        """A point moved least by a hyperbolic g, on its axis.
-
-        Only an infinite model has hyperbolic elements, and it must give its own.
-        """
-        raise NotImplementedError(f"{type(self).__name__} has no axis base point")
-
-    def edge_labels(self, path) -> tuple:
-        """The generator s with y = x*s for each step x -> y of a path whose
-        consecutive points are adjacent.  Then g*y = (g*x)*s for every g, so
-        g carries one step onto another exactly when it carries the first
-        point and the labels agree.
-
-        Only an infinite model has hyperbolic elements, and it must give its own.
-        """
-        raise NotImplementedError(f"{type(self).__name__} has no edge labels")
 
     def axis_rays(self, g: Word, n: int) -> tuple[Word, Word, Word]:
         """(p*, forward, backward): a hyperbolic g's axis base point and the
@@ -408,16 +390,6 @@ class CyclicFreeProductModel(ActionModel):
         if len(core) == 1 and self._inverse[core[0]] == core[0]:
             return 0  # an involution flips an edge
         return len(core)
-
-    def edge_labels(self, path) -> tuple:
-        # A step away from the identity appends its letter; one back removes x's last.
-        inverse = self._inverse
-        return tuple(y[-1] if len(y) > len(x) else inverse[x[-1]] for x, y in zip(path, path[1:]))
-
-    def min_displacement_point(self, g: Word) -> Word:
-        # The points g moves least (its axis, or the edge an involution flips)
-        # all have u as a prefix, and u is one of them: the least point_key.
-        return self.cyclic_split(g)[0]
 
     def axis_rays(self, g: Word, n: int) -> tuple[Word, Word, Word]:
         # g = u * core * u^-1 moves u * core^k to u * core^(k+1), so the axis

@@ -190,8 +190,8 @@ def test_criterion_7_overlap_bound():
             b = random_element(model, rng, 4)
             if independence_test(model, a, b, 3)[0] != "independent-to-bound":
                 continue
-            axis_a = quasi_axis(model, classify(model, a), window=6, delta=0)
-            axis_b = quasi_axis(model, classify(model, b), window=6, delta=0)
+            axis_a = quasi_axis(model, classify(model, a), window=6)
+            axis_b = quasi_axis(model, classify(model, b), window=6)
             rep = overlap_diameter(model, axis_a, axis_b, 0)
             if rep.unbounded_in_window:
                 continue

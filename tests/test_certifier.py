@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import ceil
 from pathlib import Path
@@ -16,6 +17,7 @@ from freecert import (
     CapExceeded,
     CertificateRefused,
     CycleModel,
+    EdgePath,
     FreeGroupModel,
     FreeProductModel,
     ModelError,
@@ -633,7 +635,7 @@ def test_chain_refuses_a_small_epsilon_before_walking_its_word():
 
 
 def _all_pairs_overlap(model, axis_a, axis_b, c):
-    pa, pb = list(axis_a.path), list(axis_b.path)
+    pa, pb = model.geodesic(axis_a.backward, axis_a.forward), model.geodesic(axis_b.backward, axis_b.forward)
     in_a = [p for p in pa if min(model.distance(p, q) for q in pb) <= c]
     in_b = [q for q in pb if min(model.distance(q, p) for p in pa) <= c]
     union = list(dict.fromkeys(in_a + in_b))
@@ -723,32 +725,64 @@ def test_tree_block_overlaps_at_c_zero_are_read_off_medians():
     assert sum(shared.values()) >= 2000 and min(shared.values()) >= 200, shared
 
 
-def test_a_chain_at_delta_zero_builds_no_segment_geodesic(monkeypatch, capsys):
-    # At c = 10 delta = 0 the block overlaps c3-c5 come from medians; at
-    # delta 1 each of the five overlaps (c3 and c4 on two blocks, c5 on one)
-    # builds its two geodesics and takes the point-list path, as chain --delta 1 does.
-    model = FreeGroupModel(2, cap=512)
-    a, word = (1,) * 40, (2, 1, 2, 1, 2)
-    x, y = chain_base_points(analyze_pair(model, a, B, 0, window=6))
-    calls = {"geodesic": 0, "overlap_points": 0}
+def _counted_chain_calls(monkeypatch, model):
+    """Count model.geodesic (on ``model`` and on every FreeGroupModel, as the
+    chain command builds its own) and EdgePath builds from now on."""
+    calls = {"geodesic": 0, "EdgePath": 0}
 
     def counted(name, function):
         return lambda *args: calls.__setitem__(name, calls[name] + 1) or function(*args)
 
+    geodesic = FreeGroupModel.geodesic
     monkeypatch.setattr(model, "geodesic", counted("geodesic", model.geodesic))
-    monkeypatch.setattr(freecert.certifier, "overlap_points", counted("overlap_points", freecert.certifier.overlap_points))
-    assert build_witness_chain(model, word, a, B, x, y, Fraction(40, 1000), 1, 0).failures == []
-    assert calls == {"geodesic": 0, "overlap_points": 0}
-    chain = build_witness_chain(model, word, a, B, x, y, Fraction(101), 1, 1)
-    assert calls == {"geodesic": 10, "overlap_points": 5}
-    assert [chain.conditions[name]["measured"] for name in ("c3", "c4", "c5")] == [11, 11, 19]  # all-pairs at c = 10
+    monkeypatch.setattr(FreeGroupModel, "geodesic", lambda *args: counted("geodesic", geodesic)(*args))
+    monkeypatch.setattr(EdgePath, "__init__", counted("EdgePath", EdgePath.__init__))
+    return calls
 
-    f2 = str(Path(__file__).resolve().parent.parent / "demos/models/f2.json")
-    argv = ["chain", "--model", f2, "--a", "a" * 40, "--b", "b", "--window", "6", "--word", "babab", "--Q", "1",
-            "--E", "101", "--delta", "1"]
-    main(argv)
+
+CHAIN_A40 = ["chain", "--model", str(Path(__file__).resolve().parent.parent / "demos/models/f2.json"),
+             "--a", "a" * 40, "--b", "b", "--window", "6", "--word", "babab", "--Q", "1"]
+
+
+def test_a_chain_at_delta_zero_builds_no_segment_geodesic(monkeypatch, capsys):
+    # At c = 10 delta = 0 the block overlaps c3-c5 are read off the segments'
+    # ends, and the chain command calls geodesic once: for the overlap witness
+    # of its axes.
+    model = FreeGroupModel(2, cap=512)
+    a, word = (1,) * 40, (2, 1, 2, 1, 2)
+    x, y = chain_base_points(analyze_pair(model, a, B, 0, window=6))
+    calls = _counted_chain_calls(monkeypatch, model)
+    assert build_witness_chain(model, word, a, B, x, y, Fraction(40, 1000), 1, 0).failures == []
+    assert calls == {"geodesic": 0, "EdgePath": 0}
+    assert main([*CHAIN_A40, "--E", "40/1000"]) == 0
     capsys.readouterr()
-    assert calls["overlap_points"] == 10
+    assert calls == {"geodesic": 1, "EdgePath": 0}
+
+
+def test_a_chain_builds_no_edge_path_and_no_segment_geodesic(monkeypatch, capsys):
+    # At delta 1 (c = 10) too the block overlaps c3-c5 are read off the
+    # segments' ends, so a chain builds no EdgePath and no geodesic, and the
+    # chain command calls geodesic once: for the overlap witness of its axes.
+    model = FreeGroupModel(2, cap=512)
+    a, word = (1,) * 40, (2, 1, 2, 1, 2)
+    x, y = chain_base_points(analyze_pair(model, a, B, 0, window=6))
+    calls = _counted_chain_calls(monkeypatch, model)
+    chain = build_witness_chain(model, word, a, B, x, y, Fraction(101), 1, 1)
+    assert calls == {"geodesic": 0, "EdgePath": 0}
+    assert [chain.conditions[name]["measured"] for name in ("c3", "c4", "c5")] == [11, 11, 19]  # all-pairs at c = 10
+    main([*CHAIN_A40, "--E", "101", "--delta", "1"])
+    capsys.readouterr()
+    assert calls == {"geodesic": 1, "EdgePath": 0}
+
+
+@pytest.mark.parametrize("model, a", [(CycleModel(7), (1,)), (FreeProductModel(cap=64), (2,))], ids=["cycle", "zxz2"])
+def test_a_chain_refuses_an_a_that_is_not_hyperbolic(model, a):
+    # A rotation of the cycle and the involution s have translation length 0:
+    # refused by name, after the word's own checks.
+    with pytest.raises(ModelError, match="^a is not hyperbolic: translation length 0$"):
+        build_witness_chain(model, (1, 2, 1), a, (1,), model.basepoint(), model.basepoint(), Fraction(1, 1000), 1, 0)
+    with pytest.raises(ModelError, match="chain words must be nonempty"):
+        build_witness_chain(model, (), a, (1,), model.basepoint(), model.basepoint(), Fraction(1, 1000), 1, 0)
 
 
 def _gap_band_by_fractions(d, tr_a):
@@ -831,7 +865,7 @@ def _point_list_base_points(model, axis_a, axis_b, overlap):
     """The base points measured on two point-list axes, the rule chain_base_points
     followed before it read the rays: the witness midpoint projected to each
     axis, or else the midpoint of the least (d(p, q), key(p), key(q)) pair."""
-    pa, pb = axis_a.edges, axis_b.edges
+    pa, pb = EdgePath(model, axis_a.path), EdgePath(model, axis_b.path)
     if overlap.witness_segment:
         seg = overlap.witness_segment
         mid = seg[len(seg) // 2]
@@ -845,7 +879,7 @@ def _point_list_base_points(model, axis_a, axis_b, overlap):
 
 def _scanned_base_points(model, axis_a, axis_b, overlap):
     """The base points with a lone shared point found by scanning a's axis."""
-    shared = [p for p in axis_a.path if p in axis_b.edges.members]
+    shared = [p for p in axis_a.path if p in set(axis_b.path)]
     if overlap.D == 0 and shared:
         mid = min(shared, key=model.point_key)
         return mid, mid
@@ -868,17 +902,18 @@ def test_base_points_from_the_shorter_axis_match_the_scan_of_a(f2):
         for first, second in ((a, b), (b, a)):
             pa, pb = classify(f2, first), classify(f2, second)
             with pytest.raises(ModelError, match="overlap radius c must be >= 0, got -1"):
-                AxisPair(f2, pa, pb, window, 0, -1)
+                AxisPair(f2, pa, pb, window, -1)
             for c in (0, 1):
-                pair = AxisPair(f2, pa, pb, window, 0, c)
+                pair = AxisPair(f2, pa, pb, window, c)
                 assert chain_base_points(pair) == _scanned_base_points(f2, pair.axis_a, pair.axis_b, pair.overlap)
-                shared += pair.overlap.D == 0 and not pair.axis_a.edges.members.isdisjoint(pair.axis_b.path)
+                shared += pair.overlap.D == 0 and not set(pair.axis_a.path).isdisjoint(pair.axis_b.path)
     assert shared > 0
 
 
-def _hyperbolic_pairs(model, rng, count):
+def _hyperbolic_pairs(model, rng, count, conjugator=10, core=6):
     """Hyperbolic (g, h) with both axes moved off the identity by conjugators of up
-    to 10 letters: independent conjugates, h a power of g, and g = h^k y."""
+    to ``conjugator`` letters, of words up to ``core`` letters: independent
+    conjugates, h a power of g, and g = h^k y."""
     alphabet = [l for i in range(1, model.rank + 1) for l in (i, -i)]
 
     def word(most):
@@ -886,8 +921,8 @@ def _hyperbolic_pairs(model, rng, count):
 
     def conjugate():
         while True:
-            u = word(10)
-            g = model.compose(model.compose(u, word(6)), model.inverse(u))
+            u = word(conjugator)
+            g = model.compose(model.compose(u, word(core)), model.inverse(u))
             if classify(model, g).tr > 0:
                 return g
 
@@ -913,11 +948,38 @@ def test_ray_base_points_equal_the_point_list_rule():
     for model in (FreeGroupModel(2, cap=4096), FreeGroupModel(3, cap=4096), FreeProductModel(cap=4096)):
         for g, h in _hyperbolic_pairs(model, rng, 700):
             window, c = rng.randint(1, 8), rng.randint(0, 3)
-            pair = AxisPair(model, classify(model, g), classify(model, h), window, 0, c)
+            pair = AxisPair(model, classify(model, g), classify(model, h), window, c)
             expected = _point_list_base_points(model, pair.axis_a, pair.axis_b, pair.overlap)
             assert chain_base_points(pair) == expected, (model.spec_dict(), g, h, window, c)
             seen[c == 0, not pair.overlap.witness_segment] += 1
     assert sum(seen.values()) >= 2000 and min(seen.values()) >= 20, seen
+
+
+def test_tree_overlaps_at_every_c_match_the_all_pairs_reference():
+    # overlap_diameter on two window axes and _segment_overlap on two segments
+    # equal the all-pairs measure of their point lists at c = 0-4 and 10:
+    # lines that meet (with a piece at a window end or not), that lie apart
+    # within c, and that lie farther apart.
+    rng = random.Random("overlap-parity")
+    axes, segments = Counter(), Counter()
+    for model in (FreeGroupModel(2, cap=4096), FreeGroupModel(3, cap=4096), FreeProductModel(cap=4096)):
+        for g, h in _hyperbolic_pairs(model, rng, 700, conjugator=3, core=4):
+            window, c = rng.randint(1, 6), rng.choice((0, 1, 2, 3, 4, 10))
+            pair = AxisPair(model, classify(model, g), classify(model, h), window, c)
+            assert pair.overlap == _all_pairs_overlap(model, pair.axis_a, pair.axis_b, c), (g, h, window, c)
+            meet = not set(pair.axis_a.path).isdisjoint(pair.axis_b.path)
+            kind = "meet" if meet else "apart within c" if pair.overlap.witness_segment else "empty"
+            axes[kind, c > 0, pair.overlap.boundary_touching] += 1
+        for (p, q), (r, s) in _segment_pairs(model, rng, 700):
+            c = rng.choice((0, 1, 2, 3, 4, 10))
+            geo_1, geo_2 = model.geodesic(p, q), model.geodesic(r, s)
+            expected = _all_pairs_segment_overlap(model, geo_1, geo_2, c)
+            assert _segment_overlap(model, (p, q), (r, s), c) == expected, (model.spec_dict(), p, q, r, s, c)
+            gap = min(model.distance(x, y) for x in geo_1 for y in geo_2)
+            segments["meet" if not gap else "apart within c" if gap <= c else "empty"] += 1
+    assert sum(axes.values()) >= 2000 and sum(segments.values()) >= 2000
+    assert min(axes[kind, True, touching] for kind in ("meet", "apart within c") for touching in (False, True)) >= 20, axes
+    assert axes["empty", True, False] >= 20 and min(segments.values()) >= 100, (axes, segments)
 
 
 def test_chain_overlaps_match_all_pairs_reference_on_one_line(f2):

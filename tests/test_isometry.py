@@ -1,16 +1,13 @@
 """Translation lengths, hyperbolicity verdicts, axes, overlaps, independence."""
 
-import copy
 import json
 import random
 import time
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import freecert.isometry
 from freecert import (
     ActionModel,
     AxisData,
@@ -22,7 +19,6 @@ from freecert import (
     ExplicitGraphModel,
     FreeGroupModel,
     FreeProductModel,
-    IsometryProfile,
     ModelError,
     OverlapReport,
     classify,
@@ -32,7 +28,6 @@ from freecert import (
     quasi_axis,
 )
 from freecert.cli import main
-from freecert.isometry import invariance_defect, overlap_points, window_rays
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +79,6 @@ def test_an_infinite_model_without_an_exact_length_is_refused():
     # No silent verdict: the model must give the length, or classify raises.
     with pytest.raises(NotImplementedError, match="_InfiniteLine has no exact translation length"):
         classify(_InfiniteLine(), (1,))
-    with pytest.raises(NotImplementedError, match="_InfiniteLine has no axis base point"):
-        _InfiniteLine().min_displacement_point((1,))
     with pytest.raises(NotImplementedError, match="_InfiniteLine has no axis rays"):
         _InfiniteLine().axis_rays((1,), 1)
 
@@ -149,21 +142,21 @@ def test_exact_length_verdict_matches_the_displacement_criterion(f2, zz2):
 
 
 def test_axis_of_generator(f2):
-    axis = quasi_axis(f2, classify(f2, (1,)), window=3, delta=0)
+    axis = quasi_axis(f2, classify(f2, (1,)), window=3)
     assert axis.mode == "geodesic-axis"
     assert axis.invariance_defect == 0
     assert axis.path == tuple((1,) * k if k >= 0 else (-1,) * (-k) for k in range(-3, 4))
 
 
 def test_axis_of_conjugate(f2):
-    axis = quasi_axis(f2, classify(f2, (1, 2, -1)), window=2, delta=0)
+    axis = quasi_axis(f2, classify(f2, (1, 2, -1)), window=2)
     assert axis.mode == "geodesic-axis"
     expected = {f2.compose((1,), (2,) * k if k >= 0 else (-2,) * (-k)) for k in range(-2, 3)}
     assert expected <= set(axis.path)
 
 
 def test_axis_of_ab(f2):
-    axis = quasi_axis(f2, classify(f2, (1, 2)), window=2, delta=0)
+    axis = quasi_axis(f2, classify(f2, (1, 2)), window=2)
     assert axis.mode == "geodesic-axis"
     assert axis.step == 2
     for p in ((), (1,), (1, 2), (1, 2, 1), (-2,)):
@@ -171,21 +164,21 @@ def test_axis_of_ab(f2):
 
 
 def _per_power_axis(model, g, window):
-    """The axis as built from one fresh power of g per orbit point, every
-    image measured: the reference for the stepped orbit."""
-    pstar = model.min_displacement_point(g)
+    """(path, step): the axis as the geodesics between the orbit points g^k p*,
+    |k| <= window, of its base point p* = u for g = u core u^-1, one fresh power
+    of g per point.  g carries every interior point onto the path, so the
+    axis is a geodesic with invariance defect 0."""
+    pstar = model.cyclic_split(g)[0]
     step = model.distance(pstar, model.apply(g, pstar))
     orbit = [model.apply(model.power(g, k), pstar) for k in range(-window, window + 1)]
     path = []
     for u, v in zip(orbit, orbit[1:]):
         seg = model.geodesic(u, v)
         path.extend(seg if not path else seg[1:])
-    edge_path = EdgePath(model, path)
-    margin = max(step, 1)
-    interior = path[margin:-margin] if len(path) > 2 * margin else path
-    defect = max(edge_path.distance(model.apply(g, p)) for p in interior)
-    assert len(path) - 1 == model.distance(path[0], path[-1]) and defect == 0  # a tree axis is a geodesic
-    return AxisData(tuple(path), "geodesic-axis", defect, step, edge_path)
+    interior = path[step:-step] if len(path) > 2 * step else path
+    assert len(path) - 1 == model.distance(path[0], path[-1])
+    assert {model.apply(g, p) for p in interior} <= set(path)
+    return tuple(path), step
 
 
 def _conjugates(model, rng, count):
@@ -201,10 +194,9 @@ def _conjugates(model, rng, count):
     return found
 
 
-def test_stepped_orbit_gives_the_per_power_axis():
-    # The orbit walks from p* one application of g^-1 or g per point, and the
-    # defect reads edge labels; path, mode, defect and step stay those of the
-    # per-power build.
+def test_ray_axis_gives_the_per_power_axis():
+    # The window axis is read off the rays; its path and step are those of
+    # the orbit built one power of g at a time.
     f2 = FreeGroupModel(2, cap=4096)
     cases = [(f2, (1,) * k) for k in (1, 2, 3, 4, 7, 10, 16, 27, 33, 40)]
     rng = random.Random("stepped-orbit")
@@ -213,9 +205,9 @@ def test_stepped_orbit_gives_the_per_power_axis():
     for model, g in cases:
         profile = classify(model, g)
         for window in range(1, 9):
-            axis = quasi_axis(model, profile, window=window, delta=0)
-            assert axis == _per_power_axis(model, g, window), (g, window)
-            assert axis.edges.points is axis.path
+            axis = quasi_axis(model, profile, window=window)
+            assert (axis.path, axis.step) == _per_power_axis(model, g, window), (g, window)
+            assert (axis.mode, axis.invariance_defect) == ("geodesic-axis", 0)
 
 
 def test_axis_refuses_a_window_below_one(f2):
@@ -224,138 +216,6 @@ def test_axis_refuses_a_window_below_one(f2):
         with pytest.raises(ModelError, match=f"window must be >= 1, got {window}"):
             quasi_axis(f2, profile, window=window)
     assert len(quasi_axis(f2, profile, window=1).path) == 5
-
-
-def _membership_axis(model, g, window, delta):
-    """(path, mode, defect, step) with every interior image hashed into the
-    path's point set first: the reference for the defect read by path index."""
-    pstar = model.min_displacement_point(g)
-    step = model.distance(pstar, model.apply(g, pstar))
-    orbit = [model.apply(model.power(g, -window), pstar)]
-    for _ in range(2 * window):
-        orbit.append(model.apply(g, orbit[-1]))
-    path = []
-    for u, v in zip(orbit, orbit[1:]):
-        seg = model.geodesic(u, v)
-        path.extend(seg if not path else seg[1:])
-    path = path or [pstar]
-    edge_path = EdgePath(model, path)
-    margin = max(step, 1)
-    interior = path[margin:-margin] if len(path) > 2 * margin else path
-    images = (model.apply(g, p) for p in interior)
-    defect = max((edge_path.distance(q) for q in images if q not in edge_path.members), default=0)
-    geodesic = len(path) - 1 == model.distance(path[0], path[-1])
-    return tuple(path), "geodesic-axis" if geodesic and defect <= 2 * delta else "quasi-geodesic-axis", defect, step
-
-
-def _abelian_edge_labels(model):
-    """``edge_labels`` on a finite abelian Cayley graph (the cycle, the tori):
-    the letter s whose generator carries x to y, which is y = x*s there."""
-    letters = [l for i in range(1, len(model.generator_names) + 1) for l in (i, -i)]
-    moves = [(l, model.canon((l,))) for l in letters]
-    return lambda path: tuple(next(l for l, s in moves if model.apply(s, x) == y) for x, y in zip(path, path[1:]))
-
-
-def test_defect_read_by_path_index_matches_the_membership_defect():
-    # Each interior image is first compared with the point step places on.  On
-    # a tree axis it always is that point; on the cycle and tori below, given
-    # axes from every base point, g . path[i] often misses path[i + step] and
-    # is measured.  delta = 2 is past their diameters, so no axis is refused.
-    # Their views give the base point and edge labels a hyperbolic model gives.
-    rng = random.Random("indexed-defect")
-    cases = [(FreeGroupModel(2, cap=4096), (1,) * 40, 0)]
-    for model in (FreeGroupModel(2, cap=4096), FreeProductModel(cap=4096)):
-        cases += [(model, g, 0) for g in _conjugates(model, rng, 6)]
-    for model, words in ((CycleModel(9), [(1,), (1, 1), (1,) * 4]),
-                         (_torus(), [(1,), (1, 2), (1, 1, 2), (2, -1)]),
-                         (_torus(5, 3), [(1,), (1, 2), (1, -2, -2)])):
-        for p in range(0, len(model.ball(model.basepoint(), 9)), 2):
-            view = copy.copy(model)
-            view.min_displacement_point = lambda g, p=p: p
-            view.edge_labels = _abelian_edge_labels(model)
-            cases += [(view, model.canon(w), 2) for w in words]
-    misses = 0
-    for model, g, delta in cases:
-        profile = classify(model, g) if model.is_tree else IsometryProfile(g, Fraction(1))
-        for window in (1, 2, 3, 6):
-            axis = quasi_axis(model, profile, window=window, delta=delta)
-            path, mode, defect, step = _membership_axis(model, g, window, delta)
-            assert (axis.path, axis.mode, axis.invariance_defect, axis.step) == (path, mode, defect, step)
-            misses += sum(model.apply(g, path[i]) != path[i + step] for i in range(len(path) - step))
-    assert misses > 0
-
-
-TREE_MODELS = (FreeGroupModel(2, cap=4096), FreeGroupModel(3, cap=4096), FreeProductModel(cap=4096))
-
-
-def _walk(model, rng, length):
-    """A random walk of adjacent points (no stays) from a random point near the identity."""
-    path = [rng.choice(model.ball(model.basepoint(), 2))]
-    for _ in range(length):
-        path.append(rng.choice(model.neighbors(path[-1])))
-    return path
-
-
-def test_edge_labels_step_each_edge_of_a_path():
-    # y = x * label on every step, back and forth, involution steps included.
-    rng = random.Random("edge-labels")
-    involution_steps = 0
-    for model in TREE_MODELS:
-        paths = [_walk(model, rng, rng.randint(0, 30)) for _ in range(40)]
-        paths += [quasi_axis(model, classify(model, g), window=3).path for g in _conjugates(model, rng, 6)]
-        for path in paths:
-            labels = model.edge_labels(path)
-            assert len(labels) == len(path) - 1
-            for x, y, label in zip(path, path[1:], labels):
-                assert model.compose(x, (label,)) == y
-                involution_steps += model.orders[abs(label) - 1] == 2
-    assert involution_steps > 0
-    with pytest.raises(NotImplementedError, match="_InfiniteLine has no edge labels"):
-        _InfiniteLine().edge_labels([(), (1,)])
-
-
-def _applied_defect(model, g, path, step):
-    """The invariance defect with g applied to every interior point, each
-    image measured against every path point."""
-    margin = max(step, 1)
-    interior = path[margin:-margin] if len(path) > 2 * margin else path
-    return max(min(model.distance(model.apply(g, p), q) for q in path) for p in interior)
-
-
-def _perturbed(model, rng, path):
-    """The path with a detour x -> n -> x off it, or with one wrong edge after
-    which the path keeps its own labels from the wrong neighbour."""
-    k = rng.randrange(1, len(path) - 1)
-    labels = model.edge_labels(path)
-    n = rng.choice([n for n in model.neighbors(path[k]) if n not in path])
-    if rng.random() < 0.5:
-        return path[: k + 1] + [n] + path[k:]
-    wrong = [path[k], n]
-    for s in labels[k + 1 :]:
-        wrong.append(model.compose(wrong[-1], (s,)))
-        if wrong[-1] in wrong[:-1]:  # the label steps back the way the path came
-            wrong.pop()
-            break
-    return path[:k] + wrong
-
-
-def test_label_defect_equals_applying_g_to_every_point():
-    # On axes every interior image is a path point; on perturbed paths the
-    # images near the detour or past the wrong edge are not, and are measured.
-    rng = random.Random("label-defect")
-    measured = 0
-    for model in TREE_MODELS:
-        for g in _conjugates(model, rng, 5):
-            profile = classify(model, g)
-            for window in range(1, 9):
-                axis = quasi_axis(model, profile, window=window, delta=0)
-                assert axis.invariance_defect == _applied_defect(model, g, axis.path, axis.step) == 0
-                for _ in range(3):
-                    path = _perturbed(model, rng, list(axis.path))
-                    defect = invariance_defect(model, g, EdgePath(model, path), axis.step)
-                    assert defect == _applied_defect(model, g, path, axis.step), (g, window, path)
-                    measured += defect > 0
-    assert measured > 0
 
 
 def _small_and_quick(call):
@@ -371,7 +231,7 @@ def _small_and_quick(call):
 
 
 def test_a_window_past_the_cap_is_refused_before_its_orbit_is_formed(tmp_path, capsys):
-    # g^-window p* is never formed: the orbit walk stops at the cap after 64 steps.
+    # g^-window p* is never formed: the rays refuse the first orbit point past the cap.
     model = FreeGroupModel(2, cap=64)
     spec = tmp_path / "f2-64.json"
     spec.write_text(json.dumps(model.spec_dict()))
@@ -389,8 +249,8 @@ def test_a_window_past_the_cap_is_refused_before_its_orbit_is_formed(tmp_path, c
 
 
 def overlap_of(model, g, h, c=0, window=6):
-    aa = quasi_axis(model, classify(model, g), window=window, delta=0)
-    bb = quasi_axis(model, classify(model, h), window=window, delta=0)
+    aa = quasi_axis(model, classify(model, g), window=window)
+    bb = quasi_axis(model, classify(model, h), window=window)
     return overlap_diameter(model, aa, bb, c)
 
 
@@ -467,19 +327,39 @@ def _outcome(measure):
         return type(exc), str(exc)
 
 
+def _shared_point_overlap(model, axis_a, axis_b):
+    """The 0-overlap of two window axes measured on their point lists: the
+    points each shares with the other (one segment, in order along a's path),
+    its ends as the witness pair, and the window ends, max(step, 1) points
+    deep, that the shared points reach on each path."""
+    set_a, set_b = set(axis_a.path), set(axis_b.path)
+    shared = [p for p in axis_a.path if p in set_b]
+    window = min(len(set_a), len(set_b)) - 1
+    if not shared:
+        return OverlapReport(0, 0, window, (), False, False)
+
+    def reaches(axis):
+        m = max(axis.step, 1)
+        return any(p in shared for p in axis.path[:m]), any(p in shared for p in axis.path[-m:])
+
+    a_ends, b_ends = reaches(axis_a), reaches(axis_b)
+    return OverlapReport(model.distance(shared[0], shared[-1]), 0, window, tuple(model.geodesic(shared[0], shared[-1])),
+                         any(a_ends + b_ends), all(a_ends) or all(b_ends))
+
+
 def test_the_ray_overlap_equals_the_point_list_overlap():
-    # On a tree at c = 0 AxisPair reads the overlap off the rays; the point-list
-    # path builds both axes and measures them.  They give equal reports, or the
-    # same refusal: a window below 1, or one the cap refuses on a's axis or b's.
+    # At c = 0 AxisPair reads the overlap off the axes' ray ends; the point-list
+    # overlap intersects the axes' paths.  They give equal reports, or the same
+    # refusal: a window below 1, or one the cap refuses on a's axis or b's.
     rng = random.Random("ray-overlap")
     seen = {"touching": 0, "nonempty": 0, "unbounded": 0, "refused": 0}
     for model in RAY_MODELS:
         for g, h in _ray_corpus(model, rng, 120):
             pa, pb = classify(model, g), classify(model, h)
             for window in (0, *range(1, 9)):
-                rays = _outcome(lambda: AxisPair(model, pa, pb, window, 0, 0).overlap)
-                points = _outcome(lambda: overlap_diameter(
-                    model, quasi_axis(model, pa, window), quasi_axis(model, pb, window), 0))
+                rays = _outcome(lambda: AxisPair(model, pa, pb, window, 0).overlap)
+                points = _outcome(lambda: _shared_point_overlap(
+                    model, quasi_axis(model, pa, window), quasi_axis(model, pb, window)))
                 assert rays == points, (model.spec_dict(), g, h, window)
                 if isinstance(rays, OverlapReport):
                     seen["touching"] += rays.boundary_touching and not rays.unbounded_in_window
@@ -491,79 +371,72 @@ def test_the_ray_overlap_equals_the_point_list_overlap():
 
 
 def test_every_tree_axis_is_the_geodesic_between_its_rays():
-    # On a tree quasi_axis measures what window_rays reads: the axis is the
-    # geodesic between the rays' ends, a geodesic axis with defect 0 and
-    # 2 w tau + 1 points at delta 0 and 1, or both refuse a window past the cap.
+    # quasi_axis keeps what axis_rays reads, and its path is the geodesic
+    # between the rays' ends: a geodesic axis with defect 0 and 2 w tau + 1
+    # points, or both refuse a window past the cap.
     rng = random.Random("tree-axes")
     seen = {"geodesic": 0, "refused": 0}
     for model in RAY_MODELS:
-        for g in sorted({g for pair in _ray_corpus(model, rng, 20) for g in pair}):
+        for g in sorted({g for pair in _ray_corpus(model, rng, 40) for g in pair}):
             profile = classify(model, g)
             for window in range(1, 9):
-                rays = _outcome(lambda: window_rays(model, "a", profile, window))
-                for delta in (0, 1):
-                    axis = _outcome(lambda: quasi_axis(model, profile, window, delta))
-                    if isinstance(rays, tuple) and isinstance(rays[0], type):
-                        assert axis == rays, (model.spec_dict(), g, window)
-                        seen["refused"] += 1
-                        continue
-                    _, forward, backward = rays
-                    assert (axis.mode, axis.invariance_defect) == ("geodesic-axis", 0), (model.spec_dict(), g)
-                    assert len(axis.path) == 2 * window * profile.tr + 1
-                    assert list(axis.path) == model.geodesic(backward, forward)
-                    seen["geodesic"] += 1
+                rays = _outcome(lambda: model.axis_rays(g, window))
+                axis = _outcome(lambda: quasi_axis(model, profile, window))
+                if isinstance(rays[0], type):
+                    assert axis == rays, (model.spec_dict(), g, window)
+                    seen["refused"] += 1
+                    continue
+                _, forward, backward = rays
+                assert (axis.base, axis.forward, axis.backward, axis.step) == (*rays, profile.tr)
+                assert (axis.mode, axis.invariance_defect) == ("geodesic-axis", 0), (model.spec_dict(), g)
+                assert len(axis.path) == 2 * window * profile.tr + 1
+                assert list(axis.path) == model.geodesic(backward, forward)
+                seen["geodesic"] += 1
     assert seen["geodesic"] >= 2000 and seen["refused"] >= 100, seen
 
 
-class AxisBuilt(Exception):
-    pass
+def _refuse_point_lists(monkeypatch):
+    """Make building an EdgePath or reading an axis's point list fail."""
+    def refuse(*args):
+        raise AssertionError("an edge path or an axis point list was built")
+
+    monkeypatch.setattr(EdgePath, "__init__", refuse)
+    monkeypatch.setattr(AxisData, "path", property(refuse))
 
 
-def test_tree_commands_below_c_one_build_no_axis(monkeypatch, capsys):
-    # certify, overlap, chain and profile on a tree read their axes off the
-    # rays; only an overlap at c >= 1 (chain --delta 1, overlap --c 3) builds
-    # the point-list axes.
-    def refuse(model, profile, *args, **kwargs):
-        raise AxisBuilt(profile.element)
+F2_SPEC = str(Path(__file__).resolve().parent.parent / "demos/models/f2.json")
+CHAIN_A10 = ["chain", "--model", F2_SPEC, "--a", "a" * 10, "--b", "b", "--window", "3", "--word", "ab", "--Q", "3"]
 
-    monkeypatch.setattr(freecert.isometry, "quasi_axis", refuse)
-    f2 = str(Path(__file__).resolve().parent.parent / "demos/models/f2.json")
-    for criterion in ("nielsen", "prop6", "prop7", "prop8", "theorem9"):
-        assert main(["certify", "--model", f2, "--a", "ab", "--b", "ba", "--criterion", criterion,
+
+def test_tree_commands_below_c_one_build_no_axis_point_list(monkeypatch, capsys):
+    # certify, overlap, chain and profile on a tree read their axes and every
+    # 0-overlap off ray and segment ends.
+    _refuse_point_lists(monkeypatch)
+    for criterion in ("nielsen", "prop6", "prop7", "prop8", "theorem9", "theorem14"):
+        assert main(["certify", "--model", F2_SPEC, "--a", "ab", "--b", "ba", "--criterion", criterion,
                      "--no-verify"]) == 0
-    assert main(["overlap", "--model", f2, "--a", "ab", "--b", "ba"]) == 0
-    chain = ["chain", "--model", f2, "--a", "a" * 10, "--b", "b", "--window", "3", "--word", "ab", "--Q", "3"]
-    assert main([*chain, "--E", "10/1000"]) == 0
-    for delta in ("0", "1"):
-        assert main(["profile", "--model", f2, "--a", "aba'", "--delta", delta]) == 0
+    assert main(["overlap", "--model", F2_SPEC, "--a", "ab", "--b", "ba", "--c", "0"]) == 0
+    assert main([*CHAIN_A10, "--E", "10/1000"]) == 0
+    assert main(["profile", "--model", F2_SPEC, "--a", "aba'", "--delta", "0"]) == 0
     capsys.readouterr()
-    with pytest.raises(AxisBuilt):
-        main([*chain, "--E", "101", "--delta", "1"])
-    with pytest.raises(AxisBuilt):
-        main(["overlap", "--model", f2, "--a", "ab", "--b", "ba", "--c", "3"])
 
 
-def test_overlap_below_one_is_membership_alone(monkeypatch):
-    # At c < 1 the overlap is what EdgePath.within gives, found without calling it.
-    rng = random.Random("overlap-membership")
-    model = FreeGroupModel(2, cap=64)
-    pairs = [[EdgePath(model, _walk(model, rng, rng.randint(0, 12))) for _ in range(2)] for _ in range(30)]
-
-    def by_within(a, b, c):
-        in_a = [p for p in a.points if b.within(p, c)]
-        in_b = [q for q in b.points if a.within(q, c)]
-        return in_a, in_b, list(dict.fromkeys(in_a + in_b))
-
-    expected = {(i, c): by_within(a, b, c) for i, (a, b) in enumerate(pairs) for c in (-1, 0)}
-    monkeypatch.setattr(EdgePath, "within", lambda *args: pytest.fail("within called at c < 1"))
-    for (i, c), want in expected.items():
-        assert overlap_points(*pairs[i], c) == want
-    assert any(want[2] for (i, c), want in expected.items() if c == 0)
+def test_no_command_builds_an_edge_path_or_an_axis_point_list(monkeypatch, capsys):
+    # At c >= 1 (--delta 1, theorem14's 1000 delta, overlap --c 3) too, every
+    # overlap is read off segment ends.
+    _refuse_point_lists(monkeypatch)
+    # At c = 1000 the overlap is measured, and reaches both ends of a window: refused, exit 1.
+    assert main(["certify", "--model", F2_SPEC, "--a", "ab", "--b", "ba", "--criterion", "theorem14", "--delta", "1",
+                 "--no-verify"]) == 1
+    assert main(["overlap", "--model", F2_SPEC, "--a", "ab", "--b", "ba", "--c", "3"]) == 0
+    assert main([*CHAIN_A10, "--E", "101", "--delta", "1"]) == 1  # a chain whose conditions fail
+    assert main(["profile", "--model", F2_SPEC, "--a", "aba'", "--delta", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_a_chain_builds_no_edge_path_on_its_axes(monkeypatch, capsys):
-    # The base points and the overlap at c = 0 are read off the rays, and the
-    # block overlaps at c = 0 off medians, so no EdgePath is built at all.
+    # The base points are read off the rays, and the overlap and the block
+    # overlaps off segment ends, so no EdgePath is built at all.
     built = []
     original = EdgePath.__init__
 
@@ -679,13 +552,12 @@ def test_edge_path_matches_brute_force(model):
         for p in probes:
             exact = min(model.distance(p, q) for q in path)
             assert edge_path.distance(p) == exact
-            for c in range(-1, 4):
-                assert edge_path.within(p, c) == (exact <= c)
 
 
 @EDGE_PATH_MODELS
-def test_within_below_one_is_membership_alone(model, monkeypatch):
-    # Only a path point lies within 0 of the path, so c < 1 measures no distance.
+def test_a_path_point_is_at_distance_zero_by_membership_alone(model, monkeypatch):
+    # A point of the path is found by set lookup, so its distance 0 measures
+    # no distance; a point off the path is measured.
     rng = random.Random(f"within:{model.kind}")
     calls = []
     distance = model.distance
@@ -694,9 +566,8 @@ def test_within_below_one_is_membership_alone(model, monkeypatch):
     for _ in range(40):
         path = _edge_walk(model, rng, rng.choice(near), rng.randint(0, 24))
         edge_path = EdgePath(model, path)
-        for p in rng.sample(path, min(3, len(path))) + rng.sample(near, min(8, len(near))):
-            for c in (-1, 0):
-                assert edge_path.within(p, c) == (c == 0 and p in path)
+        for p in rng.sample(path, min(3, len(path))):
+            assert edge_path.distance(p) == 0
     assert calls == []
     single = EdgePath(model, [model.basepoint()])
-    assert single.within(model.neighbors(model.basepoint())[0], 1) and calls  # c >= 1 still measures
+    assert single.distance(model.neighbors(model.basepoint())[0]) == 1 and calls
